@@ -4,151 +4,24 @@ Valid when every type's unconstrained optimal deductible theta*_k stays
 below the lowest risk level L in the market.  Under that condition the
 optimum is bang-bang in lam and puts every served deductible at theta*_k,
 so the solved menu agrees with the stop-loss menu: a type at risk level
-a > tau (or a = tau with a >= xi_k) takes lam = 1, d = theta*_k, premium
+a > tau (or a = tau with tau >= xi_k) takes lam = 1, d = theta*_k, premium
 tau - theta*_k, and its profit density is tau - xi_k.
+
+``j_phi_cl(t, dist, cost, profile=None)`` and ``solve(dist, cost,
+grid_points, refine_tol)`` are the shared threshold menu's (see
+``threshold``) for this class; ``solve`` raises AssumptionError when
+sup_k theta*_k exceeds L, where the reduction is not valid.
 """
 
-from __future__ import annotations
+from functools import partial
 
-import math
-from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
-
-from .errors import AssumptionError
-from .menus import NULL_DEDUCTIBLE, Contract, GenericMenu, MenuEntry
-from .risk_model import CostFunctional, KProfile
-from .search import maximize_over_tau
-from .type_space import DiscreteTypes, TypeDistribution, _minmax_over_k
+from . import threshold
+from .threshold import assumption_check  # noqa: F401  (part of this module's API)
 
 
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Whether sup_k theta*_k <= L holds on the given market."""
-
-    sup_theta_star: float
-    lower_support: float
-    holds: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "sup_theta_star": self.sup_theta_star,
-            "lower_support": self.lower_support,
-            "holds": self.holds,
-        }
+class ChangeLossMenu(threshold.ThresholdMenu):
+    contract_class = "change_loss"
 
 
-def assumption_check(dist: TypeDistribution, cost: CostFunctional) -> AssumptionReport:
-    """Compute sup_k theta*_k over the market's k-support and compare to L."""
-    profile = KProfile(cost, dist.family)
-    if isinstance(dist, DiscreteTypes):
-        sup_ts = float(np.max(profile.theta_star(dist.ks)))
-    else:
-        sup_ts = _minmax_over_k(profile.theta_star, dist.k_lo, dist.k_hi, want_min=False)
-    low = dist.lower_support()
-    return AssumptionReport(sup_ts, low, sup_ts <= low)
-
-
-def j_phi_cl(t: float, dist: TypeDistribution, cost: CostFunctional, profile: KProfile | None = None) -> float:
-    """Expected profit of the threshold-t change-loss menu.
-
-    Served types contribute t - xi_k independently of a, so the integral
-    reduces to a k-integral against P(a > t | k); atoms at a = t join only
-    when t >= xi_k.
-    """
-    if math.isinf(t):
-        return 0.0
-    prof = profile if profile is not None else KProfile(cost, dist.family)
-    total = dist.tail_integral(lambda k: t - prof.xi(k), t)
-    for _a, k, w in dist.atoms_at(t):
-        xi_k = float(prof.xi(np.array([k]))[0])
-        if t >= xi_k:
-            total += w * (t - xi_k)
-    return total
-
-
-@dataclass(frozen=True)
-class ChangeLossMenu:
-    """Solved menu: threshold tau_star; served types take lam = 1 with
-    deductible theta*_k at premium tau_star - theta*_k."""
-
-    tau_star: float
-    objective_value: float
-    cost: CostFunctional
-    dist: TypeDistribution
-
-    @property
-    def contract_class(self) -> str:
-        return "change_loss"
-
-    def _profile(self) -> KProfile:
-        return KProfile(self.cost, self.dist.family)
-
-    def is_served(self, a: float, k: float) -> bool:
-        if a > self.tau_star:
-            return True
-        if a == self.tau_star:
-            return a >= self.cost.xi(self.dist.family.model(k))
-        return False
-
-    def deductible(self, a: float, k: float) -> float:
-        if not self.is_served(a, k):
-            return NULL_DEDUCTIBLE
-        return self.cost.theta_star(self.dist.family.model(k))
-
-    def premium(self, a: float, k: float) -> float:
-        d = self.deductible(a, k)
-        return 0.0 if math.isinf(d) else self.tau_star - d
-
-    def contract(self, a: float, k: float) -> Contract:
-        d = self.deductible(a, k)
-        if math.isinf(d):
-            return Contract.null("change_loss")
-        return Contract("change_loss", lam=1.0, deductible=d)
-
-    def entry(self, a: float, k: float) -> MenuEntry:
-        return MenuEntry(a, k, self.contract(a, k), self.premium(a, k))
-
-    def entries_for(self, pairs: Sequence[tuple[float, float]]) -> GenericMenu:
-        return GenericMenu.from_entries([self.entry(a, k) for a, k in pairs])
-
-    def risk_reduction(self, a):
-        return np.maximum(np.asarray(a, dtype=float) - self.tau_star, 0.0)
-
-    def profit_per_type(self, a: np.ndarray, k: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=float)
-        k = np.asarray(k, dtype=float)
-        tau = self.tau_star
-        if math.isinf(tau):
-            return np.zeros_like(a)
-        prof = self._profile()
-        xi = prof.xi(k)
-        served = (a > tau) | ((a == tau) & (a >= xi))
-        return np.where(served, tau - xi, 0.0)
-
-
-def solve(
-    dist: TypeDistribution,
-    cost: CostFunctional,
-    grid_points: int = 10001,
-    refine_tol: float = 1e-6,
-) -> ChangeLossMenu:
-    """Maximize the change-loss profit over tau in [L, a_max].
-
-    Raises AssumptionError when sup_k theta*_k exceeds the lowest market
-    risk level; the reduction to a threshold menu is not valid then.
-    """
-    report = assumption_check(dist, cost)
-    if not report.holds:
-        raise AssumptionError(
-            "change-loss reduction requires sup theta* <= lowest risk level: "
-            f"sup theta* = {report.sup_theta_star:.6g} > L = {report.lower_support:.6g}"
-        )
-    profile = KProfile(cost, dist.family)
-    lo = dist.lower_support()
-    hi = dist.upper_support()
-    tau, val = maximize_over_tau(
-        lambda t: j_phi_cl(t, dist, cost, profile), lo, hi, grid_points, refine_tol
-    )
-    return ChangeLossMenu(tau, val, cost, dist)
+j_phi_cl = partial(threshold.objective, "change_loss")
+solve = partial(threshold.solve, ChangeLossMenu)

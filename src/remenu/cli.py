@@ -17,10 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import change_loss, quota_share, stop_loss
+from . import threshold
+from .change_loss import ChangeLossMenu
 from .config import ScenarioConfig
 from .errors import AssumptionError, ConfigError, DomainError, UnsupportedError
 from .menus import Contract, GenericMenu, MenuEntry
+from .quota_share import QuotaShareMenu
+from .stop_loss import StopLossMenu
 from .type_space import DegenerateAlpha, DiscreteTypes, ProductUniform
 from .verification import check_ic, check_ir, first_best_demo, indirect_utility, monte_carlo_profit
 
@@ -28,11 +31,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_ASSUMPTION = 3
 
-_SOLVERS = {
-    "stop_loss": stop_loss.solve,
-    "quota_share": quota_share.solve,
-    "change_loss": change_loss.solve,
-}
+_MENUS = {m.contract_class: m for m in (StopLossMenu, QuotaShareMenu, ChangeLossMenu)}
 
 
 def _fmt(x: float) -> str:
@@ -64,36 +63,32 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n", "utf-8")
 
 
-def _menu_grid(dist) -> list[tuple[float, float]]:
-    """Deterministic (a, k) pairs at which to tabulate a solved rule menu."""
+def _menu_grid(dist) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic (a, k) arrays at which to tabulate a solved rule menu."""
     if isinstance(dist, DiscreteTypes):
-        return [(float(a), float(k)) for a, k in zip(dist.a_vals, dist.ks)]
+        return dist.a_vals, dist.ks
     if isinstance(dist, DegenerateAlpha):
         ks = np.linspace(dist.k_lo, dist.k_hi, 101)
-        avals = np.asarray(dist.a_of_k(ks), dtype=float)
-        return [(float(a), float(k)) for a, k in zip(avals, ks)]
+        return np.asarray(dist.a_of_k(ks), dtype=float), ks
     if isinstance(dist, ProductUniform):
-        pairs = []
-        for k in np.linspace(dist.k_lo, dist.k_hi, 21):
-            for alpha in np.linspace(dist.alpha_lo, dist.alpha_hi, 11):
-                pairs.append((float(dist.family.var(float(alpha), float(k))), float(k)))
-        return pairs
+        ks = np.repeat(np.linspace(dist.k_lo, dist.k_hi, 21), 11)
+        alphas = np.tile(np.linspace(dist.alpha_lo, dist.alpha_hi, 11), 21)
+        return np.array([dist.family.var(al, k) for al, k in zip(alphas, ks)], dtype=float), ks
     raise ConfigError("unsupported type distribution for menu tabulation")
 
 
 def _write_menu_csv(path: Path, menu, dist) -> None:
+    a, k = _menu_grid(dist)
+    served, d, premium = menu.terms(a, k)
+    risk_reduction = served * np.maximum(a - d, 0.0) - premium
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["a", "k", "contract_class", "lambda", "deductible", "premium", "risk_reduction"]
         )
-        for a, k in _menu_grid(dist):
-            entry = menu.entry(a, k)
-            c = entry.contract
-            rr = float(entry.risk_reduction(a))
-            writer.writerow(
-                [_fmt(a), _fmt(k), c.kind, _fmt(c.lam), _fmt(c.deductible), _fmt(entry.premium), _fmt(rr)]
-            )
+        for row in zip(a, k, served, d, premium, risk_reduction):
+            a_i, k_i, *terms = (_fmt(float(x)) for x in row)
+            writer.writerow([a_i, k_i, menu.contract_class, *terms])
 
 
 def _read_menu_csv(path: Path) -> GenericMenu:
@@ -123,15 +118,15 @@ def _read_menu_csv(path: Path) -> GenericMenu:
 def _solve(config: ScenarioConfig, solver_class: str):
     cost = config.build_cost()
     dist = config.build_dist()
-    menu = _SOLVERS[solver_class](
-        dist, cost, grid_points=config.solver.grid_points, refine_tol=config.solver.refine_tol
+    menu = threshold.solve(
+        _MENUS[solver_class], dist, cost, config.solver.grid_points, config.solver.refine_tol
     )
     return cost, dist, menu
 
 
 def cmd_solve(config: ScenarioConfig, out: Path, solver_class: str) -> int:
     cost, dist, menu = _solve(config, solver_class)
-    report = change_loss.assumption_check(dist, cost)
+    report = threshold.assumption_check(dist, cost)
     _write_menu_csv(out / "menu.csv", menu, dist)
     _write_json(
         out / "summary.json",
@@ -152,22 +147,16 @@ def cmd_curve(config: ScenarioConfig, out: Path, solver_class: str, t_lo, t_hi, 
     cost = config.build_cost()
     dist = config.build_dist()
     if t_lo is None or t_hi is None:
-        t_lo = dist.lower_support() if solver_class != "quota_share" else 0.0
-        t_hi = dist.upper_support()
+        t_lo, t_hi = threshold.tau_range(solver_class, dist)
     if not t_lo < t_hi:
         raise ConfigError(f"need t_lo < t_hi, got ({t_lo}, {t_hi})")
     if n < 2:
         raise ConfigError(f"need n >= 2 curve points, got {n}")
-    objective = {
-        "stop_loss": lambda t: stop_loss.objective(t, dist, cost),
-        "quota_share": lambda t: quota_share.j_phi(t, dist, cost),
-        "change_loss": lambda t: change_loss.j_phi_cl(t, dist, cost),
-    }[solver_class]
     with (out / "curve.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "J"])
-        for t in np.linspace(t_lo, t_hi, n):
-            writer.writerow([_fmt(float(t)), _fmt(objective(float(t)))])
+        for t in map(float, np.linspace(t_lo, t_hi, n)):
+            writer.writerow([_fmt(t), _fmt(threshold.objective(solver_class, t, dist, cost))])
     return EXIT_OK
 
 
@@ -257,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--class",
             dest="solver_class",
-            choices=sorted(_SOLVERS),
+            choices=sorted(_MENUS),
             default=None,
             help="override the config's contract class",
         )
@@ -290,7 +279,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.grid is not None or args.seed is not None:
             from dataclasses import replace
 
-            solver = replace(config.solver, grid_points=args.grid or config.solver.grid_points)
+            grid = config.solver.grid_points if args.grid is None else args.grid
+            solver = replace(config.solver, grid_points=grid)
             config = replace(
                 config,
                 solver=solver,

@@ -42,10 +42,8 @@ class DistortionConfig:
     def build(self) -> Distortion:
         if self.kind == "identity":
             return Distortion.identity()
-        if self.kind == "power":
+        if self.kind in ("power", "proportional_hazard"):  # the same transform u**c
             return Distortion.power(self.param)
-        if self.kind == "proportional_hazard":
-            return Distortion.proportional_hazard(self.param)
         raise ConfigError(f"unknown distortion kind {self.kind!r}")
 
 
@@ -124,7 +122,6 @@ class SolverConfig:
     solver_class: str = "stop_loss"
     grid_points: int = 10001
     refine_tol: float = 1e-6
-    a_quantile_cap: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.solver_class not in _SOLVER_CLASSES:
@@ -181,14 +178,13 @@ class ScenarioConfig:
         solver_raw = _take(
             top.get("solver", {}),
             "solver",
-            {"class", "grid_points", "refine_tol", "a_quantile_cap"},
+            {"class", "grid_points", "refine_tol"},
             set(),
         )
         solver = SolverConfig(
             str(solver_raw.get("class", "stop_loss")),
             int(_num(solver_raw, "solver", "grid_points", 10001)),
             _num(solver_raw, "solver", "refine_tol", 1e-6),
-            _num(solver_raw, "solver", "a_quantile_cap", 1e-9),
         )
 
         quad_raw = _take(

@@ -80,45 +80,6 @@ def adaptive_simpson(
     return prev
 
 
-def adaptive_simpson_batched(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: np.ndarray,
-    hi: np.ndarray,
-    tol: float = 1e-10,
-    max_depth: int = 12,
-) -> np.ndarray:
-    """Batch of Simpson integrals with shared uniform refinement.
-
-    lo and hi have shape (m,); f maps an (m, p) array of abscissae to an
-    (m, p) array of integrand values.  Refinement stops when every row is
-    stable to tol.
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    width = hi - lo
-    live = width > 0.0
-    if not live.any():
-        return np.zeros_like(width)
-    prev = None
-    n = 4
-    for _ in range(max_depth):
-        u = np.linspace(0.0, 1.0, n + 1)
-        x = lo[:, None] + width[:, None] * u[None, :]
-        y = np.asarray(f(x), dtype=float)
-        h = width / n
-        s = h / 3.0 * (
-            y[:, 0] + y[:, -1] + 4.0 * y[:, 1:-1:2].sum(axis=1) + 2.0 * y[:, 2:-1:2].sum(axis=1)
-        )
-        s = np.where(live, s, 0.0)
-        if prev is not None:
-            err = np.abs(s - prev)
-            if np.all(err <= tol * np.maximum(1.0, np.abs(s))):
-                return s
-        prev = s
-        n *= 2
-    return prev
-
-
 def adaptive_gauss_batched(
     f: Callable[[np.ndarray], np.ndarray],
     lo: np.ndarray,
@@ -190,29 +151,22 @@ def golden_section_max(
     return best_x, best_v
 
 
-def bisect_root(
+def monotone_crossing(
     f: Callable[[float], float],
+    level: float,
     lo: float,
     hi: float,
-    iters: int = 200,
 ) -> float | None:
-    """Root of a continuous f on [lo, hi] by bisection; None if no sign change."""
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
+    """Point of (lo, hi) where a monotone f crosses level, by 200 bisection
+    steps; None unless level lies strictly between f(lo) and f(hi)."""
+    f_lo, f_hi = f(lo), f(hi)
+    if not min(f_lo, f_hi) < level < max(f_lo, f_hi):
         return None
-    for _ in range(iters):
+    increasing = f_hi > f_lo
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0.0:
-            hi = mid
+        if (f(mid) < level) == increasing:
+            lo = mid
         else:
-            lo, flo = mid, fm
-        if hi - lo <= 1e-14 * max(1.0, abs(hi)):
-            break
+            hi = mid
     return 0.5 * (lo + hi)

@@ -2,106 +2,20 @@
 
 Within this class the optimum is bang-bang: each type either buys full
 coverage (lam = 1, premium tau) or stays out.  A type at risk level a is
-served when a > tau (or a = tau with a >= H[X_k]), and the profit density
-of a served type is tau - H[X_k].
+served when a > tau (or a = tau with tau >= H[X_k]), and the profit density
+of a served type is tau - H[X_k].  ``j_phi(t, dist, cost, profile=None)`` and
+``solve(dist, cost, grid_points, refine_tol)`` are the shared threshold
+menu's (see ``threshold``) for this class.
 """
 
-from __future__ import annotations
+from functools import partial
 
-import math
-from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
-
-from .menus import Contract, GenericMenu, MenuEntry
-from .risk_model import CostFunctional, KProfile
-from .search import maximize_over_tau
-from .type_space import TypeDistribution
+from . import threshold
 
 
-def j_phi(t: float, dist: TypeDistribution, cost: CostFunctional, profile: KProfile | None = None) -> float:
-    """Expected profit of the threshold-t quota-share menu.
-
-    The served region {a > t} contributes t - H[X_k] regardless of a, so
-    the integral reduces to a k-integral against P(a > t | k); atoms at
-    a = t join only when participation is weakly beneficial (a >= H[X_k]).
-    """
-    if math.isinf(t):
-        return 0.0
-    prof = profile if profile is not None else KProfile(cost, dist.family)
-    total = dist.tail_integral(lambda k: t - prof.full_cost(k), t)
-    for a, k, w in dist.atoms_at(t):
-        h_k = float(prof.full_cost(np.array([k]))[0])
-        if a >= h_k:
-            total += w * (t - h_k)
-    return total
+class QuotaShareMenu(threshold.ThresholdMenu):
+    contract_class = "quota_share"
 
 
-@dataclass(frozen=True)
-class QuotaShareMenu:
-    """Solved menu: participation threshold tau_star; served types take
-    full proportional coverage at premium tau_star."""
-
-    tau_star: float
-    objective_value: float
-    cost: CostFunctional
-    dist: TypeDistribution
-
-    @property
-    def contract_class(self) -> str:
-        return "quota_share"
-
-    def _profile(self) -> KProfile:
-        return KProfile(self.cost, self.dist.family)
-
-    def is_served(self, a: float, k: float) -> bool:
-        if a > self.tau_star:
-            return True
-        if a == self.tau_star:
-            return a >= self.cost.full_cost(self.dist.family.model(k))
-        return False
-
-    def lam(self, a: float, k: float) -> float:
-        return 1.0 if self.is_served(a, k) else 0.0
-
-    def premium(self, a: float, k: float) -> float:
-        return self.tau_star if self.is_served(a, k) else 0.0
-
-    def contract(self, a: float, k: float) -> Contract:
-        return Contract("quota_share", lam=self.lam(a, k), deductible=0.0)
-
-    def entry(self, a: float, k: float) -> MenuEntry:
-        return MenuEntry(a, k, self.contract(a, k), self.premium(a, k))
-
-    def entries_for(self, pairs: Sequence[tuple[float, float]]) -> GenericMenu:
-        return GenericMenu.from_entries([self.entry(a, k) for a, k in pairs])
-
-    def risk_reduction(self, a):
-        return np.maximum(np.asarray(a, dtype=float) - self.tau_star, 0.0)
-
-    def profit_per_type(self, a: np.ndarray, k: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=float)
-        k = np.asarray(k, dtype=float)
-        tau = self.tau_star
-        if math.isinf(tau):
-            return np.zeros_like(a)
-        prof = self._profile()
-        h_k = prof.full_cost(k)
-        served = (a > tau) | ((a == tau) & (a >= h_k))
-        return np.where(served, tau - h_k, 0.0)
-
-
-def solve(
-    dist: TypeDistribution,
-    cost: CostFunctional,
-    grid_points: int = 10001,
-    refine_tol: float = 1e-6,
-) -> QuotaShareMenu:
-    """Maximize the quota-share profit over tau in [0, a_max]."""
-    profile = KProfile(cost, dist.family)
-    hi = dist.upper_support()
-    tau, val = maximize_over_tau(
-        lambda t: j_phi(t, dist, cost, profile), 0.0, hi, grid_points, refine_tol
-    )
-    return QuotaShareMenu(tau, val, cost, dist)
+j_phi = partial(threshold.objective, "quota_share")
+solve = partial(threshold.solve, QuotaShareMenu)

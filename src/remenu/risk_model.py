@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergenceError, DomainError, UnsupportedError
-from .quadrature import adaptive_simpson
+from .quadrature import adaptive_simpson, monotone_crossing
 
 _CONCAVITY_TOL = 1e-12
 
@@ -30,9 +30,9 @@ _CONCAVITY_TOL = 1e-12
 class Distortion:
     """Concave distortion h on [0, 1] with h(0) = 0 and h(1) = 1.
 
-    Supported kinds: identity, power (h(u) = u**c), proportional_hazard
-    (hazard-rate transform, also h(u) = u**c), and tabulated (piecewise
-    linear through given concave knots).
+    Supported kinds: identity, power (h(u) = u**c, Wang's proportional
+    hazard transform), and tabulated (piecewise linear through given
+    concave knots).
     """
 
     kind: str
@@ -41,7 +41,7 @@ class Distortion:
     ys: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind in ("identity", "power", "proportional_hazard"):
+        if self.is_exponent_form:
             if not 0.0 < self.exponent <= 1.0:
                 raise DomainError(f"distortion exponent must lie in (0, 1], got {self.exponent}")
             if self.kind == "identity" and self.exponent != 1.0:
@@ -73,17 +73,13 @@ class Distortion:
         return cls("power", exponent=c)
 
     @classmethod
-    def proportional_hazard(cls, c: float) -> "Distortion":
-        return cls("proportional_hazard", exponent=c)
-
-    @classmethod
     def tabulated(cls, points: list[tuple[float, float]]) -> "Distortion":
         xs, ys = zip(*points)
         return cls("tabulated", xs=tuple(map(float, xs)), ys=tuple(map(float, ys)))
 
     @property
     def is_exponent_form(self) -> bool:
-        return self.kind in ("identity", "power", "proportional_hazard")
+        return self.kind in ("identity", "power")
 
     def __call__(self, u):
         u = np.clip(u, 0.0, 1.0)
@@ -131,11 +127,6 @@ class ExponentialLoss(LossModel):
         y = np.asarray(y, dtype=float)
         s = (1.0 - self.point_mass_zero) * np.exp(-np.maximum(y, 0.0) / self.mean)
         return np.where(y < 0.0, 1.0, s)
-
-    def pdf(self, y):
-        y = np.asarray(y, dtype=float)
-        d = (1.0 - self.point_mass_zero) / self.mean * np.exp(-np.maximum(y, 0.0) / self.mean)
-        return np.where(y < 0.0, 0.0, d)
 
     def var(self, alpha: float) -> float:
         self._check_alpha(alpha)
@@ -195,8 +186,8 @@ class CostFunctional:
     distortion: Distortion = field(default_factory=Distortion.identity)
 
     def __post_init__(self) -> None:
-        if self.theta <= 0.0:
-            raise DomainError(f"loading theta must be positive, got {self.theta}")
+        if not 0.0 < self.theta < math.inf:
+            raise DomainError(f"loading theta must be positive and finite, got {self.theta}")
 
     @property
     def target(self) -> float:
@@ -331,21 +322,7 @@ class LossFamily:
 
         Assumes var is monotone in k on the bracket (true for the supported
         scale families)."""
-        lo_v = float(self.var(alpha, k_lo))
-        hi_v = float(self.var(alpha, k_hi))
-        a_min, a_max = min(lo_v, hi_v), max(lo_v, hi_v)
-        if not a_min < a < a_max:
-            return None
-        lo, hi = k_lo, k_hi
-        increasing = hi_v > lo_v
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            v = float(self.var(alpha, mid))
-            if (v < a) == increasing:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        return monotone_crossing(lambda k: float(self.var(alpha, k)), a, k_lo, k_hi)
 
 
 @dataclass(frozen=True)

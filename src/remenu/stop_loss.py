@@ -6,22 +6,19 @@ For a fixed kink tau the pointwise-optimal deductible is
     a = tau :  theta*_k          if tau >= xi_k, else null
     a < tau :  null,
 
-with per-type profit density Phi.  The remaining work is the scalar
-maximization of int Phi dQ over tau in [L, a_max] against shut-down.
+with per-type profit density Phi.  ``objective(tau, dist, cost, profile=None)``
+and ``solve(dist, cost, grid_points, refine_tol)`` are the shared threshold
+menu's (see ``threshold``) for this class; the scalar rule below is kept as
+an independent reference for them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
 
-import numpy as np
-
-from .menus import Contract, GenericMenu, MenuEntry
-from .risk_model import CostFunctional, KProfile, LossModel
-from .search import maximize_over_tau
-from .type_space import TypeDistribution
+from . import threshold
+from .risk_model import CostFunctional, LossModel
 
 
 def optimal_deductible(tau: float, a: float, cost: CostFunctional, loss: LossModel) -> float:
@@ -42,126 +39,9 @@ def phi(tau: float, a: float, cost: CostFunctional, loss: LossModel) -> float:
     return max(a - d, 0.0) - slc - max(a - tau, 0.0)
 
 
-def _theta_splits(profile: KProfile, dist: TypeDistribution, tau: float) -> list[float]:
-    """k values where theta*_k crosses tau (a kink of the k-integrand)."""
-    k_lo = getattr(dist, "k_lo", None)
-    if k_lo is None or math.isinf(tau):
-        return []
-    k_hi = dist.k_hi
-    t_lo = float(profile.theta_star(np.array([k_lo]))[0])
-    t_hi = float(profile.theta_star(np.array([k_hi]))[0])
-    lo_v, hi_v = min(t_lo, t_hi), max(t_lo, t_hi)
-    if not lo_v < tau < hi_v:
-        return []
-    increasing = t_hi > t_lo
-    lo, hi = k_lo, k_hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        v = float(profile.theta_star(np.array([mid]))[0])
-        if (v < tau) == increasing:
-            lo = mid
-        else:
-            hi = mid
-    return [0.5 * (lo + hi)]
+class StopLossMenu(threshold.ThresholdMenu):
+    contract_class = "stop_loss"
 
 
-def _high_group_profit(profile: KProfile, tau: float, k: np.ndarray) -> np.ndarray:
-    """tau - d - H[(X_k - d)_+] with d = theta*_k /\\ tau (the a > tau branch)."""
-    d = np.minimum(profile.theta_star(k), tau)
-    return tau - d - profile.stop_loss_cost(k, d)
-
-
-def objective(
-    tau: float,
-    dist: TypeDistribution,
-    cost: CostFunctional,
-    profile: KProfile | None = None,
-) -> float:
-    """Reinsurer's expected profit int Phi(tau; a, k) dQ.
-
-    Phi vanishes below tau and is constant in a above it, so the integral
-    reduces exactly to a k-integral against the conditional tail mass
-    P(a > tau | k), plus exact atom terms at a = tau for discrete types.
-    """
-    if math.isinf(tau):
-        return 0.0
-    prof = profile if profile is not None else KProfile(cost, dist.family)
-    splits = _theta_splits(prof, dist, tau)
-    total = dist.tail_integral(lambda k: _high_group_profit(prof, tau, k), tau, k_splits=splits)
-    for _a, k, w in dist.atoms_at(tau):
-        xi_k = float(prof.xi(np.array([k]))[0])
-        if tau >= xi_k:
-            total += w * (tau - xi_k)
-    return total
-
-
-@dataclass(frozen=True)
-class StopLossMenu:
-    """Solved menu: kink tau_star plus the optimal contract rule for every type."""
-
-    tau_star: float
-    objective_value: float
-    cost: CostFunctional
-    dist: TypeDistribution
-
-    @property
-    def contract_class(self) -> str:
-        return "stop_loss"
-
-    def _profile(self) -> KProfile:
-        return KProfile(self.cost, self.dist.family)
-
-    def deductible(self, a: float, k: float) -> float:
-        return optimal_deductible(self.tau_star, a, self.cost, self.dist.family.model(k))
-
-    def premium(self, a: float, k: float) -> float:
-        d = self.deductible(a, k)
-        return 0.0 if math.isinf(d) else self.tau_star - d
-
-    def contract(self, a: float, k: float) -> Contract:
-        d = self.deductible(a, k)
-        if math.isinf(d):
-            return Contract.null("stop_loss")
-        return Contract("stop_loss", lam=1.0, deductible=d)
-
-    def entry(self, a: float, k: float) -> MenuEntry:
-        return MenuEntry(a, k, self.contract(a, k), self.premium(a, k))
-
-    def entries_for(self, pairs: Sequence[tuple[float, float]]) -> GenericMenu:
-        return GenericMenu.from_entries([self.entry(a, k) for a, k in pairs])
-
-    def risk_reduction(self, a):
-        return np.maximum(np.asarray(a, dtype=float) - self.tau_star, 0.0)
-
-    def profit_per_type(self, a: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """Reinsurer profit P - H[I(X_k)] when each type takes its own entry."""
-        a = np.asarray(a, dtype=float)
-        k = np.asarray(k, dtype=float)
-        tau = self.tau_star
-        if math.isinf(tau):
-            return np.zeros_like(a)
-        prof = self._profile()
-        ts = prof.theta_star(k)
-        xi = prof.xi(k)
-        served_high = a > tau
-        served_kink = (a == tau) & (tau >= xi)
-        d = np.where(served_high, np.minimum(ts, tau), ts)
-        prof_val = tau - d - prof.stop_loss_cost(k, d)
-        return np.where(served_high | served_kink, prof_val, 0.0)
-
-
-def solve(
-    dist: TypeDistribution,
-    cost: CostFunctional,
-    grid_points: int = 10001,
-    refine_tol: float = 1e-6,
-) -> StopLossMenu:
-    """Maximize the profit over tau in [L, a_max] (shut-down included)."""
-    profile = KProfile(cost, dist.family)
-    lo = dist.lower_support()
-    hi = dist.upper_support()
-    tau, val = maximize_over_tau(
-        lambda t: objective(t, dist, cost, profile), lo, hi, grid_points, refine_tol
-    )
-    assert math.isinf(tau) or tau >= lo
-    return StopLossMenu(tau, val, cost, dist)
+objective = partial(threshold.objective, "stop_loss")
+solve = partial(threshold.solve, StopLossMenu)

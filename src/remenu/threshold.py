@@ -1,0 +1,208 @@
+"""The threshold menu shared by the stop-loss, quota-share and change-loss classes.
+
+Every class has the optimal indirect utility v(a) = (a - tau)_+: types above
+the kink tau are served, types below take the null contract, and a type at
+a = tau is served iff tau >= ref_k (H[X_k] for quota-share, xi_k otherwise).
+The classes differ only in the profit density of a served type, a function
+of k alone (``served_profit``), and in its deductible (``ThresholdMenu.terms``).
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import asdict, dataclass
+from typing import ClassVar, Sequence
+
+import numpy as np
+
+from .errors import AssumptionError
+from .menus import Contract, GenericMenu, MenuEntry
+from .quadrature import monotone_crossing
+from .risk_model import CostFunctional, KProfile
+from .search import maximize_over_tau
+from .type_space import DiscreteTypes, TypeDistribution, _minmax_over_k
+
+
+@dataclass(frozen=True)
+class AssumptionReport:
+    """Whether sup_k theta*_k <= L holds on the given market."""
+
+    sup_theta_star: float
+    lower_support: float
+    holds: bool
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
+def assumption_check(dist: TypeDistribution, cost: CostFunctional) -> AssumptionReport:
+    """Compute sup_k theta*_k over the market's k-support and compare to L."""
+    profile = KProfile(cost, dist.family)
+    if isinstance(dist, DiscreteTypes):
+        sup_ts = float(np.max(profile.theta_star(dist.ks)))
+    else:
+        sup_ts = _minmax_over_k(profile.theta_star, dist.k_lo, dist.k_hi, want_min=False)
+    low = dist.lower_support()
+    return AssumptionReport(sup_ts, low, sup_ts <= low)
+
+
+def require_assumption(dist: TypeDistribution, cost: CostFunctional) -> None:
+    """Raise AssumptionError unless the change-loss reduction is valid."""
+    report = assumption_check(dist, cost)
+    if not report.holds:
+        raise AssumptionError(
+            "change-loss reduction requires sup theta* <= lowest risk level: "
+            f"sup theta* = {report.sup_theta_star:.6g} > L = {report.lower_support:.6g}"
+        )
+
+
+def reference(kind: str, profile: KProfile):
+    """ref_k as a vectorized function of k: H[X_k] for quota-share, else xi_k."""
+    return profile.full_cost if kind == "quota_share" else profile.xi
+
+
+def served_profit(kind: str, profile: KProfile, tau: float, k, d=None) -> np.ndarray:
+    """Profit P - H[I(X_k)] of a served type: tau - d - H[(X_k - d)_+] for
+    stop-loss at deductible d, tau - H[X_k] for quota-share, tau - xi_k for
+    change-loss."""
+    if kind == "stop_loss":
+        return tau - d - profile.stop_loss_cost(k, d)
+    return tau - reference(kind, profile)(k)
+
+
+def _theta_splits(profile: KProfile, dist: TypeDistribution, tau: float) -> list[float]:
+    """k values where theta*_k crosses tau (a kink of the stop-loss density)."""
+    if not hasattr(dist, "k_lo"):
+        return []
+    k = monotone_crossing(
+        lambda x: float(profile.theta_star(np.array([x]))[0]), tau, dist.k_lo, dist.k_hi
+    )
+    return [] if k is None else [k]
+
+
+def objective(
+    kind: str,
+    tau: float,
+    dist: TypeDistribution,
+    cost: CostFunctional,
+    profile: KProfile | None = None,
+) -> float:
+    """Reinsurer's expected profit J(tau) of the threshold-tau menu.
+
+    The profit vanishes below tau and is constant in a above it, so the
+    integral reduces exactly to a k-integral against the conditional tail
+    mass P(a > tau | k), plus exact atom terms tau - ref_k at a = tau.
+    """
+    if math.isinf(tau):
+        return 0.0
+    prof = profile if profile is not None else KProfile(cost, dist.family)
+    stop_loss = kind == "stop_loss"
+
+    def density(k):
+        d = np.minimum(prof.theta_star(k), tau) if stop_loss else None
+        return served_profit(kind, prof, tau, k, d)
+
+    splits = _theta_splits(prof, dist, tau) if stop_loss else []
+    total = dist.tail_integral(density, tau, k_splits=splits)
+    for _a, k, w in dist.atoms_at(tau):
+        ref_k = float(reference(kind, prof)(np.array([k]))[0])
+        if tau >= ref_k:
+            total += w * (tau - ref_k)
+    return total
+
+
+def tau_range(kind: str, dist: TypeDistribution) -> tuple[float, float]:
+    """Search interval for the kink: from 0 for quota-share, else from L."""
+    lo = 0.0 if kind == "quota_share" else dist.lower_support()
+    return lo, dist.upper_support()
+
+
+@dataclass(frozen=True)
+class ThresholdMenu:
+    """Solved menu: kink tau_star plus the class's contract rule for every type.
+
+    Subclasses set contract_class to stop_loss, quota_share or change_loss.
+    """
+
+    tau_star: float
+    objective_value: float
+    cost: CostFunctional
+    dist: TypeDistribution
+
+    contract_class: ClassVar[str]
+
+    def terms(self, a, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(served, deductible, premium) of the entries for types (a, k).
+
+        Arrays broadcast; a served type takes lam = 1 at premium tau - d,
+        an unserved one the null contract (deductible +inf, or 0 for
+        quota-share) at premium 0.
+        """
+        a, k = np.broadcast_arrays(np.atleast_1d(np.asarray(a, float)), np.asarray(k, float))
+        tau, kind = self.tau_star, self.contract_class
+        prof = KProfile(self.cost, self.dist.family)
+        served = a > tau
+        kink = a == tau
+        if kink.any():
+            served[kink] = tau >= reference(kind, prof)(k[kink])
+        if kind == "quota_share":
+            d = np.zeros(a.shape)
+        else:
+            d = np.full(a.shape, math.inf)
+            d[served] = prof.theta_star(k[served])
+            if kind == "stop_loss":
+                d = np.where(a > tau, np.minimum(d, tau), d)
+        premium = np.zeros(a.shape)
+        premium[served] = tau - d[served]
+        return served, d, premium
+
+    def entry(self, a: float, k: float) -> MenuEntry:
+        served, d, premium = (float(x[0]) for x in self.terms(a, k))
+        return MenuEntry(a, k, Contract(self.contract_class, served, d), premium)
+
+    def entries_for(self, pairs: Sequence[tuple[float, float]]) -> GenericMenu:
+        return GenericMenu.from_entries([self.entry(a, k) for a, k in pairs])
+
+    def contract(self, a: float, k: float) -> Contract:
+        return self.entry(a, k).contract
+
+    def lam(self, a: float, k: float) -> float:
+        return float(self.terms(a, k)[0][0])
+
+    def deductible(self, a: float, k: float) -> float:
+        return float(self.terms(a, k)[1][0])
+
+    def premium(self, a: float, k: float) -> float:
+        return float(self.terms(a, k)[2][0])
+
+    def profit_per_type(self, a: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """Reinsurer profit P - H[I(X_k)] when each type takes its own entry."""
+        served, d, _premium = self.terms(a, k)
+        k = np.broadcast_to(np.asarray(k, float), served.shape)
+        prof = KProfile(self.cost, self.dist.family)
+        out = np.zeros(served.shape)
+        out[served] = served_profit(self.contract_class, prof, self.tau_star, k[served], d[served])
+        return out
+
+
+def solve(
+    menu_cls: type[ThresholdMenu],
+    dist: TypeDistribution,
+    cost: CostFunctional,
+    grid_points: int = 10001,
+    refine_tol: float = 1e-6,
+) -> ThresholdMenu:
+    """Maximize J over the class's tau range (shut-down included).
+
+    Raises AssumptionError for change-loss when sup_k theta*_k exceeds the
+    lowest market risk level; the reduction is not valid then.
+    """
+    kind = menu_cls.contract_class
+    if kind == "change_loss":
+        require_assumption(dist, cost)
+    profile = KProfile(cost, dist.family)
+    lo, hi = tau_range(kind, dist)
+    tau, val = maximize_over_tau(
+        lambda t: objective(kind, t, dist, cost, profile), lo, hi, grid_points, refine_tol
+    )
+    return menu_cls(tau, val, cost, dist)

@@ -123,8 +123,17 @@ class _UniformK(TypeDistribution):
     def _k_density(self) -> float:
         return 1.0 / (self.k_hi - self.k_lo)
 
-    def _k_cross(self, alpha: float, a: float) -> float | None:
-        return self.family.k_for_var(alpha, a, self.k_lo, self.k_hi)
+    def _k_breaks_for(self, points: Sequence[float]) -> list[float]:
+        """k values where the a-support edge of an edge alpha crosses a point."""
+        ks: list[float] = []
+        for t in points:
+            if not math.isfinite(t):
+                continue
+            for alpha in self._edge_alphas:
+                got = self.family.k_for_var(alpha, t, self.k_lo, self.k_hi)
+                if got is not None:
+                    ks.append(got)
+        return ks
 
 
 class ProductUniform(_UniformK):
@@ -148,6 +157,7 @@ class ProductUniform(_UniformK):
             raise DomainError("alpha_hi must stay below 1 - F(0) for every k")
         self.alpha_lo = float(alpha_lo)
         self.alpha_hi = float(alpha_hi)
+        self._edge_alphas = (self.alpha_lo, self.alpha_hi)
 
     def in_support(self, alpha: float, k: float) -> bool:
         return self.alpha_lo <= alpha <= self.alpha_hi and self.k_lo <= k <= self.k_hi
@@ -170,17 +180,6 @@ class ProductUniform(_UniformK):
         """P(a > t | k) for the uniform alpha pushforward."""
         sv = self.family.survival(t, k)
         return np.clip((sv - self.alpha_lo) / (self.alpha_hi - self.alpha_lo), 0.0, 1.0)
-
-    def _k_breaks_for(self, points: Sequence[float]) -> list[float]:
-        ks: list[float] = []
-        for t in points:
-            if not math.isfinite(t):
-                continue
-            for alpha in (self.alpha_lo, self.alpha_hi):
-                got = self._k_cross(alpha, t)
-                if got is not None:
-                    ks.append(got)
-        return ks
 
     def tail_integral(self, g, t: float, k_splits: Sequence[float] = ()) -> float:
         if math.isinf(t):
@@ -283,6 +282,7 @@ class DegenerateAlpha(_UniformK):
         if alpha0 >= 1.0 - p0:
             raise DomainError("alpha0 must stay below 1 - F(0)")
         self.alpha0 = float(alpha0)
+        self._edge_alphas = (self.alpha0,)
 
     def in_support(self, alpha: float, k: float) -> bool:
         return alpha == self.alpha0 and self.k_lo <= k <= self.k_hi
@@ -295,16 +295,6 @@ class DegenerateAlpha(_UniformK):
 
     def upper_support(self) -> float:
         return _minmax_over_k(self.a_of_k, self.k_lo, self.k_hi, False)
-
-    def _k_breaks_for(self, points: Sequence[float]) -> list[float]:
-        ks = []
-        for t in points:
-            if not math.isfinite(t):
-                continue
-            got = self._k_cross(self.alpha0, t)
-            if got is not None:
-                ks.append(got)
-        return ks
 
     def tail_integral(self, g, t: float, k_splits: Sequence[float] = ()) -> float:
         if math.isinf(t):

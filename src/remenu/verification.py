@@ -9,15 +9,14 @@ expected profit is re-estimated by Monte Carlo self-selection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .change_loss import assumption_check
-from .errors import AssumptionError, DomainError
+from .errors import DomainError
 from .menus import GenericMenu
 from .risk_model import CostFunctional, KProfile
+from .threshold import reference, require_assumption
 from .type_space import TypeDistribution
 
 IC_TOL = 1e-9
@@ -99,18 +98,11 @@ def j_general(
     H[X_k] for the quota-share class and xi_k for the change-loss class;
     the right slope applies where a >= ref_k and the left slope below.
     """
-    profile = KProfile(cost, dist.family)
-    if solver_class == "quota_share":
-        ref = profile.full_cost
-    elif solver_class == "change_loss":
-        report = assumption_check(dist, cost)
-        if not report.holds:
-            raise AssumptionError(
-                "general change-loss evaluation requires sup theta* <= lowest risk level"
-            )
-        ref = profile.xi
-    else:
+    if solver_class not in ("quota_share", "change_loss"):
         raise DomainError(f"j_general supports quota_share/change_loss, got {solver_class!r}")
+    if solver_class == "change_loss":
+        require_assumption(dist, cost)
+    ref = reference(solver_class, KProfile(cost, dist.family))
 
     def integrand(a, k):
         r = ref(k)
@@ -143,21 +135,34 @@ class ViolationReport:
     violations: tuple[dict, ...] = field(default_factory=tuple)
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "n_checked": self.n_checked,
-            "max_violation": self.max_violation,
-            "passed": self.passed,
-            "violations": list(self.violations),
-        }
+        return {**asdict(self), "violations": list(self.violations)}
 
 
-def _sample_pairs(menu, dist: TypeDistribution, n_pairs: int, rng) -> tuple:
-    if rng is None:
-        rng = np.random.default_rng(0)
-    a_own, k_own = dist.sample(n_pairs, rng)
-    a_alt, k_alt = dist.sample(n_pairs, rng)
-    return a_own, k_own, a_alt, k_alt
+def _entry_rows(menu: GenericMenu) -> np.ndarray:
+    """(a, k, lam, deductible, premium) rows, one column per menu entry."""
+    if len(menu) == 0:
+        raise DomainError("cannot audit an empty menu")
+    rows = [(e.a, e.k, e.contract.lam, e.contract.deductible, e.premium) for e in menu.entries]
+    return np.array(rows, dtype=float).T
+
+
+def _risk_reduction(rows, a: np.ndarray) -> np.ndarray:
+    """lam * (a - d)_+ - P of each entry for an agent at risk level a; the
+    lam row may be the boolean served row of ThresholdMenu.terms."""
+    _a, _k, lam, d, premium = rows
+    return lam * np.maximum(a - d, 0.0) - premium
+
+
+def _report(check: str, slack: np.ndarray, tol: float, own, alt=None) -> ViolationReport:
+    """Worst slack and the first 20 records of types whose slack exceeds tol."""
+    worst = float(slack.max()) if len(slack) else 0.0
+    records = []
+    for i in np.nonzero(slack > tol)[0][:20]:
+        record = {"own_type": [float(own[0][i]), float(own[1][i])], "violation": float(slack[i])}
+        if alt is not None:
+            record["alt_type"] = [float(alt[0][i]), float(alt[1][i])]
+        records.append(record)
+    return ViolationReport(check, len(slack), worst, worst <= tol, tuple(records))
 
 
 def check_ic(
@@ -169,58 +174,22 @@ def check_ic(
 ) -> ViolationReport:
     """Own entry at least as good as any other sampled type's entry.
 
-    Rule menus are probed at type pairs sampled from dist; a finite
+    Threshold menus are probed at type pairs sampled from dist; a finite
     GenericMenu is probed at sampled pairs of its own rows.
     """
+    if rng is None:
+        rng = np.random.default_rng(0)
     if isinstance(menu, GenericMenu):
-        if len(menu) == 0:
-            raise DomainError("cannot audit an empty menu")
-        if rng is None:
-            rng = np.random.default_rng(0)
-        i_own = rng.integers(0, len(menu), n_pairs)
-        i_alt = rng.integers(0, len(menu), n_pairs)
-        a_own = np.array([menu.entries[i].a for i in i_own])
-        k_own = np.array([menu.entries[i].k for i in i_own])
-        a_alt = np.array([menu.entries[i].a for i in i_alt])
-        k_alt = np.array([menu.entries[i].k for i in i_alt])
-        own_vals = np.array(
-            [float(menu.entries[i].risk_reduction(a)) for i, a in zip(i_own, a_own)]
-        )
-        alt_vals = np.array(
-            [float(menu.entries[i].risk_reduction(a)) for i, a in zip(i_alt, a_own)]
-        )
-        slack = alt_vals - own_vals
-        worst = float(slack.max()) if n_pairs else 0.0
-        bad = np.nonzero(slack > tol)[0][:20]
-        records = tuple(
-            {
-                "own_type": [float(a_own[i]), float(k_own[i])],
-                "alt_type": [float(a_alt[i]), float(k_alt[i])],
-                "violation": float(slack[i]),
-            }
-            for i in bad
-        )
-        return ViolationReport("incentive_compatibility", n_pairs, worst, worst <= tol, records)
-    a_own, k_own, a_alt, k_alt = _sample_pairs(menu, dist, n_pairs, rng)
-    own_vals = np.empty(n_pairs)
-    alt_vals = np.empty(n_pairs)
-    for i in range(n_pairs):
-        own = menu.entry(float(a_own[i]), float(k_own[i]))
-        alt = menu.entry(float(a_alt[i]), float(k_alt[i]))
-        own_vals[i] = float(own.risk_reduction(a_own[i]))
-        alt_vals[i] = float(alt.risk_reduction(a_own[i]))
-    slack = alt_vals - own_vals
-    worst = float(slack.max()) if n_pairs else 0.0
-    bad = np.nonzero(slack > tol)[0][:20]
-    records = tuple(
-        {
-            "own_type": [float(a_own[i]), float(k_own[i])],
-            "alt_type": [float(a_alt[i]), float(k_alt[i])],
-            "violation": float(slack[i]),
-        }
-        for i in bad
-    )
-    return ViolationReport("incentive_compatibility", n_pairs, worst, worst <= tol, records)
+        rows = _entry_rows(menu)
+        own = rows[:, rng.integers(0, len(menu), n_pairs)]
+        alt = rows[:, rng.integers(0, len(menu), n_pairs)]
+    else:
+        a_own, k_own = dist.sample(n_pairs, rng)
+        a_alt, k_alt = dist.sample(n_pairs, rng)
+        own = (a_own, k_own, *menu.terms(a_own, k_own))
+        alt = (a_alt, k_alt, *menu.terms(a_alt, k_alt))
+    slack = _risk_reduction(alt, own[0]) - _risk_reduction(own, own[0])
+    return _report("incentive_compatibility", slack, tol, own, alt)
 
 
 def check_ir(
@@ -232,28 +201,11 @@ def check_ir(
 ) -> ViolationReport:
     """Every sampled type weakly prefers its own entry to no contract."""
     if isinstance(menu, GenericMenu):
-        if len(menu) == 0:
-            raise DomainError("cannot audit an empty menu")
-        a_own = np.array([e.a for e in menu.entries])
-        k_own = np.array([e.k for e in menu.entries])
-        vals = np.array([float(e.risk_reduction(e.a)) for e in menu.entries])
-        n_types = len(menu)
+        own = _entry_rows(menu)
     else:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        a_own, k_own = dist.sample(n_types, rng)
-        vals = np.empty(n_types)
-        for i in range(n_types):
-            own = menu.entry(float(a_own[i]), float(k_own[i]))
-            vals[i] = float(own.risk_reduction(a_own[i]))
-    slack = -vals
-    worst = float(slack.max()) if n_types else 0.0
-    bad = np.nonzero(slack > tol)[0][:20]
-    records = tuple(
-        {"own_type": [float(a_own[i]), float(k_own[i])], "violation": float(slack[i])}
-        for i in bad
-    )
-    return ViolationReport("individual_rationality", n_types, worst, worst <= tol, records)
+        a, k = dist.sample(n_types, np.random.default_rng(0) if rng is None else rng)
+        own = (a, k, *menu.terms(a, k))
+    return _report("individual_rationality", -_risk_reduction(own, own[0]), tol, own)
 
 
 # -- first-best failure demo --------------------------------------------
@@ -372,7 +324,6 @@ def monte_carlo_profit(
     rng = np.random.default_rng(seed)
     a, k = dist.sample(n, rng)
     if isinstance(menu, GenericMenu):
-        profits = np.zeros(n)
         values = menu.value_matrix(a)          # (entries, n)
         best = values.max(axis=0)
         tie_tol = 1e-12 * np.maximum(1.0, np.abs(best))

@@ -94,6 +94,24 @@ class TestSolve:
         cfg.write_text(json.dumps(raw))
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 3
 
+    def test_zero_grid_exits_2(self, config, tmp_path):
+        assert main(["solve", "--config", str(config), "--out", str(tmp_path), "--grid", "0"]) == 2
+
+    def test_nan_theta_exits_2_naming_theta(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", cost={"theta": float("nan")})
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "theta" in capsys.readouterr().err
+
+    def test_proportional_hazard_is_an_alias_of_power(self, tmp_path):
+        summaries = []
+        for kind in ("power", "proportional_hazard"):
+            cost = {"theta": 0.1, "distortion": {"kind": kind, "param": 0.8}}
+            cfg = write_config(tmp_path / f"{kind}.json", cost=cost)
+            out = tmp_path / kind
+            assert main(["solve", "--config", str(cfg), "--out", str(out), "--grid", "11"]) == 0
+            summaries.append((out / "summary.json").read_bytes())
+        assert summaries[0] == summaries[1]
+
     def test_determinism(self, config, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["solve", "--config", str(config), "--out", str(out1)])

@@ -114,6 +114,13 @@ class TestStopLossCost:
             cost.stop_loss_cost(heavy, 0.0)
 
 
+class TestCostFunctional:
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, 0.0, -0.1])
+    def test_non_finite_or_non_positive_theta_rejected(self, theta):
+        with pytest.raises(DomainError, match="theta"):
+            CostFunctional(theta, Distortion.identity())
+
+
 class TestThetaStar:
     def test_exponential_closed_form(self, cost):
         for k in (5000.0, 10000.0, 25000.0):
