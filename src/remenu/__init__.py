@@ -27,6 +27,7 @@ from .risk_model import (
     KProfile,
     LossFamily,
     LossModel,
+    ScaleFamily,
 )
 from .type_space import (
     DegenerateAlpha,
@@ -68,6 +69,7 @@ __all__ = [
     "NULL_DEDUCTIBLE",
     "PiecewiseLinearConvexUtility",
     "ProductUniform",
+    "ScaleFamily",
     "ScenarioConfig",
     "TransformedType",
     "TypeDistribution",

@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -73,7 +74,7 @@ def _menu_grid(dist) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(dist, ProductUniform):
         ks = np.repeat(np.linspace(dist.k_lo, dist.k_hi, 21), 11)
         alphas = np.tile(np.linspace(dist.alpha_lo, dist.alpha_hi, 11), 21)
-        return np.array([dist.family.var(al, k) for al, k in zip(alphas, ks)], dtype=float), ks
+        return np.asarray(dist.family.var(alphas, ks), dtype=float), ks
     raise ConfigError("unsupported type distribution for menu tabulation")
 
 
@@ -203,9 +204,12 @@ def cmd_first_best(config: ScenarioConfig, out: Path, pairs: list[str]) -> int:
         raise ConfigError("first-best needs at least one --pair a1,k1,a2,k2")
     reports = []
     for pair_str in pairs:
-        parts = [float(x) for x in pair_str.split(",")]
-        if len(parts) != 4:
-            raise ConfigError(f"--pair must be a1,k1,a2,k2, got {pair_str!r}")
+        try:
+            parts = [float(x) for x in pair_str.split(",")]
+        except ValueError:
+            parts = []
+        if len(parts) != 4 or not all(map(math.isfinite, parts)):
+            raise ConfigError(f"--pair must be four finite numbers a1,k1,a2,k2, got {pair_str!r}")
         a1, k1, a2, k2 = parts
         reports.append(first_best_demo(a1, k1, a2, k2, dist, cost).to_dict())
     _write_json(out / "report.json", {"pairs": reports})
@@ -277,8 +281,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = ScenarioConfig.from_file(args.config)
         if args.grid is not None or args.seed is not None:
-            from dataclasses import replace
-
             grid = config.solver.grid_points if args.grid is None else args.grid
             solver = replace(config.solver, grid_points=grid)
             config = replace(

@@ -34,6 +34,13 @@ def _num(section: dict, name: str, key: str, default=None) -> float:
     return float(val)
 
 
+def _int(section: dict, name: str, key: str, default: int) -> int:
+    val = _num(section, name, key, default)
+    if not val.is_integer():
+        raise ConfigError(f"{name}.{key} must be an integer, got {section[key]!r}")
+    return int(val)
+
+
 @dataclass(frozen=True)
 class DistortionConfig:
     kind: str = "identity"
@@ -137,6 +144,14 @@ class QuadratureConfig:
     outer_nodes: int = 256
     simpson_tol: float = 1e-10
 
+    def __post_init__(self) -> None:
+        if not (isinstance(self.outer_nodes, int) and self.outer_nodes >= 1):
+            raise ConfigError(
+                f"quadrature.outer_nodes must be an integer >= 1, got {self.outer_nodes!r}"
+            )
+        if not 0.0 < self.simpson_tol < 1.0:
+            raise ConfigError(f"quadrature.simpson_tol must lie in (0, 1), got {self.simpson_tol}")
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -183,7 +198,7 @@ class ScenarioConfig:
         )
         solver = SolverConfig(
             str(solver_raw.get("class", "stop_loss")),
-            int(_num(solver_raw, "solver", "grid_points", 10001)),
+            _int(solver_raw, "solver", "grid_points", 10001),
             _num(solver_raw, "solver", "refine_tol", 1e-6),
         )
 
@@ -191,7 +206,7 @@ class ScenarioConfig:
             top.get("quadrature", {}), "quadrature", {"outer_nodes", "simpson_tol"}, set()
         )
         quadrature = QuadratureConfig(
-            int(_num(quad_raw, "quadrature", "outer_nodes", 256)),
+            _int(quad_raw, "quadrature", "outer_nodes", 256),
             _num(quad_raw, "quadrature", "simpson_tol", 1e-10),
         )
 

@@ -28,24 +28,6 @@ def gauss_legendre(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray
     return lo + half * (x + 1.0), half * w
 
 
-def piecewise_gauss(
-    f: Callable[[np.ndarray], np.ndarray],
-    edges: Sequence[float],
-    n: int,
-) -> float:
-    """Integrate f over consecutive [edges[i], edges[i+1]] segments with
-    n-node Gauss-Legendre per segment.  Edges must be sorted; zero-width
-    segments contribute nothing.  Reduction order is fixed (left to right).
-    """
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi <= lo:
-            continue
-        x, w = gauss_legendre(lo, hi, n)
-        total += float(np.dot(w, np.asarray(f(x), dtype=float)))
-    return total
-
-
 def split_edges(lo: float, hi: float, points: Sequence[float]) -> list[float]:
     """Sorted segment edges for [lo, hi] with forced splits at interior points."""
     inner = sorted({float(p) for p in points if lo < p < hi})
@@ -157,16 +139,38 @@ def monotone_crossing(
     lo: float,
     hi: float,
 ) -> float | None:
-    """Point of (lo, hi) where a monotone f crosses level, by 200 bisection
-    steps; None unless level lies strictly between f(lo) and f(hi)."""
+    """Point of (lo, hi) where a monotone f crosses level, bisected to float
+    resolution; None unless level lies strictly between f(lo) and f(hi)."""
     f_lo, f_hi = f(lo), f(hi)
     if not min(f_lo, f_hi) < level < max(f_lo, f_hi):
         return None
     increasing = f_hi > f_lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if (f(mid) < level) == increasing:
-            lo = mid
+    return first_true(lambda x: (f(x) >= level) == increasing, lo, hi)
+
+
+def first_true(pred: Callable[[float], bool], lo: float = 0.0, hi: float = math.inf) -> float:
+    """Smallest x in [lo, hi] at which a monotone predicate (false, then true)
+    holds, bisected to float resolution; +inf if it holds nowhere there.
+
+    An infinite hi is bracketed by doubling from max(1, 2 lo), at most 300 times.
+    """
+    if pred(lo):
+        return lo
+    if math.isinf(hi):
+        hi = max(1.0, 2.0 * lo)
+        for _ in range(300):
+            if pred(hi):
+                break
+            lo, hi = hi, 2.0 * hi
         else:
+            return math.inf
+    elif not pred(hi):
+        return math.inf
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if pred(mid):
             hi = mid
-    return 0.5 * (lo + hi)
+        else:
+            lo = mid
+        mid = 0.5 * (lo + hi)
+    return hi

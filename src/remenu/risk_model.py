@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergenceError, DomainError, UnsupportedError
-from .quadrature import adaptive_simpson, monotone_crossing
+from .quadrature import adaptive_simpson, first_true, monotone_crossing
 
 _CONCAVITY_TOL = 1e-12
 
@@ -99,14 +99,23 @@ class LossModel:
     def survival(self, y):
         raise NotImplementedError
 
-    def var(self, alpha: float) -> float:
+    def var(self, alpha):
+        """VaR_alpha(X), the smallest y with survival(y) <= alpha; alpha may be
+        an array."""
         raise NotImplementedError
 
-    def _check_alpha(self, alpha: float) -> None:
-        if not 0.0 < alpha < 1.0 - self.point_mass_zero:
-            raise DomainError(
-                f"alpha={alpha} outside (0, 1 - F(0)) = (0, {1.0 - self.point_mass_zero})"
-            )
+    def scaled(self, s: float) -> "LossModel":
+        """The loss s * X for a scale s > 0."""
+        raise NotImplementedError
+
+    def _check_alpha(self, alpha) -> None:
+        cap = 1.0 - self.point_mass_zero
+        if np.isscalar(alpha):
+            lo = hi = alpha
+        else:
+            lo, hi = np.min(alpha, initial=math.inf), np.max(alpha, initial=-math.inf)
+        if not (0.0 < lo and hi < cap):
+            raise DomainError(f"alpha={hi if 0.0 < lo else lo} outside (0, 1 - F(0)) = (0, {cap})")
 
 
 @dataclass(frozen=True)
@@ -115,7 +124,6 @@ class ExponentialLoss(LossModel):
 
     mean: float
     point_mass_zero: float = 0.0
-    support_hi: float = math.inf
 
     def __post_init__(self) -> None:
         if self.mean <= 0.0:
@@ -128,9 +136,12 @@ class ExponentialLoss(LossModel):
         s = (1.0 - self.point_mass_zero) * np.exp(-np.maximum(y, 0.0) / self.mean)
         return np.where(y < 0.0, 1.0, s)
 
-    def var(self, alpha: float) -> float:
+    def var(self, alpha):
         self._check_alpha(alpha)
-        return -self.mean * math.log(alpha / (1.0 - self.point_mass_zero))
+        return -self.mean * np.log(alpha / (1.0 - self.point_mass_zero))
+
+    def scaled(self, s: float) -> "ExponentialLoss":
+        return ExponentialLoss(s * self.mean, self.point_mass_zero)
 
 
 @dataclass(frozen=True)
@@ -151,26 +162,19 @@ class GenericLoss(LossModel):
         vals = np.vectorize(self.survival_fn, otypes=[float])(np.maximum(y, 0.0))
         return np.where(y < 0.0, 1.0, np.clip(vals, 0.0, 1.0))
 
-    def var(self, alpha: float) -> float:
+    def var(self, alpha):
         self._check_alpha(alpha)
-        lo = 0.0
-        if math.isfinite(self.support_hi):
-            hi = self.support_hi
-        else:
-            hi = 1.0
-            for _ in range(300):
-                if self.survival_fn(hi) <= alpha:
-                    break
-                hi *= 2.0
-            else:
-                raise DomainError("survival never falls below alpha; quantile undefined")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self.survival_fn(mid) <= alpha:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
+        return np.vectorize(self._quantile, otypes=[float])(alpha)[()]
+
+    def _quantile(self, alpha: float) -> float:
+        y = first_true(lambda y: self.survival_fn(y) <= alpha, hi=self.support_hi)
+        if math.isinf(y):
+            raise DomainError("survival never falls below alpha; quantile undefined")
+        return y
+
+    def scaled(self, s: float) -> "GenericLoss":
+        fn = self.survival_fn
+        return GenericLoss(lambda y: fn(y / s), self.support_hi * s, self.point_mass_zero)
 
 
 def zero_loss() -> GenericLoss:
@@ -194,7 +198,32 @@ class CostFunctional:
         """Survival-distortion level 1/(1+theta) at which B_X'(d) vanishes."""
         return 1.0 / (1.0 + self.theta)
 
+    def _closed_forms(self, loss: LossModel) -> tuple[float, Callable] | None:
+        """(theta*, vectorized d -> H[(X - d)_+]) in closed form for an
+        exponential loss under an exponent-form distortion; None otherwise."""
+        if not (isinstance(loss, ExponentialLoss) and self.distortion.is_exponent_form):
+            return None
+        c, k, p0 = self.distortion.exponent, loss.mean, loss.point_mass_zero
+        amp = (1.0 + self.theta) * (1.0 - p0) ** c
+
+        def tail(d):
+            d = np.asarray(d, dtype=float)
+            with np.errstate(over="ignore"):
+                out = amp * (k / c) * np.exp(-c * np.minimum(d, 1e308) / k)
+            return np.where(np.isinf(d), 0.0, out)
+
+        theta_star = (k / c) * math.log1p(self.theta) + k * math.log(1.0 - p0)
+        return max(theta_star, 0.0), tail
+
     # -- tail cost -------------------------------------------------------
+
+    def tail(self, loss: LossModel) -> Callable:
+        """Vectorized d -> H[(X - d)_+]: the closed form where one exists,
+        scalar quadrature at each d otherwise."""
+        closed = self._closed_forms(loss)
+        if closed is not None:
+            return closed[1]
+        return np.vectorize(lambda d: self.stop_loss_cost(loss, float(d)), otypes=[float])
 
     def stop_loss_cost(self, loss: LossModel, d: float) -> float:
         """H[(X - d)_+] = (1+theta) * int_d^inf h(survival(y)) dy."""
@@ -202,11 +231,9 @@ class CostFunctional:
             raise DomainError(f"deductible must be >= 0, got {d}")
         if math.isinf(d):
             return 0.0
-        if isinstance(loss, ExponentialLoss) and self.distortion.is_exponent_form:
-            c = self.distortion.exponent
-            k = loss.mean
-            amp = (1.0 - loss.point_mass_zero) ** c
-            return (1.0 + self.theta) * amp * (k / c) * math.exp(-c * d / k)
+        closed = self._closed_forms(loss)
+        if closed is not None:
+            return float(closed[1](d))
         return (1.0 + self.theta) * self._tail_integral(loss, d)
 
     def _tail_integral(self, loss: LossModel, d: float) -> float:
@@ -222,7 +249,7 @@ class CostFunctional:
             return adaptive_simpson(g, d, hi, tol=1e-12)
         # Unbounded support: integrate out to the 1 - 1e-12 quantile, then
         # extend in doubling segments until the increment is negligible.
-        q = max(loss.var(1e-12), d + 1.0)
+        q = max(float(loss.var(1e-12)), d + 1.0)
         total = adaptive_simpson(g, d, q, tol=1e-12)
         left, width = q, q - d
         for _ in range(80):
@@ -243,37 +270,12 @@ class CostFunctional:
     def theta_star(self, loss: LossModel) -> float:
         """Smallest d with h(survival(d)) <= 1/(1+theta); +inf if none exists
         up to the support bound."""
-        if isinstance(loss, ExponentialLoss) and self.distortion.is_exponent_form:
-            c = self.distortion.exponent
-            k = loss.mean
-            d = (k / c) * math.log1p(self.theta) + k * math.log(1.0 - loss.point_mass_zero)
-            return max(d, 0.0)
-
-        def below(d: float) -> bool:
-            return float(self.distortion(loss.survival(d))) <= self.target
-
-        if below(0.0):
-            return 0.0
-        if math.isfinite(loss.support_hi):
-            hi = loss.support_hi
-            if not below(hi):
-                return math.inf
-            lo = 0.0
-        else:
-            lo, hi = 0.0, 1.0
-            for _ in range(300):
-                if below(hi):
-                    break
-                lo, hi = hi, hi * 2.0
-            else:
-                return math.inf
-        while hi - lo > 1e-10:
-            mid = 0.5 * (lo + hi)
-            if below(mid):
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
+        closed = self._closed_forms(loss)
+        if closed is not None:
+            return closed[0]
+        return first_true(
+            lambda d: float(self.distortion(loss.survival(d))) <= self.target, hi=loss.support_hi
+        )
 
     def xi(self, loss: LossModel) -> float:
         """Break-even risk level theta* + H[(X - theta*)_+]."""
@@ -284,10 +286,6 @@ class CostFunctional:
 
     def b_curve(self, loss: LossModel, d: float) -> float:
         """B_X(d) = -d - H[(X - d)_+]; concave, maximized at theta_star."""
-        if d != d or d < 0.0:
-            raise DomainError(f"deductible must be >= 0, got {d}")
-        if math.isinf(d):
-            return -math.inf
         return -d - self.stop_loss_cost(loss, d)
 
 
@@ -295,24 +293,24 @@ class CostFunctional:
 
 
 class LossFamily:
-    """Maps a scale parameter k to a LossModel, with optional vectorized
-    fast paths used by the quadrature layer."""
+    """Maps a scale parameter k to a LossModel.  The methods here go through
+    model(k) one k at a time; ScaleFamily derives them from its base loss."""
 
-    has_pdf = False
+    point_mass_zero: float = 0.0
 
     def model(self, k: float) -> LossModel:
         raise NotImplementedError
 
-    def var(self, alpha: float, k):
-        k = np.asarray(k, dtype=float)
-        out = np.empty_like(k)
-        for i, ki in np.ndenumerate(k):
-            out[i] = self.model(float(ki)).var(alpha)
+    def var(self, alpha, k):
+        alpha, k = np.broadcast_arrays(np.asarray(alpha, float), np.asarray(k, float))
+        out = np.empty(k.shape)
+        for i in np.ndindex(k.shape):
+            out[i] = self.model(float(k[i])).var(float(alpha[i]))
         return out
 
     def survival(self, y, k):
         y, k = np.broadcast_arrays(np.asarray(y, float), np.asarray(k, float))
-        out = np.empty_like(y)
+        out = np.empty(y.shape)
         for i in np.ndindex(y.shape):
             out[i] = float(self.model(float(k[i])).survival(float(y[i])))
         return out
@@ -326,37 +324,39 @@ class LossFamily:
 
 
 @dataclass(frozen=True)
-class ExponentialFamily(LossFamily):
-    """k -> exponential loss with mean k (optionally a common atom at 0)."""
+class ScaleFamily(LossFamily):
+    """k -> the loss k * X_1 for a base loss X_1.
 
-    point_mass_zero: float = 0.0
-    has_pdf = True
+    Quantiles, survival and the scale putting a quantile at a given level all
+    follow from the base, and KProfile prices every X_k from it by positive
+    homogeneity of H.
+    """
 
-    def model(self, k: float) -> ExponentialLoss:
-        return ExponentialLoss(k, self.point_mass_zero)
+    base: LossModel
 
-    def var(self, alpha: float, k):
-        scale = -math.log(alpha / (1.0 - self.point_mass_zero))
-        if scale <= 0.0:
-            raise DomainError(f"alpha={alpha} outside (0, 1 - F(0))")
-        return np.asarray(k, dtype=float) * scale
+    @property
+    def point_mass_zero(self) -> float:
+        return self.base.point_mass_zero
+
+    def model(self, k: float) -> LossModel:
+        return self.base.scaled(k)
+
+    def var(self, alpha, k):
+        return np.asarray(k, dtype=float) * self.base.var(alpha)
 
     def survival(self, y, k):
-        y = np.asarray(y, dtype=float)
-        k = np.asarray(k, dtype=float)
-        return (1.0 - self.point_mass_zero) * np.exp(-np.maximum(y, 0.0) / k)
-
-    def pdf(self, y, k):
-        y = np.asarray(y, dtype=float)
-        k = np.asarray(k, dtype=float)
-        return np.where(
-            y < 0.0, 0.0, (1.0 - self.point_mass_zero) / k * np.exp(-np.maximum(y, 0.0) / k)
-        )
+        return self.base.survival(np.asarray(y, dtype=float) / np.asarray(k, dtype=float))
 
     def k_for_var(self, alpha: float, a: float, k_lo: float, k_hi: float) -> float | None:
-        scale = -math.log(alpha / (1.0 - self.point_mass_zero))
-        k = a / scale
+        k = a / float(self.base.var(alpha))
         return k if k_lo < k < k_hi else None
+
+
+class ExponentialFamily(ScaleFamily):
+    """k -> exponential loss with mean k (optionally a common atom at 0)."""
+
+    def __init__(self, point_mass_zero: float = 0.0):
+        super().__init__(ExponentialLoss(1.0, point_mass_zero))
 
 
 @dataclass(frozen=True)
@@ -370,64 +370,59 @@ class GenericFamily(LossFamily):
 
 
 class KProfile:
-    """Vectorized theta*_k, xi_k, and stop-loss costs across k.
+    """Vectorized theta*_k, xi_k, H[X_k] and H[(X_k - d)_+] across k.
 
-    Uses closed forms for the exponential family with exponent-form
-    distortions, and a cached per-k fallback otherwise.
+    On a ScaleFamily, positive homogeneity H[cY] = c H[Y] prices X_k = k X_1
+    from the base: theta*_k, xi_k and H[X_k] are k times their base values,
+    computed once, and H[(X_k - d)_+] = k T(d / k) with T the base's
+    vectorized tail cost.  Other families go through the scalar
+    CostFunctional one k at a time, each quantity memoized on its own.
     """
 
     def __init__(self, cost: CostFunctional, family: LossFamily):
         self.cost = cost
         self.family = family
-        self.fast = isinstance(family, ExponentialFamily) and cost.distortion.is_exponent_form
-        self._cache: dict[float, tuple[float, float, float]] = {}
+        self._base = family.base if isinstance(family, ScaleFamily) else None
+        self._tail = None if self._base is None else cost.tail(self._base)
+        self._memo: dict[str, dict] = {"theta_star": {}, "xi": {}, "full_cost": {}}
 
-    def _slow(self, k: float) -> tuple[float, float, float]:
-        got = self._cache.get(k)
+    def _scalar(self, name: str, k: float | None) -> float:
+        """theta_star, xi or full_cost of X_k (of the base for k None), memoized."""
+        memo = self._memo[name]
+        got = memo.get(k)
         if got is None:
-            loss = self.family.model(k)
-            ts = self.cost.theta_star(loss)
-            xv = self.cost.xi(loss) if math.isfinite(ts) else math.inf
-            fc = self.cost.full_cost(loss)
-            got = (ts, xv, fc)
-            self._cache[k] = got
+            loss = self._base if k is None else self.family.model(k)
+            if name == "xi":
+                ts = self._scalar("theta_star", k)
+                got = ts + self.cost.stop_loss_cost(loss, ts) if math.isfinite(ts) else math.inf
+            else:
+                got = getattr(self.cost, name)(loss)
+            memo[k] = got
         return got
 
-    def theta_star(self, k):
+    def _across(self, name: str, k) -> np.ndarray:
         k = np.asarray(k, dtype=float)
-        if self.fast:
-            c = self.cost.distortion.exponent
-            p0 = self.family.point_mass_zero
-            d = (k / c) * math.log1p(self.cost.theta) + k * math.log(1.0 - p0)
-            return np.maximum(d, 0.0)
-        return np.array([self._slow(float(ki))[0] for ki in k.ravel()]).reshape(k.shape)
+        if self._base is not None:
+            return k * self._scalar(name, None)
+        return np.array([self._scalar(name, float(ki)) for ki in k.ravel()]).reshape(k.shape)
+
+    def theta_star(self, k):
+        return self._across("theta_star", k)
+
+    def xi(self, k):
+        return self._across("xi", k)
+
+    def full_cost(self, k):
+        return self._across("full_cost", k)
 
     def stop_loss_cost(self, k, d):
         """H[(X_k - d)_+]; d may be scalar or an array matching k."""
         k = np.asarray(k, dtype=float)
+        if self._tail is not None:
+            return k * self._tail(d / k)
         d = np.broadcast_to(np.asarray(d, dtype=float), k.shape)
-        if self.fast:
-            c = self.cost.distortion.exponent
-            p0 = self.family.point_mass_zero
-            amp = (1.0 + self.cost.theta) * (1.0 - p0) ** c
-            with np.errstate(over="ignore"):
-                out = amp * (k / c) * np.exp(-c * np.minimum(d, 1e308) / k)
-            return np.where(np.isinf(d), 0.0, out)
         flat = [
             self.cost.stop_loss_cost(self.family.model(float(ki)), float(di))
             for ki, di in zip(k.ravel(), d.ravel())
         ]
         return np.array(flat).reshape(k.shape)
-
-    def xi(self, k):
-        k = np.asarray(k, dtype=float)
-        if self.fast:
-            ts = self.theta_star(k)
-            return ts + self.stop_loss_cost(k, ts)
-        return np.array([self._slow(float(ki))[1] for ki in k.ravel()]).reshape(k.shape)
-
-    def full_cost(self, k):
-        k = np.asarray(k, dtype=float)
-        if self.fast:
-            return self.stop_loss_cost(k, 0.0)
-        return np.array([self._slow(float(ki))[2] for ki in k.ravel()]).reshape(k.shape)

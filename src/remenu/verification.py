@@ -324,23 +324,29 @@ def monte_carlo_profit(
     rng = np.random.default_rng(seed)
     a, k = dist.sample(n, rng)
     if isinstance(menu, GenericMenu):
-        values = menu.value_matrix(a)          # (entries, n)
-        best = values.max(axis=0)
-        tie_tol = 1e-12 * np.maximum(1.0, np.abs(best))
-        profile = KProfile(cost, dist.family)
-        entry_profits = np.stack(
-            [_contract_profit(profile, e, k) for e in menu.entries]
-        )                                      # (entries, n)
-        own = np.full(n, -1, dtype=int)
+        # One entry at a time: the first maximum wins, as np.argmax would.
+        best = np.full(n, -np.inf)
+        choice = np.zeros(n, dtype=int)
+        own = np.full(n, -1)
+        own_value = np.zeros(n)
         for j, e in enumerate(menu.entries):
+            value = e.risk_reduction(a)
+            better = value > best
+            best[better] = value[better]
+            choice[better] = j
             match = (a == e.a) & (k == e.k) & (own < 0)
             own[match] = j
-        choice = np.argmax(values, axis=0)
-        has_own = own >= 0
-        own_ok = has_own & (values[np.maximum(own, 0), np.arange(n)] >= best - tie_tol)
-        choice = np.where(own_ok, np.maximum(own, 0), choice)
+            own_value[match] = value[match]
+        tie_tol = 1e-12 * np.maximum(1.0, np.abs(best))
+        own_ok = (own >= 0) & (own_value >= best - tie_tol)
+        choice = np.where(own_ok, own, choice)
         take = best >= -tie_tol
-        profits = np.where(take, entry_profits[choice, np.arange(n)], 0.0)
+        profile = KProfile(cost, dist.family)
+        profits = np.zeros(n)
+        for j, e in enumerate(menu.entries):
+            rows = take & (choice == j)
+            if rows.any():
+                profits[rows] = _contract_profit(profile, e, k[rows])
     else:
         profits = np.asarray(menu.profit_per_type(a, k), dtype=float)
     est = float(profits.mean())

@@ -102,6 +102,24 @@ class TestSolve:
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "theta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("quadrature", "outer_nodes", 0),
+            ("quadrature", "outer_nodes", -3),
+            ("quadrature", "outer_nodes", 1.5),
+            ("quadrature", "simpson_tol", -1),
+            ("solver", "grid_points", 2.5),
+        ],
+    )
+    def test_bad_numeric_setting_exits_2_naming_key(self, tmp_path, capsys, section, key, value):
+        cfg = write_config(tmp_path / "c.json")
+        raw = json.loads(cfg.read_text())
+        raw.setdefault(section, {})[key] = value
+        cfg.write_text(json.dumps(raw))
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
+
     def test_proportional_hazard_is_an_alias_of_power(self, tmp_path):
         summaries = []
         for kind in ("power", "proportional_hazard"):
@@ -243,6 +261,13 @@ class TestFirstBest:
         report = json.loads((out / "report.json").read_text())
         assert report["pairs"][0]["mimic_gain"] == pytest.approx(15000.0)
         assert report["pairs"][0]["profit_inequality_holds"] is True
+
+    def test_non_finite_pair_exits_2(self, config, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = ["first-best", "--config", str(config), "--out", str(out)]
+        assert main([*args, "--pair", "nan,10000,30000,10000"]) == 2
+        assert "--pair" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     def test_missing_pair_exits_2(self, config, tmp_path):
         assert main(["first-best", "--config", str(config), "--out", str(tmp_path)]) == 2

@@ -12,9 +12,13 @@ from remenu import (
     DomainError,
     ExponentialFamily,
     ExponentialLoss,
+    GenericFamily,
     GenericLoss,
     KProfile,
+    ScaleFamily,
     UnsupportedError,
+    change_loss,
+    quota_share,
 )
 from remenu.risk_model import zero_loss
 
@@ -76,6 +80,15 @@ class TestVar:
         gen = GenericLoss(lambda y: math.exp(-y / 2000.0))
         for alpha in (0.05, 0.1353, 0.5):
             assert gen.var(alpha) == pytest.approx(exp.var(alpha), rel=1e-9)
+
+    def test_var_accepts_arrays(self):
+        alphas = np.array([0.05, 0.1353, 0.5])
+        exp = ExponentialLoss(2000.0)
+        gen = GenericLoss(lambda y: math.exp(-y / 2000.0))
+        assert exp.var(alphas) == pytest.approx([exp.var(float(x)) for x in alphas], rel=1e-15)
+        assert gen.var(alphas) == pytest.approx(exp.var(alphas), rel=1e-12)
+        with pytest.raises(DomainError):
+            exp.var(np.array([0.5, 1.0]))
 
 
 class TestStopLossCost:
@@ -229,3 +242,46 @@ class TestKProfile:
         fast = KProfile(cost, ExponentialFamily())
         out = fast.stop_loss_cost(np.array([5000.0]), np.array([math.inf]))
         assert out[0] == 0.0
+
+
+UNIT_EXP = GenericLoss(lambda y: math.exp(-y))  # the base X_1 ~ Exp(1), as a generic loss
+TABULATED = Distortion.tabulated([(0.0, 0.0), (0.2, 0.2**0.75), (0.55, 0.55**0.75), (1.0, 1.0)])
+
+
+class TestScaleFamily:
+    def test_generic_base_matches_exponential_family(self):
+        generic, closed = ScaleFamily(UNIT_EXP), ExponentialFamily()
+        ks = np.array([5000.0, 12000.0, 25000.0])
+        alpha = math.exp(-3)
+        assert generic.var(alpha, ks) == pytest.approx(closed.var(alpha, ks), rel=1e-14)
+        assert generic.survival(30000.0, ks) == pytest.approx(closed.survival(30000.0, ks))
+        assert generic.k_for_var(alpha, 30000.0, 5000.0, 25000.0) == pytest.approx(10000.0)
+        assert generic.k_for_var(alpha, 90000.0, 5000.0, 25000.0) is None
+        assert float(generic.model(4000.0).var(alpha)) == pytest.approx(12000.0)
+
+    def test_exponential_family_keeps_point_mass(self):
+        fam = ExponentialFamily(point_mass_zero=0.1)
+        assert fam.point_mass_zero == 0.1
+        assert fam.model(3000.0) == ExponentialLoss(3000.0, 0.1)
+
+    @pytest.mark.parametrize("module", [quota_share, change_loss])
+    def test_generic_base_solves_like_closed_form(self, cost, module):
+        from remenu import DegenerateAlpha
+
+        generic = DegenerateAlpha(5000.0, 25000.0, math.exp(-3), ScaleFamily(UNIT_EXP))
+        closed = DegenerateAlpha(5000.0, 25000.0, math.exp(-3))
+        got, want = module.solve(generic, cost), module.solve(closed, cost)
+        assert got.tau_star == pytest.approx(want.tau_star, rel=1e-9)
+        assert got.objective_value == pytest.approx(want.objective_value, rel=1e-9)
+
+    def test_scale_route_matches_per_k_route(self):
+        cost = CostFunctional(0.1, TABULATED)
+        scale = KProfile(cost, ExponentialFamily(0.1))
+        per_k = KProfile(cost, GenericFamily(lambda k: ExponentialLoss(k, 0.1)))
+        ks = np.array([5000.0, 12000.0, 25000.0])
+        assert scale.theta_star(ks) == pytest.approx(per_k.theta_star(ks), rel=1e-12)
+        assert scale.xi(ks) == pytest.approx(per_k.xi(ks), rel=1e-10)
+        assert scale.full_cost(ks) == pytest.approx(per_k.full_cost(ks), rel=1e-10)
+        d = np.array([0.0, 3000.0, 40000.0])
+        assert scale.stop_loss_cost(ks, d) == pytest.approx(per_k.stop_loss_cost(ks, d), rel=1e-10)
+        assert scale.stop_loss_cost(ks, math.inf) == pytest.approx([0.0, 0.0, 0.0])

@@ -97,6 +97,19 @@ class TestIntegrate:
         got = product_dist.integrate(f, breakpoints=[30000.0])
         assert got == pytest.approx(total, rel=1e-8)
 
+    def test_alpha_coordinates_with_generic_base(self):
+        from remenu import GenericLoss, ScaleFamily
+
+        family = ScaleFamily(GenericLoss(lambda y: math.exp(-y)))
+        generic = ProductUniform(5000.0, 25000.0, ALPHA_LO, ALPHA_HI, family, outer_nodes=4)
+        closed = ProductUniform(5000.0, 25000.0, ALPHA_LO, ALPHA_HI, outer_nodes=4)
+
+        def f(a, k):
+            return np.maximum(a - 30000.0, 0.0) / (1.0 + k / 10000.0)
+
+        got = generic.integrate(f, breakpoints=[30000.0])
+        assert got == pytest.approx(closed.integrate(f, breakpoints=[30000.0]), rel=1e-9)
+
     def test_degenerate_matches_k_quadrature(self, degenerate_dist):
         def f(a, k):
             return np.maximum(a - 40000.0, 0.0)
