@@ -3,9 +3,11 @@
 Valid when every type's unconstrained optimal deductible theta*_k stays
 below the lowest risk level L in the market.  Under that condition the
 optimum is bang-bang in lam and puts every served deductible at theta*_k,
-so the solved menu agrees with the stop-loss menu: a type at risk level
-a > tau (or a = tau with tau >= xi_k) takes lam = 1, d = theta*_k, premium
-tau - theta*_k, and its profit density is tau - xi_k.
+so the change-loss menu is the stop-loss menu: the class shares the
+stop-loss rule and objective and differs only in its label and in the
+validity check.  A type at risk level a > tau (or a = tau with
+tau >= xi_k) takes lam = 1, d = theta*_k, premium tau - theta*_k, and its
+profit density is tau - xi_k.
 
 ``j_phi_cl(t, dist, cost, profile=None)`` and ``solve(dist, cost,
 grid_points, refine_tol)`` are the shared threshold menu's (see

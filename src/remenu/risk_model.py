@@ -294,7 +294,12 @@ class CostFunctional:
 
 class LossFamily:
     """Maps a scale parameter k to a LossModel.  The methods here go through
-    model(k) one k at a time; ScaleFamily derives them from its base loss."""
+    model(k) one k at a time; ScaleFamily derives them from its base loss.
+
+    VaR_alpha(X_k) and theta*_k are assumed monotone in k (true for the
+    supported scale families), so their extremes over [k_lo, k_hi] sit at
+    the ends and each crosses a level at most once.
+    """
 
     point_mass_zero: float = 0.0
 
@@ -316,10 +321,7 @@ class LossFamily:
         return out
 
     def k_for_var(self, alpha: float, a: float, k_lo: float, k_hi: float) -> float | None:
-        """Solve var(alpha, k) = a for k in [k_lo, k_hi]; None if no crossing.
-
-        Assumes var is monotone in k on the bracket (true for the supported
-        scale families)."""
+        """Solve var(alpha, k) = a for k in [k_lo, k_hi]; None if no crossing."""
         return monotone_crossing(lambda k: float(self.var(alpha, k)), a, k_lo, k_hi)
 
 
@@ -408,6 +410,12 @@ class KProfile:
 
     def theta_star(self, k):
         return self._across("theta_star", k)
+
+    def sup_theta_star(self, ks) -> float:
+        """max theta*_k over a few k values ks, such as a market's k_ends."""
+        if self._base is not None:
+            return max(ks) * self._scalar("theta_star", None)
+        return max(self._scalar("theta_star", float(k)) for k in ks)
 
     def xi(self, k):
         return self._across("xi", k)

@@ -1,7 +1,7 @@
 """Outer one-dimensional search over the indirect-utility kink tau.
 
-Dense grid scan plus golden-section refinement around the best grid point.
-Shared by all three solvers so their hyperparameters stay comparable.
+One rule, shared by all three classes, weighs candidate kinks against
+shut-down (J(+inf) = 0): the first best wins, shut-down only if it pays more.
 """
 
 from __future__ import annotations
@@ -14,6 +14,23 @@ import numpy as np
 from .quadrature import golden_section_max
 
 
+def _best(objective: Callable[[float], float], taus: np.ndarray) -> tuple[int, float]:
+    vals = [objective(float(t)) for t in taus]
+    i = int(np.argmax(vals))
+    return i, float(vals[i])
+
+
+def _or_shut_down(tau: float, val: float) -> tuple[float, float]:
+    return (tau, val) if val >= 0.0 else (math.inf, 0.0)
+
+
+def maximize_over_points(objective: Callable[[float], float], taus) -> tuple[float, float]:
+    """(tau_star, value) over the ascending candidates taus; tau_star is +inf
+    when shutting everyone down dominates."""
+    i, val = _best(objective, taus)
+    return _or_shut_down(float(taus[i]), val)
+
+
 def maximize_over_tau(
     objective: Callable[[float], float],
     lo: float,
@@ -21,25 +38,14 @@ def maximize_over_tau(
     grid_points: int = 10001,
     refine_tol: float = 1e-6,
 ) -> tuple[float, float]:
-    """Maximize objective on [lo, hi] against the shut-down value J(+inf) = 0.
-
-    Returns (tau_star, value); tau_star is +inf when shutting everyone down
-    dominates.  Ties resolve to the smallest tau (argmax takes the first
-    grid index, and a refinement must strictly improve to displace it).
-    """
-    if hi <= lo:
-        tau, val = lo, objective(lo)
-        return (tau, val) if val >= 0.0 else (math.inf, 0.0)
+    """The same on [lo, hi]: a grid scan, then golden-section refinement
+    around the best grid point, which must strictly improve to displace it."""
     grid = np.linspace(lo, hi, grid_points)
-    vals = np.array([objective(float(t)) for t in grid])
-    i = int(np.argmax(vals))
-    best_tau, best_val = float(grid[i]), float(vals[i])
+    i, best_val = _best(objective, grid)
+    best_tau = float(grid[i])
     b_lo = float(grid[max(i - 1, 0)])
     b_hi = float(grid[min(i + 1, grid_points - 1)])
-    if b_hi > b_lo:
-        tau_r, val_r = golden_section_max(objective, b_lo, b_hi, rel_tol=refine_tol)
-        if val_r > best_val:
-            best_tau, best_val = tau_r, val_r
-    if best_val < 0.0:
-        return math.inf, 0.0
-    return best_tau, best_val
+    tau_r, val_r = golden_section_max(objective, b_lo, b_hi, rel_tol=refine_tol)
+    if val_r > best_val:
+        best_tau, best_val = tau_r, val_r
+    return _or_shut_down(best_tau, best_val)

@@ -6,8 +6,10 @@ For a fixed kink tau the pointwise-optimal deductible is
     a = tau :  theta*_k          if tau >= xi_k, else null
     a < tau :  null,
 
-with per-type profit density Phi.  ``objective(tau, dist, cost, profile=None)``
-and ``solve(dist, cost, grid_points, refine_tol)`` are the shared threshold
+with per-type profit density Phi: tau - xi_k for a served type, or
+-H[(X_k - tau)_+] where the cap theta*_k > tau binds (possible only for tau
+below sup_k theta*_k).  ``objective(tau, dist, cost, profile=None)`` and
+``solve(dist, cost, grid_points, refine_tol)`` are the shared threshold
 menu's (see ``threshold``) for this class; the scalar rule below is kept as
 an independent reference for them.
 """

@@ -3,8 +3,12 @@
 Every class has the optimal indirect utility v(a) = (a - tau)_+: types above
 the kink tau are served, types below take the null contract, and a type at
 a = tau is served iff tau >= ref_k (H[X_k] for quota-share, xi_k otherwise).
-The classes differ only in the profit density of a served type, a function
-of k alone (``served_profit``), and in its deductible (``ThresholdMenu.terms``).
+A served type pays tau - d for the deductible d (``ThresholdMenu.terms``):
+0 for quota-share, theta*_k ∧ tau otherwise.  It yields the profit
+tau - ref_k, or -H[(X_k - tau)_+] where the cap binds (``served_profit``).
+
+Change-loss is the stop-loss rule; it differs only in its label and in the
+validity check sup_k theta*_k <= L, under which the cap never binds.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from .errors import AssumptionError
 from .menus import Contract, GenericMenu, MenuEntry
 from .quadrature import monotone_crossing
 from .risk_model import CostFunctional, KProfile
-from .search import maximize_over_tau
-from .type_space import DiscreteTypes, TypeDistribution, _minmax_over_k
+from .search import maximize_over_points, maximize_over_tau
+from .type_space import DiscreteTypes, TypeDistribution
 
 
 @dataclass(frozen=True)
@@ -37,11 +41,7 @@ class AssumptionReport:
 
 def assumption_check(dist: TypeDistribution, cost: CostFunctional) -> AssumptionReport:
     """Compute sup_k theta*_k over the market's k-support and compare to L."""
-    profile = KProfile(cost, dist.family)
-    if isinstance(dist, DiscreteTypes):
-        sup_ts = float(np.max(profile.theta_star(dist.ks)))
-    else:
-        sup_ts = _minmax_over_k(profile.theta_star, dist.k_lo, dist.k_hi, want_min=False)
+    sup_ts = KProfile(cost, dist.family).sup_theta_star(dist.k_ends)
     low = dist.lower_support()
     return AssumptionReport(sup_ts, low, sup_ts <= low)
 
@@ -61,22 +61,22 @@ def reference(kind: str, profile: KProfile):
     return profile.full_cost if kind == "quota_share" else profile.xi
 
 
-def served_profit(kind: str, profile: KProfile, tau: float, k, d=None) -> np.ndarray:
-    """Profit P - H[I(X_k)] of a served type: tau - d - H[(X_k - d)_+] for
-    stop-loss at deductible d, tau - H[X_k] for quota-share, tau - xi_k for
-    change-loss."""
-    if kind == "stop_loss":
-        return tau - d - profile.stop_loss_cost(k, d)
-    return tau - reference(kind, profile)(k)
+def served_profit(kind: str, profile: KProfile, tau: float, k, capped: bool) -> np.ndarray:
+    """Profit P - H[I(X_k)] of served types: tau - ref_k.  With ``capped``
+    (not for quota-share), a type with theta*_k > tau takes the deductible
+    tau and yields -H[(X_k - tau)_+] instead."""
+    out = tau - reference(kind, profile)(k)
+    if capped:
+        cap = profile.theta_star(k) > tau
+        out[cap] = -profile.stop_loss_cost(k[cap], tau)
+    return out
 
 
 def _theta_splits(profile: KProfile, dist: TypeDistribution, tau: float) -> list[float]:
-    """k values where theta*_k crosses tau (a kink of the stop-loss density)."""
+    """k values where theta*_k crosses tau (a kink of the capped density)."""
     if not hasattr(dist, "k_lo"):
         return []
-    k = monotone_crossing(
-        lambda x: float(profile.theta_star(np.array([x]))[0]), tau, dist.k_lo, dist.k_hi
-    )
+    k = monotone_crossing(lambda x: float(profile.theta_star(x)), tau, dist.k_lo, dist.k_hi)
     return [] if k is None else [k]
 
 
@@ -96,18 +96,14 @@ def objective(
     if math.isinf(tau):
         return 0.0
     prof = profile if profile is not None else KProfile(cost, dist.family)
-    stop_loss = kind == "stop_loss"
-
-    def density(k):
-        d = np.minimum(prof.theta_star(k), tau) if stop_loss else None
-        return served_profit(kind, prof, tau, k, d)
-
-    splits = _theta_splits(prof, dist, tau) if stop_loss else []
-    total = dist.tail_integral(density, tau, k_splits=splits)
+    # The cap theta*_k ∧ tau binds only below sup theta*.
+    capped = kind != "quota_share" and tau < prof.sup_theta_star(dist.k_ends)
+    splits = _theta_splits(prof, dist, tau) if capped else []
+    total = dist.tail_integral(
+        lambda k: served_profit(kind, prof, tau, k, capped), tau, k_splits=splits
+    )
     for _a, k, w in dist.atoms_at(tau):
-        ref_k = float(reference(kind, prof)(np.array([k]))[0])
-        if tau >= ref_k:
-            total += w * (tau - ref_k)
+        total += w * max(tau - float(reference(kind, prof)(k)), 0.0)
     return total
 
 
@@ -150,8 +146,7 @@ class ThresholdMenu:
         else:
             d = np.full(a.shape, math.inf)
             d[served] = prof.theta_star(k[served])
-            if kind == "stop_loss":
-                d = np.where(a > tau, np.minimum(d, tau), d)
+            d = np.where(a > tau, np.minimum(d, tau), d)
         premium = np.zeros(a.shape)
         premium[served] = tau - d[served]
         return served, d, premium
@@ -177,11 +172,11 @@ class ThresholdMenu:
 
     def profit_per_type(self, a: np.ndarray, k: np.ndarray) -> np.ndarray:
         """Reinsurer profit P - H[I(X_k)] when each type takes its own entry."""
-        served, d, _premium = self.terms(a, k)
-        k = np.broadcast_to(np.asarray(k, float), served.shape)
-        prof = KProfile(self.cost, self.dist.family)
+        served = self.terms(a, k)[0]
+        k = np.broadcast_to(np.asarray(k, float), served.shape)[served]
+        prof, kind = KProfile(self.cost, self.dist.family), self.contract_class
         out = np.zeros(served.shape)
-        out[served] = served_profit(self.contract_class, prof, self.tau_star, k[served], d[served])
+        out[served] = served_profit(kind, prof, self.tau_star, k, kind != "quota_share")
         return out
 
 
@@ -194,15 +189,21 @@ def solve(
 ) -> ThresholdMenu:
     """Maximize J over the class's tau range (shut-down included).
 
-    Raises AssumptionError for change-loss when sup_k theta*_k exceeds the
-    lowest market risk level; the reduction is not valid then.
+    On a discrete market J cannot decrease between consecutive atoms, so the
+    best atom is the exact optimum and grid_points and refine_tol go unused.  Raises AssumptionError for change-loss when
+    sup_k theta*_k exceeds the lowest market risk level; the reduction is
+    not valid then.
     """
     kind = menu_cls.contract_class
     if kind == "change_loss":
         require_assumption(dist, cost)
     profile = KProfile(cost, dist.family)
-    lo, hi = tau_range(kind, dist)
-    tau, val = maximize_over_tau(
-        lambda t: objective(kind, t, dist, cost, profile), lo, hi, grid_points, refine_tol
-    )
+
+    def j(t):
+        return objective(kind, t, dist, cost, profile)
+
+    if isinstance(dist, DiscreteTypes):
+        tau, val = maximize_over_points(j, np.sort(dist.a_vals))
+    else:
+        tau, val = maximize_over_tau(j, *tau_range(kind, dist), grid_points, refine_tol)
     return menu_cls(tau, val, cost, dist)

@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import adaptive_gauss_batched, gauss_legendre, golden_section_max, split_edges
+from .quadrature import adaptive_gauss_batched, gauss_legendre, split_edges
 from .risk_model import ExponentialFamily, LossFamily
 
 _WEIGHT_TOL = 1e-12
@@ -35,9 +35,14 @@ class TransformedType(NamedTuple):
 
 
 class TypeDistribution:
-    """Common interface: transform, support bounds, quadrature, sampling."""
+    """Common interface: transform, support bounds, quadrature, sampling.
+
+    ``k_ends`` holds the smallest and largest k of the support, where the
+    quantiles and theta*_k take their extremes (see ``LossFamily``).
+    """
 
     family: LossFamily
+    k_ends: tuple[float, float]
 
     def transform(self, alpha: float, k: float) -> TransformedType:
         if not self.in_support(alpha, k):
@@ -74,25 +79,6 @@ class TypeDistribution:
         raise NotImplementedError
 
 
-def _minmax_over_k(fn, k_lo: float, k_hi: float, want_min: bool) -> float:
-    sign = -1.0 if want_min else 1.0
-    grid = np.linspace(k_lo, k_hi, 1025)
-    vals = sign * np.asarray(fn(grid), dtype=float)
-    i = int(np.argmax(vals))
-    best_v = float(vals[i])
-    blo = float(grid[max(i - 1, 0)])
-    bhi = float(grid[min(i + 1, len(grid) - 1)])
-    if bhi > blo:
-        _, v = golden_section_max(
-            lambda t: sign * float(np.asarray(fn(np.array([t])), dtype=float)[0]),
-            blo,
-            bhi,
-            1e-12,
-        )
-        best_v = max(best_v, v)
-    return sign * best_v
-
-
 class _UniformK(TypeDistribution):
     """Shared machinery for the variants with k ~ U(k_lo, k_hi).
 
@@ -115,6 +101,7 @@ class _UniformK(TypeDistribution):
             raise DomainError(f"need 0 < k_lo < k_hi, got ({k_lo}, {k_hi})")
         self.k_lo = float(k_lo)
         self.k_hi = float(k_hi)
+        self.k_ends = (self.k_lo, self.k_hi)
         self.family = family if family is not None else ExponentialFamily()
         self.outer_nodes = int(outer_nodes)
         self.simpson_tol = float(simpson_tol)
@@ -131,12 +118,10 @@ class _UniformK(TypeDistribution):
 
     def lower_support(self) -> float:
         # a decreases in alpha, so the largest edge alpha bounds it below.
-        alpha = max(self._edge_alphas)
-        return _minmax_over_k(lambda k: self.family.var(alpha, k), self.k_lo, self.k_hi, True)
+        return float(np.min(self.family.var(max(self._edge_alphas), self.k_ends)))
 
     def upper_support(self) -> float:
-        alpha = min(self._edge_alphas)
-        return _minmax_over_k(lambda k: self.family.var(alpha, k), self.k_lo, self.k_hi, False)
+        return float(np.max(self.family.var(min(self._edge_alphas), self.k_ends)))
 
     def tail_integral(self, g, t: float, k_splits: Sequence[float] = ()) -> float:
         if math.isinf(t):
@@ -145,8 +130,6 @@ class _UniformK(TypeDistribution):
         edges = split_edges(self.k_lo, self.k_hi, [*self._k_breaks_for([t]), *k_splits])
         total = 0.0
         for lo, hi in zip(edges[:-1], edges[1:]):
-            if hi <= lo:
-                continue
             # No edge crossing of t falls inside a segment, so the tail is 0,
             # 1 or strictly between throughout it: its middle tells which.
             tail = self.conditional_tail(0.5 * (lo + hi), t)
@@ -165,8 +148,6 @@ class _UniformK(TypeDistribution):
         edges = split_edges(self.k_lo, self.k_hi, self._k_breaks_for(bps))
         total = 0.0
         for lo, hi in zip(edges[:-1], edges[1:]):
-            if hi <= lo:
-                continue
             k, w = gauss_legendre(lo, hi, self.outer_nodes)
             total += float(np.dot(w, self._inner(f, k, bps))) * dens
         return total
@@ -277,6 +258,7 @@ class DiscreteTypes(TypeDistribution):
         self.alphas = np.array([x[0] for x in atoms], dtype=float)
         self.ks = np.array([x[1] for x in atoms], dtype=float)
         self.weights = np.array([x[2] for x in atoms], dtype=float)
+        self.k_ends = (float(self.ks.min()), float(self.ks.max()))
         if np.any(self.weights < 0.0):
             raise DomainError("atom weights must be nonnegative")
         if abs(self.weights.sum() - 1.0) > _WEIGHT_TOL:
@@ -306,12 +288,9 @@ class DiscreteTypes(TypeDistribution):
         return float(np.dot(self.weights[mask], vals))
 
     def atoms_at(self, t: float) -> list[tuple[float, float, float]]:
-        tol = 1e-12 * max(1.0, abs(t))
-        out = []
-        for a, k, w in zip(self.a_vals, self.ks, self.weights):
-            if abs(a - t) <= tol:
-                out.append((float(a), float(k), float(w)))
-        return out
+        # Exact, as the menu's kink rule a == tau; an atom off t is in the tail or unserved.
+        at = self.a_vals == t
+        return list(zip(self.a_vals[at].tolist(), self.ks[at].tolist(), self.weights[at].tolist()))
 
     def sample(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         idx = rng.choice(len(self.weights), size=n, p=self.weights / self.weights.sum())

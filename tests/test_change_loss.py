@@ -9,6 +9,9 @@ from remenu import (
     DiscreteTypes,
     Distortion,
     ExponentialLoss,
+    GenericFamily,
+    GenericLoss,
+    KProfile,
     change_loss,
     check_ic,
     check_ir,
@@ -127,3 +130,51 @@ class TestSolve:
         xi = cost.xi(ExponentialLoss(10000.0))
         assert menu.tau_star == pytest.approx(30000.0, rel=1e-9)
         assert menu.objective_value == pytest.approx(30000.0 - xi, rel=1e-9)
+
+
+def lomax_loss(k: float) -> GenericLoss:
+    """Lomax loss with scale 2k (mean k): S(y) = (1 + y / (2k))**-3."""
+    return GenericLoss(lambda y: (1.0 + y / (2.0 * k)) ** -3.0)
+
+
+class TestIsStopLoss:
+    def test_objective_equals_stop_loss_above_sup_theta(self, cost, product_dist):
+        sup = change_loss.assumption_check(product_dist, cost).sup_theta_star
+        for t in np.linspace(sup, 75000.0, 13):
+            assert change_loss.j_phi_cl(float(t), product_dist, cost) == stop_loss.objective(
+                float(t), product_dist, cost
+            )
+
+    def test_terms_equal_stop_loss(self, cost, product_dist):
+        a, k = product_dist.sample(500, np.random.default_rng(7))
+        for tau in (10000.0, 38861.6, 60000.0):
+            cl = change_loss.ChangeLossMenu(tau, 0.0, cost, product_dist).terms(a, k)
+            sl = stop_loss.StopLossMenu(tau, 0.0, cost, product_dist).terms(a, k)
+            for x, y in zip(cl, sl):
+                np.testing.assert_array_equal(x, y)
+
+    def test_uncapped_objective_prices_no_tail(self, monkeypatch):
+        # Above sup theta* every served type yields tau - xi_k, and xi_k is
+        # memoized: no tail cost is priced again after the first call.
+        cost = CostFunctional(0.1, Distortion.power(0.9))
+        dist = DiscreteTypes(
+            [(0.02, 5000.0, 0.3), (0.05, 10000.0, 0.4), (0.1, 20000.0, 0.3)],
+            GenericFamily(lomax_loss),
+        )
+        profile = KProfile(cost, dist.family)
+        sup = profile.sup_theta_star(dist.k_ends)
+        taus = [sup, dist.lower_support(), float(np.median(dist.a_vals))]
+        first = stop_loss.objective(taus[0], dist, cost, profile)
+        calls = []
+        for owner in (KProfile, CostFunctional):
+            real = owner.stop_loss_cost
+
+            def counted(*args, real=real, **kwargs):
+                calls.append(args)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, "stop_loss_cost", counted)
+        values = [stop_loss.objective(t, dist, cost, profile) for t in taus]
+        assert calls == []
+        assert values[0] == first
+        assert values == [change_loss.j_phi_cl(t, dist, cost, profile) for t in taus]

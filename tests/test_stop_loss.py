@@ -66,7 +66,8 @@ class TestObjective:
 
     def test_matches_generic_integration_route(self, cost, product_dist):
         # Dual-route oracle: brute-force quadrature of the profit density.
-        for tau in (15000.0, 30000.0, 50000.0):
+        # 1000 and 2000 lie below sup theta* = 25000 ln 1.1, where the cap binds.
+        for tau in (1000.0, 2000.0, 15000.0, 30000.0, 50000.0):
             brute = product_dist.integrate(
                 lambda a, k: np.array(
                     [
@@ -123,6 +124,19 @@ class TestSolve:
             e = menu.entry(float(a[i]), float(k[i]))
             direct = e.premium - e.contract.cost(cost, ExponentialLoss(float(k[i])))
             assert vec[i] == pytest.approx(direct, abs=1e-9)
+
+    def test_capped_profit_per_type_matches_entries(self, cost, product_dist):
+        # tau = 1500 lies between the smallest and largest theta*_k.
+        menu = stop_loss.StopLossMenu(1500.0, 0.0, cost, product_dist)
+        a, k = product_dist.sample(200, np.random.default_rng(8))
+        vec = menu.profit_per_type(a, k)
+        capped = 0
+        for i in range(200):
+            e = menu.entry(float(a[i]), float(k[i]))
+            capped += e.contract.deductible == 1500.0
+            direct = e.premium - e.contract.cost(cost, ExponentialLoss(float(k[i])))
+            assert vec[i] == pytest.approx(direct, abs=1e-9)
+        assert 0 < capped < 200
 
     def test_ic_ir(self, cost, product_dist):
         menu = stop_loss.solve(product_dist, cost)

@@ -1,8 +1,19 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from remenu import Contract, DiscreteTypes, change_loss, quota_share, stop_loss
+from remenu import (
+    Contract,
+    CostFunctional,
+    DegenerateAlpha,
+    DiscreteTypes,
+    change_loss,
+    quota_share,
+    stop_loss,
+    threshold,
+)
 
 LN11 = math.log(1.1)
 MENUS = [stop_loss.StopLossMenu, quota_share.QuotaShareMenu, change_loss.ChangeLossMenu]
@@ -61,3 +72,53 @@ def test_terms_follow_the_contract_rule(menu_cls, cost):
             if a == tau:
                 kink_outcomes.add(bool(served[i]))
     assert kink_outcomes == {True, False}
+
+
+# Three atoms at a = 10000, ~30700.37 and 50000.  The middle one, which a
+# 10,001-point grid on [10000, 50000] misses, is the optimum of every class.
+INTERIOR = DiscreteTypes(
+    [(math.exp(-1), 10000.0, 0.2), (math.exp(-3), 10233.456, 0.5), (math.exp(-2), 25000.0, 0.3)]
+)
+OBJECTIVES = [stop_loss.objective, quota_share.j_phi, change_loss.j_phi_cl]
+
+
+@pytest.mark.parametrize(
+    "menu_cls, objective", zip(MENUS, OBJECTIVES), ids=[m.contract_class for m in MENUS]
+)
+def test_discrete_optimum_is_an_atom(menu_cls, objective, cost):
+    menu = threshold.solve(menu_cls, INTERIOR, cost)
+    atom = float(INTERIOR.a_vals[1])
+    assert menu.tau_star == atom
+    assert menu.objective_value == objective(atom, INTERIOR, cost)
+
+
+# On the market a = c k, tau* = c^2 k_hi / (2c - 1 - e) maximizes J, with
+# e = ln(1 + theta) for stop-loss and theta for quota-share.
+@pytest.mark.parametrize(
+    "module, excess", [(stop_loss, math.log1p), (quota_share, lambda theta: theta)],
+    ids=["stop_loss", "quota_share"],
+)
+@settings(max_examples=40, deadline=None)
+@given(
+    k_lo=st.floats(1000.0, 20000.0),
+    ratio=st.floats(1.2, 4.0),
+    theta=st.floats(0.01, 0.5),
+    alpha0=st.floats(math.exp(-8.0), math.exp(-2.0)),
+)
+def test_degenerate_closed_form_optimum(module, excess, k_lo, ratio, theta, alpha0):
+    c, k_hi = -math.log(alpha0), k_lo * ratio
+    tau = c * c * k_hi / (2.0 * c - 1.0 - excess(theta))
+    # An interior optimum, and sup theta* <= L, so no deductible cap binds.
+    assume(c * k_lo < tau < c * k_hi and k_hi * math.log1p(theta) <= c * k_lo)
+    dist = DegenerateAlpha(k_lo, k_hi, alpha0)
+    menu = module.solve(dist, CostFunctional(theta), grid_points=2001)
+    assert menu.tau_star == pytest.approx(tau, rel=1e-6)
+
+
+def test_nearly_coincident_atoms_count_once(cost):
+    # Two atoms 1.2e-8 apart: at a kink on either one, the other is counted
+    # once, as the menu serves it (through the tail, or not at all).
+    dist = DiscreteTypes([(math.exp(-3), 10000.0, 0.5), (math.exp(-3), 10000.0 * (1 + 4e-13), 0.5)])
+    menu = quota_share.solve(dist, cost)
+    assert menu.tau_star == float(dist.a_vals[0])
+    assert menu.objective_value == pytest.approx(30000.0 - 1.1 * 10000.0, rel=1e-12)
