@@ -153,11 +153,12 @@ def cmd_curve(config: ScenarioConfig, out: Path, solver_class: str, t_lo, t_hi, 
         raise ConfigError(f"need t_lo < t_hi, got ({t_lo}, {t_hi})")
     if n < 2:
         raise ConfigError(f"need n >= 2 curve points, got {n}")
+    ts = np.linspace(t_lo, t_hi, n)
+    js = threshold.objective(solver_class, ts, dist, cost)
     with (out / "curve.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "J"])
-        for t in map(float, np.linspace(t_lo, t_hi, n)):
-            writer.writerow([_fmt(t), _fmt(threshold.objective(solver_class, t, dist, cost))])
+        writer.writerows([_fmt(t), _fmt(j)] for t, j in zip(map(float, ts), map(float, js)))
     return EXIT_OK
 
 

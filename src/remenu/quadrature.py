@@ -108,10 +108,9 @@ def golden_section_max(
     """
     a, b = float(lo), float(hi)
     best_x, best_v = a, f(a)
-    for x in (b,):
-        v = f(x)
-        if v > best_v:
-            best_x, best_v = x, v
+    v = f(b)
+    if v > best_v:
+        best_x, best_v = b, v
     c = b - INV_PHI * (b - a)
     d = a + INV_PHI * (b - a)
     fc, fd = f(c), f(d)
@@ -146,6 +145,12 @@ def monotone_crossing(
         return None
     increasing = f_hi > f_lo
     return first_true(lambda x: (f(x) >= level) == increasing, lo, hi)
+
+
+def monotone_crossings(f: Callable[[float], float], levels, lo: float, hi: float) -> np.ndarray:
+    """monotone_crossing at each of an array of levels; NaN where there is none."""
+    got = [monotone_crossing(f, float(v), lo, hi) for v in np.ravel(levels)]
+    return np.array([math.nan if x is None else x for x in got]).reshape(np.shape(levels))
 
 
 def first_true(pred: Callable[[float], bool], lo: float = 0.0, hi: float = math.inf) -> float:

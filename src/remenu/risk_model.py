@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergenceError, DomainError, UnsupportedError
-from .quadrature import adaptive_simpson, first_true, monotone_crossing
+from .quadrature import adaptive_simpson, first_true, monotone_crossings
 
 _CONCAVITY_TOL = 1e-12
 
@@ -306,23 +306,26 @@ class LossFamily:
     def model(self, k: float) -> LossModel:
         raise NotImplementedError
 
+    def _per_k(self, fn, x, k) -> np.ndarray:
+        """fn(model(k), x) one element at a time, over x and k broadcast."""
+        x, k = np.broadcast_arrays(np.asarray(x, float), np.asarray(k, float))
+        vals = [fn(self.model(float(ki)), float(xi)) for xi, ki in zip(x.flat, k.flat)]
+        return np.array(vals, dtype=float).reshape(x.shape)
+
     def var(self, alpha, k):
-        alpha, k = np.broadcast_arrays(np.asarray(alpha, float), np.asarray(k, float))
-        out = np.empty(k.shape)
-        for i in np.ndindex(k.shape):
-            out[i] = self.model(float(k[i])).var(float(alpha[i]))
-        return out
+        return self._per_k(lambda m, al: float(m.var(al)), alpha, k)
 
     def survival(self, y, k):
-        y, k = np.broadcast_arrays(np.asarray(y, float), np.asarray(k, float))
-        out = np.empty(y.shape)
-        for i in np.ndindex(y.shape):
-            out[i] = float(self.model(float(k[i])).survival(float(y[i])))
-        return out
+        return self._per_k(lambda m, yi: float(m.survival(yi)), y, k)
 
-    def k_for_var(self, alpha: float, a: float, k_lo: float, k_hi: float) -> float | None:
-        """Solve var(alpha, k) = a for k in [k_lo, k_hi]; None if no crossing."""
-        return monotone_crossing(lambda k: float(self.var(alpha, k)), a, k_lo, k_hi)
+    def k_for_var(self, alpha: float, a, k_lo: float, k_hi: float):
+        """Solve var(alpha, k) = a for k in (k_lo, k_hi), elementwise in a.
+        Where there is no crossing: None for a scalar a, NaN in an array."""
+        ks = self._k_for_var(alpha, np.atleast_1d(np.asarray(a, dtype=float)), k_lo, k_hi)
+        return ks if np.ndim(a) else (None if math.isnan(ks[0]) else float(ks[0]))
+
+    def _k_for_var(self, alpha: float, a: np.ndarray, k_lo: float, k_hi: float) -> np.ndarray:
+        return monotone_crossings(lambda k: float(self.var(alpha, k)), a, k_lo, k_hi)
 
 
 @dataclass(frozen=True)
@@ -349,9 +352,9 @@ class ScaleFamily(LossFamily):
     def survival(self, y, k):
         return self.base.survival(np.asarray(y, dtype=float) / np.asarray(k, dtype=float))
 
-    def k_for_var(self, alpha: float, a: float, k_lo: float, k_hi: float) -> float | None:
+    def _k_for_var(self, alpha: float, a: np.ndarray, k_lo: float, k_hi: float) -> np.ndarray:
         k = a / float(self.base.var(alpha))
-        return k if k_lo < k < k_hi else None
+        return np.where((k_lo < k) & (k < k_hi), k, math.nan)
 
 
 class ExponentialFamily(ScaleFamily):
@@ -416,6 +419,14 @@ class KProfile:
         if self._base is not None:
             return max(ks) * self._scalar("theta_star", None)
         return max(self._scalar("theta_star", float(k)) for k in ks)
+
+    def k_at_theta_star(self, levels: np.ndarray, k_lo: float, k_hi: float) -> np.ndarray:
+        """k in (k_lo, k_hi) where theta*_k crosses each level; NaN where none."""
+        if self._base is None:
+            return monotone_crossings(lambda k: float(self.theta_star(k)), levels, k_lo, k_hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = levels / self._scalar("theta_star", None)
+        return np.where((k_lo < k) & (k < k_hi), k, math.nan)
 
     def xi(self, k):
         return self._across("xi", k)

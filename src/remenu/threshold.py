@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property, partial
 from typing import ClassVar, Sequence
 
 import numpy as np
 
 from .errors import AssumptionError
 from .menus import Contract, GenericMenu, MenuEntry
-from .quadrature import monotone_crossing
 from .risk_model import CostFunctional, KProfile
 from .search import maximize_over_points, maximize_over_tau
 from .type_space import DiscreteTypes, TypeDistribution
@@ -61,50 +61,46 @@ def reference(kind: str, profile: KProfile):
     return profile.full_cost if kind == "quota_share" else profile.xi
 
 
-def served_profit(kind: str, profile: KProfile, tau: float, k, capped: bool) -> np.ndarray:
-    """Profit P - H[I(X_k)] of served types: tau - ref_k.  With ``capped``
-    (not for quota-share), a type with theta*_k > tau takes the deductible
-    tau and yields -H[(X_k - tau)_+] instead."""
-    out = tau - reference(kind, profile)(k)
-    if capped:
-        cap = profile.theta_star(k) > tau
-        out[cap] = -profile.stop_loss_cost(k[cap], tau)
+def served_profit(kind: str, profile: KProfile, t: np.ndarray, k: np.ndarray, cap_below: float):
+    """Profit P - H[I(X_k)] of served types at kinks t (shaped like k):
+    t - ref_k.  Where t < cap_below (sup theta*; -inf for quota-share) and
+    theta*_k > t, the type takes the deductible t and yields -H[(X_k - t)_+]."""
+    out = t - reference(kind, profile)(k)
+    cap = t < cap_below
+    if cap.any():
+        cap &= profile.theta_star(k) > t
+        out[cap] = -profile.stop_loss_cost(k[cap], t[cap])
     return out
-
-
-def _theta_splits(profile: KProfile, dist: TypeDistribution, tau: float) -> list[float]:
-    """k values where theta*_k crosses tau (a kink of the capped density)."""
-    if not hasattr(dist, "k_lo"):
-        return []
-    k = monotone_crossing(lambda x: float(profile.theta_star(x)), tau, dist.k_lo, dist.k_hi)
-    return [] if k is None else [k]
 
 
 def objective(
     kind: str,
-    tau: float,
+    tau,
     dist: TypeDistribution,
     cost: CostFunctional,
     profile: KProfile | None = None,
-) -> float:
+):
     """Reinsurer's expected profit J(tau) of the threshold-tau menu.
 
     The profit vanishes below tau and is constant in a above it, so the
     integral reduces exactly to a k-integral against the conditional tail
-    mass P(a > tau | k), plus exact atom terms tau - ref_k at a = tau.
+    mass P(a > tau | k), plus exact atom terms tau - ref_k at a = tau; at
+    tau = +inf both are empty.  A scalar tau gives a float; a 1-D array of
+    kinks gives an array whose row i is the scalar call at tau[i], bit for bit.
     """
-    if math.isinf(tau):
-        return 0.0
+    t = np.atleast_1d(np.asarray(tau, dtype=float))
     prof = profile if profile is not None else KProfile(cost, dist.family)
-    # The cap theta*_k ∧ tau binds only below sup theta*.
-    capped = kind != "quota_share" and tau < prof.sup_theta_star(dist.k_ends)
-    splits = _theta_splits(prof, dist, tau) if capped else []
-    total = dist.tail_integral(
-        lambda k: served_profit(kind, prof, tau, k, capped), tau, k_splits=splits
-    )
-    for _a, k, w in dist.atoms_at(tau):
-        total += w * max(tau - float(reference(kind, prof)(k)), 0.0)
-    return total
+    ref = reference(kind, prof)
+    # The cap theta*_k ∧ tau binds only below sup theta*, where the capped
+    # density has a kink at the k with theta*_k = tau.
+    cap_below = -math.inf if kind == "quota_share" else prof.sup_theta_star(dist.k_ends)
+    capped, splits = t < cap_below, np.full((len(t), 1), math.nan)
+    if hasattr(dist, "k_lo") and capped.any():
+        splits[capped, 0] = prof.k_at_theta_star(t[capped], dist.k_lo, dist.k_hi)
+    out = dist.tail_integral(
+        lambda k, tk: served_profit(kind, prof, tk, k, cap_below), t, splits
+    ) + dist.kink_integral(lambda k, tk: np.maximum(tk - ref(k), 0.0), t)
+    return float(out[0]) if np.ndim(tau) == 0 else out
 
 
 def tau_range(kind: str, dist: TypeDistribution) -> tuple[float, float]:
@@ -127,6 +123,11 @@ class ThresholdMenu:
 
     contract_class: ClassVar[str]
 
+    @cached_property
+    def profile(self) -> KProfile:
+        """The per-k costs of the menu's market, built once and memoized."""
+        return KProfile(self.cost, self.dist.family)
+
     def terms(self, a, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(served, deductible, premium) of the entries for types (a, k).
 
@@ -135,8 +136,7 @@ class ThresholdMenu:
         quota-share) at premium 0.
         """
         a, k = np.broadcast_arrays(np.atleast_1d(np.asarray(a, float)), np.asarray(k, float))
-        tau, kind = self.tau_star, self.contract_class
-        prof = KProfile(self.cost, self.dist.family)
+        tau, kind, prof = self.tau_star, self.contract_class, self.profile
         served = a > tau
         kink = a == tau
         if kink.any():
@@ -174,9 +174,10 @@ class ThresholdMenu:
         """Reinsurer profit P - H[I(X_k)] when each type takes its own entry."""
         served = self.terms(a, k)[0]
         k = np.broadcast_to(np.asarray(k, float), served.shape)[served]
-        prof, kind = KProfile(self.cost, self.dist.family), self.contract_class
+        cap_below = -math.inf if self.contract_class == "quota_share" else math.inf
         out = np.zeros(served.shape)
-        out[served] = served_profit(kind, prof, self.tau_star, k, kind != "quota_share")
+        t = np.broadcast_to(self.tau_star, k.shape)
+        out[served] = served_profit(self.contract_class, self.profile, t, k, cap_below)
         return out
 
 
@@ -190,18 +191,14 @@ def solve(
     """Maximize J over the class's tau range (shut-down included).
 
     On a discrete market J cannot decrease between consecutive atoms, so the
-    best atom is the exact optimum and grid_points and refine_tol go unused.  Raises AssumptionError for change-loss when
-    sup_k theta*_k exceeds the lowest market risk level; the reduction is
-    not valid then.
+    best atom is the exact optimum and grid_points and refine_tol go unused.
+    Raises AssumptionError for change-loss when sup_k theta*_k exceeds the
+    lowest market risk level; the reduction is not valid then.
     """
     kind = menu_cls.contract_class
     if kind == "change_loss":
         require_assumption(dist, cost)
-    profile = KProfile(cost, dist.family)
-
-    def j(t):
-        return objective(kind, t, dist, cost, profile)
-
+    j = partial(objective, kind, dist=dist, cost=cost, profile=KProfile(cost, dist.family))
     if isinstance(dist, DiscreteTypes):
         tau, val = maximize_over_points(j, np.sort(dist.a_vals))
     else:

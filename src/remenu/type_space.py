@@ -13,10 +13,15 @@ Integration is deterministic: 256-node Gauss-Legendre in k (piecewise, with
 forced splits where an a-breakpoint crosses the conditional a-support) and
 batched adaptive Gauss-Legendre in alpha conditionally on k.  Integrands
 must accept numpy arrays broadcast over (a, k).
+
+``tail_integral(g, t)`` and ``kink_integral(g, t)`` take a threshold t, or a
+1-D array of them giving an array, and call ``g(k, t)`` with t broadcast to
+k's shape; row i of a batch is the scalar call at t[i], bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple, Sequence
 
@@ -27,6 +32,24 @@ from .quadrature import adaptive_gauss_batched, gauss_legendre, split_edges
 from .risk_model import ExponentialFamily, LossFamily
 
 _WEIGHT_TOL = 1e-12
+_CHUNK_ELEMS = 1 << 12  # array elements per pass of a batch; bounds its memory
+
+
+def _per_threshold(method):
+    """Let method(self, g, t[, k_splits]) take a scalar t, giving a float, or a
+    1-D array, giving an array; it sees blocks of rows of t and k_splits."""
+
+    @functools.wraps(method)
+    def wrapper(self, g, t, k_splits=None):
+        t = np.asarray(t, dtype=float)
+        rows, step = np.atleast_1d(t), max(1, _CHUNK_ELEMS // self._row_elems)
+        out = np.zeros(len(rows))
+        for s in range(0, len(rows), step):
+            b = slice(s, s + step)
+            out[b] = method(self, g, rows[b], *(() if k_splits is None else (k_splits[b],)))
+        return float(out[0]) if t.ndim == 0 else out
+
+    return wrapper
 
 
 class TransformedType(NamedTuple):
@@ -63,17 +86,18 @@ class TypeDistribution:
         """Deterministic quadrature of int f(a, k) dQ."""
         raise NotImplementedError
 
-    def tail_integral(self, g, t: float, k_splits: Sequence[float] = ()) -> float:
-        """int g(k) 1{a > t} dQ with the indicator handled exactly.
+    def tail_integral(self, g, t, k_splits: np.ndarray | None = None):
+        """int g(k, t) 1{a > t} dQ with the indicator handled exactly.
 
-        g is a vectorized function of k; k_splits are extra forced k-splits
-        (e.g. where a solver integrand has a kink in k).
+        g(k, t) gets t broadcast to k's shape; k_splits is an (m, s) array of
+        extra forced k-splits, one row per threshold (e.g. where a solver
+        integrand has a kink in k), NaN or out-of-range meaning no split.
         """
         raise NotImplementedError
 
-    def atoms_at(self, t: float) -> list[tuple[float, float, float]]:
-        """Atoms (a, k, weight) sitting exactly at a = t (discrete only)."""
-        return []
+    def kink_integral(self, g, t):
+        """int g(k, t) 1{a = t} dQ, as tail_integral: zero without atoms."""
+        return 0.0 if np.ndim(t) == 0 else np.zeros(np.shape(t))
 
     def sample(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
@@ -88,6 +112,7 @@ class _UniformK(TypeDistribution):
     """
 
     _edge_alphas: tuple[float, ...]
+    _row_elems = 16  # per-threshold edges and segments, an upper bound
 
     def __init__(
         self,
@@ -106,15 +131,11 @@ class _UniformK(TypeDistribution):
         self.outer_nodes = int(outer_nodes)
         self.simpson_tol = float(simpson_tol)
 
-    def _k_breaks_for(self, points: Sequence[float]) -> list[float]:
-        """k values where the a-support edge of an edge alpha crosses a (finite) point."""
-        ks: list[float] = []
-        for t in points:
-            for alpha in self._edge_alphas:
-                got = self.family.k_for_var(alpha, t, self.k_lo, self.k_hi)
-                if got is not None:
-                    ks.append(got)
-        return ks
+    def _k_breaks_for(self, points: np.ndarray) -> np.ndarray:
+        """(m, len(_edge_alphas)) array: the k where the a-support edge of each
+        edge alpha crosses each of m points, NaN where it does not."""
+        fam, lo, hi = self.family, self.k_lo, self.k_hi
+        return np.column_stack([fam.k_for_var(al, points, lo, hi) for al in self._edge_alphas])
 
     def lower_support(self) -> float:
         # a decreases in alpha, so the largest edge alpha bounds it below.
@@ -123,29 +144,42 @@ class _UniformK(TypeDistribution):
     def upper_support(self) -> float:
         return float(np.max(self.family.var(min(self._edge_alphas), self.k_ends)))
 
-    def tail_integral(self, g, t: float, k_splits: Sequence[float] = ()) -> float:
-        if math.isinf(t):
-            return 0.0
-        dens = 1.0 / (self.k_hi - self.k_lo)
-        edges = split_edges(self.k_lo, self.k_hi, [*self._k_breaks_for([t]), *k_splits])
-        total = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            # No edge crossing of t falls inside a segment, so the tail is 0,
-            # 1 or strictly between throughout it: its middle tells which.
-            tail = self.conditional_tail(0.5 * (lo + hi), t)
-            if tail == 0.0:
-                continue
-            k, w = gauss_legendre(lo, hi, self.outer_nodes)
-            vals = np.asarray(g(k), dtype=float)
-            if tail < 1.0:
-                vals = vals * self.conditional_tail(k, t)
-            total += float(np.dot(w, vals)) * dens
-        return total
+    @_per_threshold
+    def tail_integral(self, g, t: np.ndarray, k_splits: np.ndarray | None = None) -> np.ndarray:
+        cuts = self._k_breaks_for(t)
+        if k_splits is not None:
+            cuts = np.concatenate([cuts, k_splits], axis=1)
+        # Per-row edges (m, S + 1); a missing or outside split gives a
+        # zero-width segment at an end.
+        edges = np.empty((len(t), cuts.shape[1] + 2))
+        edges[:, 0], edges[:, -1] = self.k_lo, self.k_hi
+        edges[:, 1:-1] = np.sort(np.fmin(np.fmax(cuts, self.k_lo), self.k_hi))
+        lo, hi = edges[:, :-1], edges[:, 1:]
+        # No edge crossing of t falls inside a segment, so the tail is 0, 1 or
+        # strictly between throughout it: its middle tells which.  Only live
+        # segments get nodes, and only partial ones the conditional tail.
+        tail = self.conditional_tail(0.5 * (lo + hi), t[:, None])
+        live = (hi > lo) & (tail > 0.0)
+        lo, hi, tail, t = lo[live], hi[live], tail[live], t[np.nonzero(live)[0]]
+        sums = np.empty(len(t))
+        step = max(1, _CHUNK_ELEMS // self.outer_nodes)  # segments per pass
+        for s in range(0, len(t), step):
+            c = slice(s, s + step)
+            k, w = gauss_legendre(lo[c, None], hi[c, None], self.outer_nodes)
+            tk = np.repeat(t[c, None], self.outer_nodes, axis=1)
+            vals = np.asarray(g(k, tk), dtype=float) * w
+            p = tail[c] < 1.0
+            if p.any():
+                vals[p] *= self.conditional_tail(k[p], tk[p])
+            sums[c] = vals.sum(axis=-1)
+        seg_sums = np.zeros(live.shape)
+        seg_sums[live] = sums
+        return (seg_sums * (1.0 / (self.k_hi - self.k_lo))).sum(axis=-1)
 
     def integrate(self, f, breakpoints: Sequence[float] = ()) -> float:
         bps = sorted({float(b) for b in breakpoints if math.isfinite(b)})
         dens = 1.0 / (self.k_hi - self.k_lo)
-        edges = split_edges(self.k_lo, self.k_hi, self._k_breaks_for(bps))
+        edges = split_edges(self.k_lo, self.k_hi, self._k_breaks_for(np.array(bps)).ravel())
         total = 0.0
         for lo, hi in zip(edges[:-1], edges[1:]):
             k, w = gauss_legendre(lo, hi, self.outer_nodes)
@@ -264,6 +298,7 @@ class DiscreteTypes(TypeDistribution):
         if abs(self.weights.sum() - 1.0) > _WEIGHT_TOL:
             raise DomainError(f"atom weights must sum to 1, got {self.weights.sum()}")
         self.a_vals = np.asarray(self.family.var(self.alphas, self.ks), dtype=float)
+        self._row_elems = len(self.ks)
 
     def in_support(self, alpha: float, k: float) -> bool:
         return bool(np.any((self.alphas == alpha) & (self.ks == k)))
@@ -278,17 +313,25 @@ class DiscreteTypes(TypeDistribution):
         vals = np.asarray(f(self.a_vals, self.ks), dtype=float)
         return float(np.dot(self.weights, vals))
 
-    def tail_integral(self, g, t: float, k_splits: Sequence[float] = ()) -> float:
-        if math.isinf(t):
-            return 0.0
-        mask = self.a_vals > t
-        if not mask.any():
-            return 0.0
-        vals = np.asarray(g(self.ks[mask]), dtype=float)
-        return float(np.dot(self.weights[mask], vals))
+    @_per_threshold
+    def tail_integral(self, g, t: np.ndarray, k_splits: np.ndarray | None = None) -> np.ndarray:
+        return self._atom_sum(g, t, self.a_vals > t[:, None])
+
+    @_per_threshold
+    def kink_integral(self, g, t: np.ndarray) -> np.ndarray:
+        # Exact, as the menu's kink rule a == tau.
+        return self._atom_sum(g, t, self.a_vals == t[:, None])
+
+    def _atom_sum(self, g, t: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """Per threshold, the sum of w g(k, t) over the atoms in its mask row;
+        g sees only those atoms."""
+        vals = np.zeros(mask.shape)
+        rows, cols = np.nonzero(mask)
+        vals[mask] = g(self.ks[cols], t[rows])
+        return (vals * self.weights).sum(axis=-1)
 
     def atoms_at(self, t: float) -> list[tuple[float, float, float]]:
-        # Exact, as the menu's kink rule a == tau; an atom off t is in the tail or unserved.
+        """Atoms (a, k, weight) sitting exactly at a = t, the kink rule's a == tau."""
         at = self.a_vals == t
         return list(zip(self.a_vals[at].tolist(), self.ks[at].tolist(), self.weights[at].tolist()))
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -9,11 +10,17 @@ from remenu import (
     CostFunctional,
     DegenerateAlpha,
     DiscreteTypes,
+    ExponentialLoss,
+    GenericFamily,
+    GenericLoss,
+    ProductUniform,
     change_loss,
     quota_share,
     stop_loss,
     threshold,
+    type_space,
 )
+from remenu.quadrature import golden_section_max
 
 LN11 = math.log(1.1)
 MENUS = [stop_loss.StopLossMenu, quota_share.QuotaShareMenu, change_loss.ChangeLossMenu]
@@ -122,3 +129,101 @@ def test_nearly_coincident_atoms_count_once(cost):
     menu = quota_share.solve(dist, cost)
     assert menu.tau_star == float(dist.a_vals[0])
     assert menu.objective_value == pytest.approx(30000.0 - 1.1 * 10000.0, rel=1e-12)
+
+
+# -- the objective over arrays of kinks -----------------------------------
+
+# sup theta* = 25000 ln 2 ~ 17329 lies above L = 10000, so the stop-loss cap
+# binds for kinks in between.
+CAPPED = ProductUniform(5000.0, 25000.0, math.exp(-3), math.exp(-2))
+CAPPED_COST = CostFunctional(1.0)
+
+
+def kink_batch(dist, n=301):
+    """Kinks across and beyond the support, plus +inf, in one unsorted array."""
+    lo, hi = dist.lower_support(), dist.upper_support()
+    taus = np.linspace(0.5 * lo, 1.2 * hi, n)
+    return np.concatenate([taus[::2], [math.inf], taus[1::2], [lo, hi], dist.k_ends])
+
+
+# With 1000 elements per pass, a batch of ~310 kinks spans several blocks of
+# kinks (62 on a uniform-k market, 200 on the 5-atom one) and of node passes,
+# and is a multiple of neither.
+@pytest.mark.parametrize("chunk", [None, 1000], ids=["default-chunk", "small-chunk"])
+@pytest.mark.parametrize("kind", [m.contract_class for m in MENUS])
+@pytest.mark.parametrize("market", ["product", "degenerate", "discrete", "capped"])
+def test_batched_rows_equal_scalar_calls(
+    market, kind, chunk, cost, product_dist, degenerate_dist, monkeypatch
+):
+    dist, c = {
+        "product": (product_dist, cost),
+        "degenerate": (degenerate_dist, cost),
+        "discrete": (MARKET, cost),
+        "capped": (CAPPED, CAPPED_COST),
+    }[market]
+    if chunk is not None:
+        monkeypatch.setattr(type_space, "_CHUNK_ELEMS", chunk)
+    taus = kink_batch(dist)
+    if market == "discrete":
+        taus = np.concatenate([taus, MARKET.a_vals])
+    batch = threshold.objective(kind, taus, dist, c)
+    assert batch.shape == taus.shape
+    for i, t in enumerate(taus.tolist()):
+        assert batch[i] == threshold.objective(kind, t, dist, c)
+    assert isinstance(threshold.objective(kind, float(taus[0]), dist, c), float)
+    assert batch[np.isinf(taus)].tolist() == [0.0]
+
+
+def test_batched_capped_rows_match_brute_force():
+    # Both kinks lie in (L, sup theta*), where the cap theta*_k ∧ tau binds.
+    taus = np.array([12000.0, 16000.0])
+    batch = stop_loss.objective(taus, CAPPED, CAPPED_COST)
+    for tau, fast in zip(taus.tolist(), batch.tolist()):
+        phi = np.vectorize(lambda a, k: stop_loss.phi(tau, a, CAPPED_COST, ExponentialLoss(k)))
+        brute = CAPPED.integrate(phi, breakpoints=[tau])
+        assert fast == pytest.approx(brute, rel=1e-8)
+
+
+def scalar_search(j, lo, hi, grid_points, refine_tol):
+    """The search rule with one scalar J call per grid point."""
+    grid = np.linspace(lo, hi, grid_points)
+    vals = [j(float(t)) for t in grid]
+    i = int(np.argmax(vals))
+    best_tau, best_val = float(grid[i]), vals[i]
+    b_lo, b_hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, grid_points - 1)])
+    tau_r, val_r = golden_section_max(j, b_lo, b_hi, rel_tol=refine_tol)
+    if val_r > best_val:
+        best_tau, best_val = tau_r, val_r
+    return (best_tau, best_val) if best_val >= 0.0 else (math.inf, 0.0)
+
+
+@pytest.mark.parametrize("menu_cls", MENUS[:2], ids=lambda m: m.contract_class)
+@pytest.mark.parametrize("market", ["product", "capped"])
+def test_solve_keeps_the_scalar_search_rule(market, menu_cls, cost, product_dist):
+    dist, c = (product_dist, cost) if market == "product" else (CAPPED, CAPPED_COST)
+    kind = menu_cls.contract_class
+    menu = threshold.solve(menu_cls, dist, c, grid_points=2001)
+    lo, hi = threshold.tau_range(kind, dist)
+    want = scalar_search(lambda t: threshold.objective(kind, t, dist, c), lo, hi, 2001, 1e-6)
+    assert (menu.tau_star, menu.objective_value) == want
+
+
+def test_menu_reuses_its_profile(monkeypatch):
+    # Lomax losses S(y) = (1 + y / 2k)^-3: per-k costs come from bisection.
+    family = GenericFamily(lambda k: GenericLoss(lambda y: (1.0 + y / (2.0 * k)) ** -3.0))
+    dist = DiscreteTypes([(0.05, 5000.0, 0.5), (0.1, 12000.0, 0.5)], family)
+    menu = stop_loss.StopLossMenu(float(dist.a_vals.min()), 0.0, CostFunctional(0.2), dist)
+    calls = []
+    theta_star = CostFunctional.theta_star
+
+    def counted(self, loss):
+        calls.append(loss)
+        return theta_star(self, loss)
+
+    monkeypatch.setattr(CostFunctional, "theta_star", counted)
+    a, k = float(dist.a_vals[1]), float(dist.ks[1])
+    first = menu.entry(a, k)
+    assert calls
+    calls.clear()
+    assert menu.entry(a, k) == first
+    assert calls == []

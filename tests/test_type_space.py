@@ -138,7 +138,7 @@ class TestIntegrate:
 class TestTailIntegral:
     def test_matches_integrate_route(self, product_dist):
         for t in (12000.0, 30000.0, 60000.0):
-            via_tail = product_dist.tail_integral(lambda k: k / 10000.0, t)
+            via_tail = product_dist.tail_integral(lambda k, t: k / 10000.0, t)
             via_full = product_dist.integrate(
                 lambda a, k: (a > t) * (k / 10000.0), breakpoints=[t]
             )
@@ -146,17 +146,17 @@ class TestTailIntegral:
 
     def test_degenerate_route(self, degenerate_dist):
         for t in (20000.0, 45000.0):
-            via_tail = degenerate_dist.tail_integral(lambda k: np.ones_like(k), t)
+            via_tail = degenerate_dist.tail_integral(lambda k, t: np.ones_like(k), t)
             via_full = degenerate_dist.integrate(lambda a, k: (a > t) * 1.0, breakpoints=[t])
             assert via_tail == pytest.approx(via_full, rel=1e-9, abs=1e-12)
 
     def test_infinite_threshold(self, product_dist):
-        assert product_dist.tail_integral(lambda k: np.ones_like(k), math.inf) == 0.0
+        assert product_dist.tail_integral(lambda k, t: np.ones_like(k), math.inf) == 0.0
 
     def test_discrete_is_strict(self, discrete_dist):
         # Atoms exactly at t are excluded from the strict tail.
-        assert discrete_dist.tail_integral(lambda k: np.ones_like(k), 30000.0) == pytest.approx(0.6)
-        assert discrete_dist.tail_integral(lambda k: np.ones_like(k), 29999.0) == pytest.approx(1.0)
+        assert discrete_dist.tail_integral(lambda k, t: np.ones_like(k), 30000.0) == pytest.approx(0.6)
+        assert discrete_dist.tail_integral(lambda k, t: np.ones_like(k), 29999.0) == pytest.approx(1.0)
 
 
 class TestDiscrete:
