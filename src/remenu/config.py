@@ -177,7 +177,9 @@ class ScenarioConfig:
             dist_cfg = DistortionConfig(str(d["kind"]), _num(d, "cost.distortion", "param", 1.0))
         cost = CostConfig(_num(cost_raw, "cost", "theta"), dist_cfg)
 
-        loss_raw = _take(top.get("loss", {}), "loss", {"family", "point_mass_zero"}, set())
+        loss_raw = _take(
+            top.get("loss", {}), "loss", {"family", "point_mass_zero"}, set()
+        )
         loss = LossConfig(
             str(loss_raw.get("family", "exponential")),
             _num(loss_raw, "loss", "point_mass_zero", 0.0),
@@ -189,7 +191,10 @@ class ScenarioConfig:
         types = TypesConfig(str(types_raw["variant"]), types_raw["k_dist"], types_raw["alpha_dist"])
 
         solver_raw = _take(
-            top.get("solver", {}), "solver", {"class", "grid_points", "refine_tol"}, set()
+            top.get("solver", {}),
+            "solver",
+            {"class", "grid_points", "refine_tol"},
+            set(),
         )
         solver = SolverConfig(
             str(solver_raw.get("class", "stop_loss")),
@@ -230,4 +235,6 @@ class ScenarioConfig:
 
     def build_dist(self) -> TypeDistribution:
         family = self.loss.build()
-        return self.types.build(family, self.quadrature.outer_nodes, self.quadrature.simpson_tol)
+        return self.types.build(
+            family, self.quadrature.outer_nodes, self.quadrature.simpson_tol
+        )

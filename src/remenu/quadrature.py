@@ -108,9 +108,10 @@ def golden_section_max(
     """
     a, b = float(lo), float(hi)
     best_x, best_v = a, f(a)
-    v = f(b)
-    if v > best_v:
-        best_x, best_v = b, v
+    for x in (b,):
+        v = f(x)
+        if v > best_v:
+            best_x, best_v = x, v
     c = b - INV_PHI * (b - a)
     d = a + INV_PHI * (b - a)
     fc, fd = f(c), f(d)
@@ -132,25 +133,19 @@ def golden_section_max(
     return best_x, best_v
 
 
-def monotone_crossing(
-    f: Callable[[float], float],
-    level: float,
-    lo: float,
-    hi: float,
-) -> float | None:
-    """Point of (lo, hi) where a monotone f crosses level, bisected to float
-    resolution; None unless level lies strictly between f(lo) and f(hi)."""
-    f_lo, f_hi = f(lo), f(hi)
-    if not min(f_lo, f_hi) < level < max(f_lo, f_hi):
-        return None
-    increasing = f_hi > f_lo
-    return first_true(lambda x: (f(x) >= level) == increasing, lo, hi)
-
-
 def monotone_crossings(f: Callable[[float], float], levels, lo: float, hi: float) -> np.ndarray:
-    """monotone_crossing at each of an array of levels; NaN where there is none."""
-    got = [monotone_crossing(f, float(v), lo, hi) for v in np.ravel(levels)]
-    return np.array([math.nan if x is None else x for x in got]).reshape(np.shape(levels))
+    """Points of (lo, hi) where a monotone f crosses each of an array of
+    levels, bisected to float resolution; NaN where a level does not lie
+    strictly between f(lo) and f(hi)."""
+    f_lo, f_hi = f(lo), f(hi)
+    increasing = f_hi > f_lo
+
+    def one(level: float) -> float:
+        if not min(f_lo, f_hi) < level < max(f_lo, f_hi):
+            return math.nan
+        return first_true(lambda x: (f(x) >= level) == increasing, lo, hi)
+
+    return np.array([one(float(v)) for v in np.ravel(levels)]).reshape(np.shape(levels))
 
 
 def first_true(pred: Callable[[float], bool], lo: float = 0.0, hi: float = math.inf) -> float:

@@ -306,17 +306,19 @@ class LossFamily:
     def model(self, k: float) -> LossModel:
         raise NotImplementedError
 
-    def _per_k(self, fn, x, k) -> np.ndarray:
-        """fn(model(k), x) one element at a time, over x and k broadcast."""
-        x, k = np.broadcast_arrays(np.asarray(x, float), np.asarray(k, float))
-        vals = [fn(self.model(float(ki)), float(xi)) for xi, ki in zip(x.flat, k.flat)]
-        return np.array(vals, dtype=float).reshape(x.shape)
-
     def var(self, alpha, k):
-        return self._per_k(lambda m, al: float(m.var(al)), alpha, k)
+        alpha, k = np.broadcast_arrays(np.asarray(alpha, float), np.asarray(k, float))
+        out = np.empty(k.shape)
+        for i in np.ndindex(k.shape):
+            out[i] = self.model(float(k[i])).var(float(alpha[i]))
+        return out
 
     def survival(self, y, k):
-        return self._per_k(lambda m, yi: float(m.survival(yi)), y, k)
+        y, k = np.broadcast_arrays(np.asarray(y, float), np.asarray(k, float))
+        out = np.empty(y.shape)
+        for i in np.ndindex(y.shape):
+            out[i] = float(self.model(float(k[i])).survival(float(y[i])))
+        return out
 
     def k_for_var(self, alpha: float, a, k_lo: float, k_hi: float):
         """Solve var(alpha, k) = a for k in (k_lo, k_hi), elementwise in a.

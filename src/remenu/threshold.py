@@ -94,8 +94,9 @@ def objective(
     # The cap theta*_k ∧ tau binds only below sup theta*, where the capped
     # density has a kink at the k with theta*_k = tau.
     cap_below = -math.inf if kind == "quota_share" else prof.sup_theta_star(dist.k_ends)
-    capped, splits = t < cap_below, np.full((len(t), 1), math.nan)
+    capped, splits = t < cap_below, None
     if hasattr(dist, "k_lo") and capped.any():
+        splits = np.full((len(t), 1), math.nan)
         splits[capped, 0] = prof.k_at_theta_star(t[capped], dist.k_lo, dist.k_hi)
     out = dist.tail_integral(
         lambda k, tk: served_profit(kind, prof, tk, k, cap_below), t, splits

@@ -42,7 +42,8 @@ def _per_threshold(method):
     @functools.wraps(method)
     def wrapper(self, g, t, k_splits=None):
         t = np.asarray(t, dtype=float)
-        rows, step = np.atleast_1d(t), max(1, _CHUNK_ELEMS // self._row_elems)
+        width = self._row_elems + (0 if k_splits is None else k_splits.shape[1])
+        rows, step = np.atleast_1d(t), max(1, _CHUNK_ELEMS // width)
         out = np.zeros(len(rows))
         for s in range(0, len(rows), step):
             b = slice(s, s + step)
@@ -112,7 +113,10 @@ class _UniformK(TypeDistribution):
     """
 
     _edge_alphas: tuple[float, ...]
-    _row_elems = 16  # per-threshold edges and segments, an upper bound
+
+    @property
+    def _row_elems(self) -> int:  # segment edges per threshold before k-splits
+        return len(self._edge_alphas) + 2
 
     def __init__(
         self,
@@ -160,7 +164,8 @@ class _UniformK(TypeDistribution):
         # segments get nodes, and only partial ones the conditional tail.
         tail = self.conditional_tail(0.5 * (lo + hi), t[:, None])
         live = (hi > lo) & (tail > 0.0)
-        lo, hi, tail, t = lo[live], hi[live], tail[live], t[np.nonzero(live)[0]]
+        row = np.nonzero(live)[0]
+        lo, hi, tail, t = lo[live], hi[live], tail[live], t[row]
         sums = np.empty(len(t))
         step = max(1, _CHUNK_ELEMS // self.outer_nodes)  # segments per pass
         for s in range(0, len(t), step):
@@ -172,9 +177,8 @@ class _UniformK(TypeDistribution):
             if p.any():
                 vals[p] *= self.conditional_tail(k[p], tk[p])
             sums[c] = vals.sum(axis=-1)
-        seg_sums = np.zeros(live.shape)
-        seg_sums[live] = sums
-        return (seg_sums * (1.0 / (self.k_hi - self.k_lo))).sum(axis=-1)
+        # Each row adds up its segments in order from 0.0.
+        return np.bincount(row, sums * (1.0 / (self.k_hi - self.k_lo)), len(live))
 
     def integrate(self, f, breakpoints: Sequence[float] = ()) -> float:
         bps = sorted({float(b) for b in breakpoints if math.isfinite(b)})
@@ -329,11 +333,6 @@ class DiscreteTypes(TypeDistribution):
         rows, cols = np.nonzero(mask)
         vals[mask] = g(self.ks[cols], t[rows])
         return (vals * self.weights).sum(axis=-1)
-
-    def atoms_at(self, t: float) -> list[tuple[float, float, float]]:
-        """Atoms (a, k, weight) sitting exactly at a = t, the kink rule's a == tau."""
-        at = self.a_vals == t
-        return list(zip(self.a_vals[at].tolist(), self.ks[at].tolist(), self.weights[at].tolist()))
 
     def sample(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         idx = rng.choice(len(self.weights), size=n, p=self.weights / self.weights.sum())

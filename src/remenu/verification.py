@@ -50,26 +50,30 @@ class PiecewiseLinearConvexUtility:
         if w.sum() > 1.0 + 1e-12:
             raise DomainError("slope increments must sum to at most 1 (1-Lipschitz)")
 
-    def _sum(self, a, piece) -> np.ndarray:
-        """sum_i w_i piece(a, t_i), accumulated kink by kink."""
+    def value(self, a):
         a = np.asarray(a, dtype=float)
         out = np.zeros_like(a)
         for t, w in zip(self.kinks, self.weights):
-            out = out + w * piece(a, t)
+            out = out + w * np.maximum(a - t, 0.0)
         return out
-
-    def value(self, a):
-        return self._sum(a, lambda a, t: np.maximum(a - t, 0.0))
 
     __call__ = value
 
     def slope_plus(self, a):
         """Right derivative: sum of increments at kinks t_i <= a."""
-        return self._sum(a, lambda a, t: a >= t)
+        a = np.asarray(a, dtype=float)
+        out = np.zeros_like(a)
+        for t, w in zip(self.kinks, self.weights):
+            out = out + w * (a >= t)
+        return out
 
     def slope_minus(self, a):
         """Left derivative: sum of increments at kinks t_i < a."""
-        return self._sum(a, lambda a, t: a > t)
+        a = np.asarray(a, dtype=float)
+        out = np.zeros_like(a)
+        for t, w in zip(self.kinks, self.weights):
+            out = out + w * (a > t)
+        return out
 
     @classmethod
     def single_kink(cls, t: float) -> "PiecewiseLinearConvexUtility":
@@ -116,10 +120,7 @@ def indirect_utility(menu: GenericMenu, a) -> np.ndarray:
     if len(menu) == 0:
         raise DomainError("indirect utility of an empty menu is undefined")
     a = np.asarray(a, dtype=float)
-    best = np.full(a.shape, -math.inf)
-    for s in range(0, len(menu), 64):  # 64 entries at a time: memory O(len(a))
-        rows = np.stack([e.risk_reduction(a) for e in menu.entries[s : s + 64]])
-        np.maximum(best, rows.max(axis=0), out=best)
+    best = menu.value_matrix(a).max(axis=0)
     return np.maximum(best, 0.0)
 
 

@@ -146,10 +146,10 @@ def kink_batch(dist, n=301):
     return np.concatenate([taus[::2], [math.inf], taus[1::2], [lo, hi], dist.k_ends])
 
 
-# With 1000 elements per pass, a batch of ~310 kinks spans several blocks of
-# kinks (62 on a uniform-k market, 200 on the 5-atom one) and of node passes,
-# and is a multiple of neither.
-@pytest.mark.parametrize("chunk", [None, 1000], ids=["default-chunk", "small-chunk"])
+# With 800 elements per pass, a batch of ~310 kinks spans two blocks of kinks
+# on every market (160 to 266 kinks per block) and many node passes of three
+# segments, and is a multiple of neither.
+@pytest.mark.parametrize("chunk", [None, 800], ids=["default-chunk", "small-chunk"])
 @pytest.mark.parametrize("kind", [m.contract_class for m in MENUS])
 @pytest.mark.parametrize("market", ["product", "degenerate", "discrete", "capped"])
 def test_batched_rows_equal_scalar_calls(

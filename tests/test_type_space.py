@@ -176,11 +176,11 @@ class TestDiscrete:
             DiscreteTypes([(0.7, 1000.0, 1.0)], fam)
 
     def test_atoms_at(self, discrete_dist):
-        atoms = discrete_dist.atoms_at(30000.0)
-        assert len(atoms) == 1
-        a, k, w = atoms[0]
-        assert (a, k, w) == (pytest.approx(30000.0), 10000.0, 0.4)
-        assert discrete_dist.atoms_at(31000.0) == []
+        # kink_integral weighs exactly the atoms at a == t: here (30000, 10000, 0.4).
+        assert discrete_dist.kink_integral(lambda k, t: np.ones_like(k), 30000.0) == 0.4
+        assert discrete_dist.kink_integral(lambda k, t: k, 30000.0) == 0.4 * 10000.0
+        assert discrete_dist.kink_integral(lambda k, t: t, 30000.0) == 0.4 * 30000.0
+        assert discrete_dist.kink_integral(lambda k, t: np.ones_like(k), 31000.0) == 0.0
 
     def test_sampling_frequencies(self, discrete_dist):
         rng = np.random.default_rng(11)
