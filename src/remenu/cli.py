@@ -147,10 +147,10 @@ def cmd_solve(config: ScenarioConfig, out: Path, solver_class: str) -> int:
 def cmd_curve(config: ScenarioConfig, out: Path, solver_class: str, t_lo, t_hi, n) -> int:
     cost = config.build_cost()
     dist = config.build_dist()
-    if t_lo is None or t_hi is None:
-        t_lo, t_hi = threshold.tau_range(solver_class, dist)
-    if not t_lo < t_hi:
-        raise ConfigError(f"need t_lo < t_hi, got ({t_lo}, {t_hi})")
+    lo, hi = threshold.tau_range(solver_class, dist)
+    t_lo, t_hi = lo if t_lo is None else t_lo, hi if t_hi is None else t_hi
+    if not -math.inf < t_lo < t_hi < math.inf:
+        raise ConfigError(f"need finite t_lo < t_hi, got ({t_lo}, {t_hi})")
     if n < 2:
         raise ConfigError(f"need n >= 2 curve points, got {n}")
     ts = np.linspace(t_lo, t_hi, n)

@@ -133,21 +133,6 @@ def golden_section_max(
     return best_x, best_v
 
 
-def monotone_crossings(f: Callable[[float], float], levels, lo: float, hi: float) -> np.ndarray:
-    """Points of (lo, hi) where a monotone f crosses each of an array of
-    levels, bisected to float resolution; NaN where a level does not lie
-    strictly between f(lo) and f(hi)."""
-    f_lo, f_hi = f(lo), f(hi)
-    increasing = f_hi > f_lo
-
-    def one(level: float) -> float:
-        if not min(f_lo, f_hi) < level < max(f_lo, f_hi):
-            return math.nan
-        return first_true(lambda x: (f(x) >= level) == increasing, lo, hi)
-
-    return np.array([one(float(v)) for v in np.ravel(levels)]).reshape(np.shape(levels))
-
-
 def first_true(pred: Callable[[float], bool], lo: float = 0.0, hi: float = math.inf) -> float:
     """Smallest x in [lo, hi] at which a monotone predicate (false, then true)
     holds, bisected to float resolution; +inf if it holds nowhere there.

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergenceError, DomainError, UnsupportedError
-from .quadrature import adaptive_simpson, first_true, monotone_crossings
+from .quadrature import adaptive_simpson, first_true
 
 _CONCAVITY_TOL = 1e-12
 
@@ -293,12 +293,10 @@ class CostFunctional:
 
 
 class LossFamily:
-    """Maps a scale parameter k to a LossModel.  The methods here go through
-    model(k) one k at a time; ScaleFamily derives them from its base loss.
+    """Maps a scale parameter k to a LossModel, one k at a time.
 
-    VaR_alpha(X_k) and theta*_k are assumed monotone in k (true for the
-    supported scale families), so their extremes over [k_lo, k_hi] sit at
-    the ends and each crosses a level at most once.
+    Discrete markets take any family; the uniform-k markets take only a
+    ScaleFamily, whose quantiles and theta*_k are k times the base's.
     """
 
     point_mass_zero: float = 0.0
@@ -312,22 +310,6 @@ class LossFamily:
         for i in np.ndindex(k.shape):
             out[i] = self.model(float(k[i])).var(float(alpha[i]))
         return out
-
-    def survival(self, y, k):
-        y, k = np.broadcast_arrays(np.asarray(y, float), np.asarray(k, float))
-        out = np.empty(y.shape)
-        for i in np.ndindex(y.shape):
-            out[i] = float(self.model(float(k[i])).survival(float(y[i])))
-        return out
-
-    def k_for_var(self, alpha: float, a, k_lo: float, k_hi: float):
-        """Solve var(alpha, k) = a for k in (k_lo, k_hi), elementwise in a.
-        Where there is no crossing: None for a scalar a, NaN in an array."""
-        ks = self._k_for_var(alpha, np.atleast_1d(np.asarray(a, dtype=float)), k_lo, k_hi)
-        return ks if np.ndim(a) else (None if math.isnan(ks[0]) else float(ks[0]))
-
-    def _k_for_var(self, alpha: float, a: np.ndarray, k_lo: float, k_hi: float) -> np.ndarray:
-        return monotone_crossings(lambda k: float(self.var(alpha, k)), a, k_lo, k_hi)
 
 
 @dataclass(frozen=True)
@@ -354,9 +336,12 @@ class ScaleFamily(LossFamily):
     def survival(self, y, k):
         return self.base.survival(np.asarray(y, dtype=float) / np.asarray(k, dtype=float))
 
-    def _k_for_var(self, alpha: float, a: np.ndarray, k_lo: float, k_hi: float) -> np.ndarray:
-        k = a / float(self.base.var(alpha))
-        return np.where((k_lo < k) & (k < k_hi), k, math.nan)
+    def k_for_var(self, alpha: float, a, k_lo: float, k_hi: float):
+        """The k in (k_lo, k_hi) with var(alpha, k) = a, elementwise in a.
+        Where there is none: None for a scalar a, NaN in an array."""
+        k = np.asarray(a, dtype=float) / float(self.base.var(alpha))
+        ks = np.where((k_lo < k) & (k < k_hi), k, math.nan)
+        return ks if np.ndim(a) else (None if math.isnan(ks) else float(ks))
 
 
 class ExponentialFamily(ScaleFamily):
@@ -382,8 +367,9 @@ class KProfile:
     On a ScaleFamily, positive homogeneity H[cY] = c H[Y] prices X_k = k X_1
     from the base: theta*_k, xi_k and H[X_k] are k times their base values,
     computed once, and H[(X_k - d)_+] = k T(d / k) with T the base's
-    vectorized tail cost.  Other families go through the scalar
-    CostFunctional one k at a time, each quantity memoized on its own.
+    vectorized tail cost.  Other families, on discrete markets only, go
+    through the scalar CostFunctional one k at a time, each quantity
+    memoized on its own.
     """
 
     def __init__(self, cost: CostFunctional, family: LossFamily):
@@ -417,15 +403,14 @@ class KProfile:
         return self._across("theta_star", k)
 
     def sup_theta_star(self, ks) -> float:
-        """max theta*_k over a few k values ks, such as a market's k_ends."""
+        """max theta*_k over the k values ks, such as a market's k_ends."""
         if self._base is not None:
             return max(ks) * self._scalar("theta_star", None)
         return max(self._scalar("theta_star", float(k)) for k in ks)
 
     def k_at_theta_star(self, levels: np.ndarray, k_lo: float, k_hi: float) -> np.ndarray:
-        """k in (k_lo, k_hi) where theta*_k crosses each level; NaN where none."""
-        if self._base is None:
-            return monotone_crossings(lambda k: float(self.theta_star(k)), levels, k_lo, k_hi)
+        """k in (k_lo, k_hi) where theta*_k = k theta*_1 crosses each level;
+        NaN where none.  ScaleFamily only."""
         with np.errstate(divide="ignore", invalid="ignore"):
             k = levels / self._scalar("theta_star", None)
         return np.where((k_lo < k) & (k < k_hi), k, math.nan)

@@ -39,16 +39,18 @@ class AssumptionReport:
         return asdict(self)
 
 
-def assumption_check(dist: TypeDistribution, cost: CostFunctional) -> AssumptionReport:
+def assumption_check(
+    dist: TypeDistribution, cost: CostFunctional, profile: KProfile | None = None
+) -> AssumptionReport:
     """Compute sup_k theta*_k over the market's k-support and compare to L."""
-    sup_ts = KProfile(cost, dist.family).sup_theta_star(dist.k_ends)
+    sup_ts = (profile or KProfile(cost, dist.family)).sup_theta_star(dist.k_ends)
     low = dist.lower_support()
     return AssumptionReport(sup_ts, low, sup_ts <= low)
 
 
-def require_assumption(dist: TypeDistribution, cost: CostFunctional) -> None:
+def require_assumption(dist: TypeDistribution, cost: CostFunctional, profile=None) -> None:
     """Raise AssumptionError unless the change-loss reduction is valid."""
-    report = assumption_check(dist, cost)
+    report = assumption_check(dist, cost, profile)
     if not report.holds:
         raise AssumptionError(
             "change-loss reduction requires sup theta* <= lowest risk level: "
@@ -197,9 +199,10 @@ def solve(
     lowest market risk level; the reduction is not valid then.
     """
     kind = menu_cls.contract_class
+    profile = KProfile(cost, dist.family)  # shared by the validity check and J
     if kind == "change_loss":
-        require_assumption(dist, cost)
-    j = partial(objective, kind, dist=dist, cost=cost, profile=KProfile(cost, dist.family))
+        require_assumption(dist, cost, profile)
+    j = partial(objective, kind, dist=dist, cost=cost, profile=profile)
     if isinstance(dist, DiscreteTypes):
         tau, val = maximize_over_points(j, np.sort(dist.a_vals))
     else:

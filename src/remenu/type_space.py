@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError
 from .quadrature import adaptive_gauss_batched, gauss_legendre, split_edges
-from .risk_model import ExponentialFamily, LossFamily
+from .risk_model import ExponentialFamily, LossFamily, ScaleFamily
 
 _WEIGHT_TOL = 1e-12
 _CHUNK_ELEMS = 1 << 12  # array elements per pass of a batch; bounds its memory
@@ -61,12 +61,13 @@ class TransformedType(NamedTuple):
 class TypeDistribution:
     """Common interface: transform, support bounds, quadrature, sampling.
 
-    ``k_ends`` holds the smallest and largest k of the support, where the
-    quantiles and theta*_k take their extremes (see ``LossFamily``).
+    ``k_ends`` holds the k values over which sup_k theta*_k is taken: the
+    ends of a uniform k-range, where a scale family's quantiles and
+    theta*_k = k theta*_1 take their extremes, or every distinct atom k.
     """
 
     family: LossFamily
-    k_ends: tuple[float, float]
+    k_ends: tuple[float, ...]
 
     def transform(self, alpha: float, k: float) -> TransformedType:
         if not self.in_support(alpha, k):
@@ -122,16 +123,18 @@ class _UniformK(TypeDistribution):
         self,
         k_lo: float,
         k_hi: float,
-        family: LossFamily | None,
+        family: ScaleFamily | None,
         outer_nodes: int,
         simpson_tol: float,
     ):
-        if not 0.0 < k_lo < k_hi:
-            raise DomainError(f"need 0 < k_lo < k_hi, got ({k_lo}, {k_hi})")
+        if not 0.0 < k_lo < k_hi < math.inf:
+            raise DomainError(f"need 0 < k_lo < k_hi < inf, got ({k_lo}, {k_hi})")
         self.k_lo = float(k_lo)
         self.k_hi = float(k_hi)
         self.k_ends = (self.k_lo, self.k_hi)
         self.family = family if family is not None else ExponentialFamily()
+        if not isinstance(self.family, ScaleFamily):
+            raise DomainError(f"uniform-k markets need a ScaleFamily, got {type(family).__name__}")
         self.outer_nodes = int(outer_nodes)
         self.simpson_tol = float(simpson_tol)
 
@@ -200,7 +203,7 @@ class ProductUniform(_UniformK):
         k_hi: float,
         alpha_lo: float,
         alpha_hi: float,
-        family: LossFamily | None = None,
+        family: ScaleFamily | None = None,
         outer_nodes: int = 256,
         simpson_tol: float = 1e-10,
     ):
@@ -253,7 +256,7 @@ class DegenerateAlpha(_UniformK):
         k_lo: float,
         k_hi: float,
         alpha0: float,
-        family: LossFamily | None = None,
+        family: ScaleFamily | None = None,
         outer_nodes: int = 256,
         simpson_tol: float = 1e-10,
     ):
@@ -296,9 +299,11 @@ class DiscreteTypes(TypeDistribution):
         self.alphas = np.array([x[0] for x in atoms], dtype=float)
         self.ks = np.array([x[1] for x in atoms], dtype=float)
         self.weights = np.array([x[2] for x in atoms], dtype=float)
-        self.k_ends = (float(self.ks.min()), float(self.ks.max()))
-        if np.any(self.weights < 0.0):
-            raise DomainError("atom weights must be nonnegative")
+        if not np.all((self.ks > 0.0) & (self.ks < math.inf)):
+            raise DomainError(f"atom k values must be finite and positive, got {self.ks.tolist()}")
+        if not np.all((self.weights >= 0.0) & (self.weights < math.inf)):
+            raise DomainError(f"atom weights must be finite and >= 0, got {self.weights.tolist()}")
+        self.k_ends = tuple(sorted(set(self.ks.tolist())))
         if abs(self.weights.sum() - 1.0) > _WEIGHT_TOL:
             raise DomainError(f"atom weights must sum to 1, got {self.weights.sum()}")
         self.a_vals = np.asarray(self.family.var(self.alphas, self.ks), dtype=float)

@@ -78,7 +78,7 @@ def _dense_oracle(objective, lo, hi, n=100_000):
     from remenu.quadrature import golden_section_max
 
     grid = np.linspace(lo, hi, n)
-    vals = np.array([objective(float(t)) for t in grid])
+    vals = objective(grid)  # one array call; row i equals objective(grid[i])
     i = int(np.argmax(vals))
     blo = float(grid[max(i - 1, 0)])
     bhi = float(grid[min(i + 1, n - 1)])

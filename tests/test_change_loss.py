@@ -47,6 +47,36 @@ class TestAssumptionCheck:
         assert set(d) == {"sup_theta_star", "lower_support", "holds"}
 
 
+class TestSupThetaStarOverEveryAtom:
+    # The atom at k = 2000 has mean 20000, so theta*_k peaks between the
+    # smallest and the largest k: sup theta* = 20000 ln 1.1 ~ 1906 > L = 1500.
+    MEANS = {1000.0: 1000.0, 2000.0: 20000.0, 3000.0: 1000.0}
+    ATOMS = [
+        (math.exp(-1.5), 1000.0, 0.3),
+        (math.exp(-0.2), 2000.0, 0.4),
+        (math.exp(-2.5), 3000.0, 0.3),
+    ]
+
+    def market(self):
+        return DiscreteTypes(self.ATOMS, GenericFamily(lambda k: ExponentialLoss(self.MEANS[k])))
+
+    def test_assumption_check_sees_the_middle_atom(self, cost):
+        report = change_loss.assumption_check(self.market(), cost)
+        assert report.sup_theta_star == pytest.approx(20000.0 * LN11, rel=1e-12)
+        assert report.lower_support == pytest.approx(1500.0, rel=1e-12)
+        assert not report.holds
+        with pytest.raises(AssumptionError):
+            change_loss.solve(self.market(), cost)
+
+    def test_objective_caps_the_middle_atom(self, cost):
+        dist = self.market()
+        brute = sum(
+            w * stop_loss.phi(1500.0, float(a), cost, dist.family.model(k))
+            for a, k, w in zip(dist.a_vals, dist.ks, dist.weights)
+        )
+        assert stop_loss.objective(1500.0, dist, cost) == pytest.approx(brute, rel=1e-12)
+
+
 class TestJPhiCl:
     def test_infinite_threshold(self, cost, product_dist):
         assert change_loss.j_phi_cl(math.inf, product_dist, cost) == 0.0

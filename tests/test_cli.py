@@ -120,6 +120,23 @@ class TestSolve:
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert f"{section}.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "k_dist, alpha_dist, named",
+        [
+            ({"lo": 5000, "hi": math.inf}, {"lo": ALPHA_LO, "hi": ALPHA_HI}, "(5000.0, inf)"),
+            ({"atoms": [[-5000, 0.5], [10000, 0.5]]}, {"atoms": [0.05, 0.1]}, "[-5000.0, "),
+            ({"atoms": [[math.inf, 0.5], [10000, 0.5]]}, {"atoms": [0.05, 0.1]}, "[inf, "),
+            ({"atoms": [[5000, math.nan], [10000, 0.5]]}, {"atoms": [0.05, 0.1]}, "[nan, "),
+        ],
+        ids=["k-hi-inf", "negative-k-atom", "infinite-k-atom", "nan-weight"],
+    )
+    def test_bad_market_input_exits_2_naming_it(self, tmp_path, capsys, k_dist, alpha_dist, named):
+        variant = "discrete" if "atoms" in k_dist else "product_uniform"
+        types = {"variant": variant, "k_dist": k_dist, "alpha_dist": alpha_dist}
+        cfg = write_config(tmp_path / "c.json", types=types)
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert named in capsys.readouterr().err
+
     def test_proportional_hazard_is_an_alias_of_power(self, tmp_path):
         summaries = []
         for kind in ("power", "proportional_hazard"):
@@ -199,6 +216,12 @@ class TestCurve:
             )
             == 2
         )
+
+    @pytest.mark.parametrize("bound", ["--t-hi=inf", "--t-lo=-inf", "--t-hi=nan"])
+    def test_non_finite_bound_exits_2(self, config, tmp_path, bound):
+        out = tmp_path / "out"
+        assert main(["curve", "--config", str(config), "--out", str(out), bound]) == 2
+        assert not (out / "curve.csv").exists()
 
 
 class TestVerify:

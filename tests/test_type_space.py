@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from remenu import DiscreteTypes, DomainError, ProductUniform
+from remenu import (
+    DegenerateAlpha,
+    DiscreteTypes,
+    DomainError,
+    ExponentialLoss,
+    GenericFamily,
+    ProductUniform,
+)
 from remenu.quadrature import gauss_legendre
 
 ALPHA_LO = math.exp(-3)
@@ -203,3 +210,15 @@ class TestValidation:
 
         with pytest.raises(DomainError):
             ProductUniform(5000.0, 25000.0, 0.1, 0.6, ExponentialFamily(point_mass_zero=0.5))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda fam: ProductUniform(5000.0, 25000.0, ALPHA_LO, ALPHA_HI, fam),
+            lambda fam: DegenerateAlpha(5000.0, 25000.0, ALPHA_LO, fam),
+        ],
+        ids=["product", "degenerate"],
+    )
+    def test_uniform_k_needs_a_scale_family(self, build):
+        with pytest.raises(DomainError, match="ScaleFamily"):
+            build(GenericFamily(lambda k: ExponentialLoss(k)))
