@@ -32,8 +32,8 @@ class Contract:
             raise DomainError(f"unknown contract class {self.kind!r}")
         if not 0.0 <= self.lam <= 1.0:
             raise DomainError(f"coinsurance rate must lie in [0, 1], got {self.lam}")
-        if self.deductible < 0.0:
-            raise DomainError(f"deductible must be >= 0, got {self.deductible}")
+        if not self.deductible >= 0.0:
+            raise DomainError(f"deductible must be >= 0 (+inf for none), got {self.deductible}")
 
     def indemnity(self, x):
         if self.lam == 0.0 or math.isinf(self.deductible):
@@ -61,8 +61,8 @@ class MenuEntry:
     premium: float
 
     def __post_init__(self) -> None:
-        if self.premium < 0.0:
-            raise DomainError(f"premium must be >= 0, got {self.premium}")
+        if not (math.isfinite(self.a) and math.isfinite(self.k) and 0.0 <= self.premium < math.inf):
+            raise DomainError(f"need finite a, k, premium >= 0: {self.a, self.k, self.premium}")
 
     def risk_reduction(self, a) -> np.ndarray:
         """Risk reduction I(a') - P an agent at risk level a' gets here."""

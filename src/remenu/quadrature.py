@@ -1,4 +1,4 @@
-"""Deterministic quadrature and scalar search primitives.
+"""Deterministic quadrature rules and a bisection for monotone predicates.
 
 All routines are pure and use fixed node sets so that repeated runs are
 bitwise identical.
@@ -11,8 +11,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-
-INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @lru_cache(maxsize=32)
@@ -92,45 +90,6 @@ def adaptive_gauss_batched(
             return s
         prev = s
     return prev
-
-
-def golden_section_max(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    rel_tol: float = 1e-6,
-) -> tuple[float, float]:
-    """Golden-section search for a maximum of a unimodal f on [lo, hi].
-
-    Returns (argmax, value) taken from the best point actually evaluated,
-    so exact endpoint optima survive.  The bracket is shrunk until its width
-    is below 0.1 * rel_tol * max(1, |x|).
-    """
-    a, b = float(lo), float(hi)
-    best_x, best_v = a, f(a)
-    for x in (b,):
-        v = f(x)
-        if v > best_v:
-            best_x, best_v = x, v
-    c = b - INV_PHI * (b - a)
-    d = a + INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(400):
-        if fc > best_v:
-            best_x, best_v = c, fc
-        if fd > best_v:
-            best_x, best_v = d, fd
-        if (b - a) <= 0.1 * rel_tol * max(1.0, abs(0.5 * (a + b))):
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + INV_PHI * (b - a)
-            fd = f(d)
-    return best_x, best_v
 
 
 def first_true(pred: Callable[[float], bool], lo: float = 0.0, hi: float = math.inf) -> float:

@@ -11,7 +11,8 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import golden_section_max
+# Kinks per zoom round: each round narrows the bracket 16-fold.
+_ZOOM_POINTS = 33
 
 
 def _best(objective: Callable[[np.ndarray], np.ndarray], taus: np.ndarray) -> tuple[int, float]:
@@ -39,15 +40,19 @@ def maximize_over_tau(
     grid_points: int = 10001,
     refine_tol: float = 1e-6,
 ) -> tuple[float, float]:
-    """The same on [lo, hi]: a grid scan in one array call of objective, then
-    golden-section refinement around the best grid point through scalar
-    calls, which must strictly improve to displace it."""
-    grid = np.linspace(lo, hi, grid_points)
-    i, best_val = _best(objective, grid)
-    best_tau = float(grid[i])
-    b_lo = float(grid[max(i - 1, 0)])
-    b_hi = float(grid[min(i + 1, grid_points - 1)])
-    tau_r, val_r = golden_section_max(objective, b_lo, b_hi, rel_tol=refine_tol)
-    if val_r > best_val:
-        best_tau, best_val = tau_r, val_r
-    return _or_shut_down(best_tau, best_val)
+    """The same on [lo, hi]: a grid scan, then rounds of _ZOOM_POINTS kinks
+    over the two intervals around the last round's best kink, each scan and
+    round one array call.  A kink must strictly improve to displace the best.
+    Rounds stop once the bracket is at most 0.1 * refine_tol * max(1, |tau|)
+    wide or no narrower than the last one (float resolution)."""
+    taus, width = np.linspace(lo, hi, grid_points), math.inf
+    best_tau, best_val = math.inf, -math.inf
+    while True:
+        i, val = _best(objective, taus)
+        if val > best_val:
+            best_tau, best_val = float(taus[i]), val
+        b_lo, b_hi = float(taus[max(i - 1, 0)]), float(taus[min(i + 1, len(taus) - 1)])
+        tol = 0.1 * refine_tol * max(1.0, abs(0.5 * (b_lo + b_hi)))
+        if not tol < b_hi - b_lo < width:
+            return _or_shut_down(best_tau, best_val)
+        taus, width = np.linspace(b_lo, b_hi, _ZOOM_POINTS), b_hi - b_lo

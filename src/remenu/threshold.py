@@ -191,7 +191,8 @@ def solve(
     grid_points: int = 10001,
     refine_tol: float = 1e-6,
 ) -> ThresholdMenu:
-    """Maximize J over the class's tau range (shut-down included).
+    """Maximize J over the class's tau range (shut-down included), by a grid
+    scan and zoom rounds that each make one array call of J.
 
     On a discrete market J cannot decrease between consecutive atoms, so the
     best atom is the exact optimum and grid_points and refine_tol go unused.

@@ -73,16 +73,51 @@ def cl_product(cost, product):
     return change_loss.solve(product, cost)
 
 
-def _dense_oracle(objective, lo, hi, n=100_000):
-    """Independent brute-force maximizer: dense grid plus local refinement."""
-    from remenu.quadrature import golden_section_max
+INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+
+def _golden_section_max(f, lo, hi, rel_tol):
+    """Golden-section search for a maximum of a unimodal scalar f on [lo, hi].
+
+    Returns (argmax, value) of the best point actually evaluated, so exact
+    endpoint optima survive.  The bracket is shrunk until its width is below
+    0.1 * rel_tol * max(1, |x|), in at most 400 steps.
+    """
+    a, b = float(lo), float(hi)
+    best_x, best_v = a, f(a)
+    v = f(b)
+    if v > best_v:
+        best_x, best_v = b, v
+    c = b - INV_PHI * (b - a)
+    d = a + INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(400):
+        if fc > best_v:
+            best_x, best_v = c, fc
+        if fd > best_v:
+            best_x, best_v = d, fd
+        if (b - a) <= 0.1 * rel_tol * max(1.0, abs(0.5 * (a + b))):
+            break
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - INV_PHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + INV_PHI * (b - a)
+            fd = f(d)
+    return best_x, best_v
+
+
+def _dense_oracle(objective, lo, hi, n=100_000):
+    """Independent brute-force maximizer: dense grid plus golden-section
+    refinement, a different search from the solver's grid-and-zoom rule."""
     grid = np.linspace(lo, hi, n)
     vals = objective(grid)  # one array call; row i equals objective(grid[i])
     i = int(np.argmax(vals))
     blo = float(grid[max(i - 1, 0)])
     bhi = float(grid[min(i + 1, n - 1)])
-    tau, val = golden_section_max(objective, blo, bhi, rel_tol=1e-9)
+    tau, val = _golden_section_max(objective, blo, bhi, rel_tol=1e-9)
     return (tau, val) if val >= vals[i] else (float(grid[i]), float(vals[i]))
 
 

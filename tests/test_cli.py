@@ -257,6 +257,27 @@ class TestVerify:
             == 2
         )
 
+    # Columns: a, k, contract_class, lambda, deductible, premium, risk_reduction.
+    @pytest.mark.parametrize(
+        "edits",
+        [{4: "nan", 5: "nan"}, {4: "nan"}, {5: "nan"}, {0: "nan"}, {1: "inf"}, {5: "-inf"}],
+        ids=["deductible+premium", "deductible", "premium", "a", "k", "premium-inf"],
+    )
+    def test_non_finite_menu_field_exits_2_naming_row(self, config, tmp_path, capsys, edits):
+        out = tmp_path / "out"
+        main(["solve", "--config", str(config), "--out", str(out)])
+        lines = (out / "menu.csv").read_text().splitlines()
+        cols = lines[-1].split(",")
+        assert cols[3] == "1"  # a served row, whose deductible is finite
+        for col, value in edits.items():
+            cols[col] = value
+        lines[-1] = ",".join(cols)
+        bad = out / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["verify", "--config", str(config), "--out", str(out), "--menu", str(bad)]) == 2
+        assert f"menu row {len(lines) - 1}:" in capsys.readouterr().err
+
     def test_malformed_menu_exits_2(self, config, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,k\n1,2\n")

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from remenu import (
     threshold,
     type_space,
 )
-from remenu.quadrature import golden_section_max
+from remenu.search import maximize_over_tau
 
 LN11 = math.log(1.1)
 MENUS = [stop_loss.StopLossMenu, quota_share.QuotaShareMenu, change_loss.ChangeLossMenu]
@@ -185,15 +186,20 @@ def test_batched_capped_rows_match_brute_force():
 
 
 def scalar_search(j, lo, hi, grid_points, refine_tol):
-    """The search rule with one scalar J call per grid point."""
-    grid = np.linspace(lo, hi, grid_points)
-    vals = [j(float(t)) for t in grid]
-    i = int(np.argmax(vals))
-    best_tau, best_val = float(grid[i]), vals[i]
-    b_lo, b_hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, grid_points - 1)])
-    tau_r, val_r = golden_section_max(j, b_lo, b_hi, rel_tol=refine_tol)
-    if val_r > best_val:
-        best_tau, best_val = tau_r, val_r
+    """The search rule with one scalar J call per kink: a grid scan, then
+    33-kink rounds over the two intervals around each round's best kink."""
+    taus, width = np.linspace(lo, hi, grid_points), math.inf
+    best_tau, best_val = math.inf, -math.inf
+    while True:
+        vals = [j(float(t)) for t in taus]
+        i = int(np.argmax(vals))
+        if vals[i] > best_val:
+            best_tau, best_val = float(taus[i]), vals[i]
+        b_lo, b_hi = float(taus[max(i - 1, 0)]), float(taus[min(i + 1, len(taus) - 1)])
+        tol = 0.1 * refine_tol * max(1.0, abs(0.5 * (b_lo + b_hi)))
+        if b_hi - b_lo <= tol or b_hi - b_lo >= width:
+            break
+        taus, width = np.linspace(b_lo, b_hi, 33), b_hi - b_lo
     return (best_tau, best_val) if best_val >= 0.0 else (math.inf, 0.0)
 
 
@@ -206,6 +212,52 @@ def test_solve_keeps_the_scalar_search_rule(market, menu_cls, cost, product_dist
     lo, hi = threshold.tau_range(kind, dist)
     want = scalar_search(lambda t: threshold.objective(kind, t, dist, c), lo, hi, 2001, 1e-6)
     assert (menu.tau_star, menu.objective_value) == want
+
+
+@pytest.mark.parametrize("menu_cls", MENUS, ids=lambda m: m.contract_class)
+def test_continuous_solve_makes_no_scalar_call(menu_cls, cost, product_dist, monkeypatch):
+    sizes = []
+    batched = threshold.objective
+
+    def counted(kind, tau, *args, **kwargs):
+        sizes.append(np.size(tau) if np.ndim(tau) else None)
+        return batched(kind, tau, *args, **kwargs)
+
+    monkeypatch.setattr(threshold, "objective", counted)
+    threshold.solve(menu_cls, product_dist, cost)
+    assert sizes[0] == 10001 and len(sizes) > 1
+    assert None not in sizes
+
+
+@pytest.mark.parametrize("refine_tol", [1e-15, 1e-300])
+def test_search_stops_at_float_resolution(refine_tol, cost, degenerate_dist):
+    t0 = time.perf_counter()
+    menu = stop_loss.solve(degenerate_dist, cost, refine_tol=refine_tol)
+    assert time.perf_counter() - t0 < 10.0
+    tau = 225000.0 / (5.0 - LN11)
+    assert menu.tau_star == pytest.approx(tau, rel=1e-6)
+
+
+def test_search_finds_an_optimum_at_either_end():
+    assert maximize_over_tau(lambda t: t - 1.0, 1.0, 2.0, 101) == (2.0, 1.0)
+    assert maximize_over_tau(lambda t: 2.0 - t, 1.0, 2.0, 101) == (1.0, 1.0)
+
+
+def test_search_keeps_the_first_best_on_a_plateau():
+    # The grid reaches the plateau at 6; the zoom finds 5.3125 on it, which
+    # only ties and so does not displace the earlier best.
+    calls = []
+
+    def plateau(t):
+        calls.append(len(t))
+        return np.minimum(t, 5.3)
+
+    assert maximize_over_tau(plateau, 0.0, 10.0, 11) == (6.0, 5.3)
+    assert calls[0] == 11 and set(calls[1:]) == {33}
+
+
+def test_search_shuts_down_when_every_kink_loses():
+    assert maximize_over_tau(lambda t: -1.0 - t * t, -1.0, 1.0, 101) == (math.inf, 0.0)
 
 
 def test_menu_reuses_its_profile(monkeypatch):
