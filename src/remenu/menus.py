@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -12,6 +13,9 @@ from .errors import DomainError
 from .risk_model import CostFunctional, LossModel
 
 NULL_DEDUCTIBLE = math.inf
+
+# Samples times distinct contracts per block of GenericMenu.self_select.
+_BLOCK_ELEMS = 16384
 
 
 @dataclass(frozen=True)
@@ -82,7 +86,61 @@ class GenericMenu:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def value_matrix(self, a_values: np.ndarray) -> np.ndarray:
-        """Risk reduction of each entry (rows) at each risk level (cols)."""
-        a_values = np.asarray(a_values, dtype=float)
-        return np.stack([e.risk_reduction(a_values) for e in self.entries])
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """(a, k, lam, deductible, premium) rows, one column per entry."""
+        if not self.entries:
+            raise DomainError("cannot audit an empty menu")
+        rows = [(e.a, e.k, e.contract.lam, e.contract.deductible, e.premium) for e in self.entries]
+        return np.array(rows, dtype=float).T
+
+    @cached_property
+    def _contracts(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct contracts (lam, d, P) in order of first appearance, null
+        ones as (0, inf, P), then (0, inf, 0) for staying out; and the distinct
+        contract of each entry."""
+        lam, d, premium = self.columns[2:]
+        null = (lam == 0.0) | np.isinf(d)
+        terms = np.array([np.where(null, 0.0, lam), np.where(null, NULL_DEDUCTIBLE, d), premium])
+        raw, ids = terms.T.tobytes(), {}  # 24 bytes per entry; equal bits, same contract
+        first_of = [ids.setdefault(raw[i : i + 24], i // 24) for i in range(0, len(raw), 24)]
+        first = np.array(list(ids.values()), int)
+        distinct = np.empty((3, len(first) + 1))
+        distinct[:, :-1], distinct[:, -1] = terms[:, first], (0.0, NULL_DEDUCTIBLE, 0.0)
+        return distinct, np.searchsorted(first, first_of)
+
+    def self_select(self, a, k=None) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+        """Self-selection at risk levels a (types (a, k)), block by block.
+
+        Yields (block, best, taken): the best risk reduction lam * (a - d)_+ - P
+        on offer and the (lam, d, P) taken, that of the first maximizing entry
+        or, within tie = 1e-12 * max(1, |best|), of the type's own entry (the
+        first with equal (a, k)); (0, inf, 0), staying out, when best < -tie.
+        Each distinct contract is valued once per block of about _BLOCK_ELEMS
+        values, so memory does not grow with the menu's length.
+        """
+        a, k = np.ravel(np.asarray(a, dtype=float)), None if k is None else np.ravel(k)
+        terms, of = self._contracts
+        lam, d, premium = terms[:, :-1]
+        step, last = max(1, _BLOCK_ELEMS // len(lam)), len(of) - 1
+        if k is not None:  # the entries' types a + ik, sorted stably
+            keys = self.columns[0] + 1j * self.columns[1]
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+        for start in range(0, len(a), step):
+            block = slice(start, start + step)
+            values = np.maximum(a[block, None] - d, 0.0) * lam - premium
+            u = values.argmax(axis=1)
+            best = values[np.arange(len(u)), u]
+            tie = 1e-12 * np.maximum(1.0, np.abs(best))
+            if k is not None:  # own entries: match a, then a + ik
+                ab, kb = a[block], k[block]
+                near = keys.real[np.minimum(np.searchsorted(keys.real, ab), last)]
+                i = np.flatnonzero(near == ab)
+                own = order[np.minimum(np.searchsorted(keys, ab[i] + 1j * kb[i]), last)]
+                hit = (self.columns[0, own] == ab[i]) & (self.columns[1, own] == kb[i])
+                i, c = i[hit], of[own[hit]]
+                ok = values[i, c] >= best[i] - tie[i]
+                u[i[ok]] = c[ok]
+            u[best < -tie] = -1
+            yield block, best, terms[:, u]

@@ -116,12 +116,13 @@ def j_general(
 
 
 def indirect_utility(menu: GenericMenu, a) -> np.ndarray:
-    """Largest risk reduction available from the menu (outside option 0)."""
-    if len(menu) == 0:
-        raise DomainError("indirect utility of an empty menu is undefined")
+    """Largest risk reduction available from the menu (outside option 0), by
+    GenericMenu.self_select: memory does not grow with the menu's length."""
     a = np.asarray(a, dtype=float)
-    best = menu.value_matrix(a).max(axis=0)
-    return np.maximum(best, 0.0)
+    best = np.empty(a.size)
+    for block, value, _taken in menu.self_select(a):
+        best[block] = value
+    return np.maximum(best.reshape(a.shape), 0.0)
 
 
 @dataclass(frozen=True)
@@ -138,30 +139,25 @@ class ViolationReport:
         return {**asdict(self), "violations": list(self.violations)}
 
 
-def _entry_rows(menu: GenericMenu) -> np.ndarray:
-    """(a, k, lam, deductible, premium) rows, one column per menu entry."""
-    if len(menu) == 0:
-        raise DomainError("cannot audit an empty menu")
-    rows = [(e.a, e.k, e.contract.lam, e.contract.deductible, e.premium) for e in menu.entries]
-    return np.array(rows, dtype=float).T
-
-
-def _risk_reduction(rows, a: np.ndarray) -> np.ndarray:
-    """lam * (a - d)_+ - P of each entry for an agent at risk level a; the
-    lam row may be the boolean served row of ThresholdMenu.terms."""
-    _a, _k, lam, d, premium = rows
+def _risk_reduction(terms, a: np.ndarray) -> np.ndarray:
+    """lam * (a - d)_+ - P of each (lam, d, P) for an agent at risk level a;
+    lam may be the boolean served row of ThresholdMenu.terms."""
+    lam, d, premium = terms
     return lam * np.maximum(a - d, 0.0) - premium
 
 
 def _report(check: str, slack: np.ndarray, tol: float, own, alt=None) -> ViolationReport:
-    """Worst slack and the first 20 records of types whose slack exceeds tol."""
+    """Worst slack and the first 20 records of types whose slack exceeds tol;
+    own(i) and alt(i) give the (a, k) arrays of the types at indices i."""
     worst = float(slack.max()) if len(slack) else 0.0
-    records = []
-    for i in np.nonzero(slack > tol)[0][:20]:
-        record = {"own_type": [float(own[0][i]), float(own[1][i])], "violation": float(slack[i])}
-        if alt is not None:
-            record["alt_type"] = [float(alt[0][i]), float(alt[1][i])]
-        records.append(record)
+    bad = np.nonzero(slack > tol)[0][:20]
+    records = [
+        {"own_type": [float(a), float(k)], "violation": float(v)}
+        for a, k, v in zip(*own(bad), slack[bad])
+    ]
+    if alt is not None:
+        for record, a, k in zip(records, *alt(bad)):
+            record["alt_type"] = [float(a), float(k)]
     return ViolationReport(check, len(slack), worst, worst <= tol, tuple(records))
 
 
@@ -180,16 +176,18 @@ def check_ic(
     if rng is None:
         rng = np.random.default_rng(0)
     if isinstance(menu, GenericMenu):
-        rows = _entry_rows(menu)
-        own = rows[:, rng.integers(0, len(menu), n_pairs)]
-        alt = rows[:, rng.integers(0, len(menu), n_pairs)]
+        cols = menu.columns
+        own = rng.integers(0, len(menu), n_pairs)
+        alt = rng.integers(0, len(menu), n_pairs)
+        a = cols[0, own]
+        slack = _risk_reduction(cols[2:, alt], a) - _risk_reduction(cols[2:, own], a)
+        own_types, alt_types = (lambda i: cols[:2, own[i]]), (lambda i: cols[:2, alt[i]])
     else:
-        a_own, k_own = dist.sample(n_pairs, rng)
+        a, k = dist.sample(n_pairs, rng)
         a_alt, k_alt = dist.sample(n_pairs, rng)
-        own = (a_own, k_own, *menu.terms(a_own, k_own))
-        alt = (a_alt, k_alt, *menu.terms(a_alt, k_alt))
-    slack = _risk_reduction(alt, own[0]) - _risk_reduction(own, own[0])
-    return _report("incentive_compatibility", slack, tol, own, alt)
+        slack = _risk_reduction(menu.terms(a_alt, k_alt), a) - _risk_reduction(menu.terms(a, k), a)
+        own_types, alt_types = (lambda i: (a[i], k[i])), (lambda i: (a_alt[i], k_alt[i]))
+    return _report("incentive_compatibility", slack, tol, own_types, alt_types)
 
 
 def check_ir(
@@ -201,11 +199,12 @@ def check_ir(
 ) -> ViolationReport:
     """Every sampled type weakly prefers its own entry to no contract."""
     if isinstance(menu, GenericMenu):
-        own = _entry_rows(menu)
+        a, k, *terms = menu.columns
     else:
         a, k = dist.sample(n_types, np.random.default_rng(0) if rng is None else rng)
-        own = (a, k, *menu.terms(a, k))
-    return _report("individual_rationality", -_risk_reduction(own, own[0]), tol, own)
+        terms = menu.terms(a, k)
+    slack = -_risk_reduction(terms, a)
+    return _report("individual_rationality", slack, tol, lambda i: (a[i], k[i]))
 
 
 # -- first-best failure demo --------------------------------------------
@@ -297,14 +296,6 @@ def first_best_demo(
 # -- Monte Carlo profit -------------------------------------------------
 
 
-def _contract_profit(profile: KProfile, entry, k) -> np.ndarray:
-    """P - H[I(X_k)] for one entry across an array of scales k."""
-    c = entry.contract
-    if c.lam == 0.0 or math.isinf(c.deductible):
-        return np.full_like(np.asarray(k, dtype=float), entry.premium)
-    return entry.premium - c.lam * profile.stop_loss_cost(k, c.deductible)
-
-
 def monte_carlo_profit(
     menu,
     dist: TypeDistribution,
@@ -314,9 +305,11 @@ def monte_carlo_profit(
 ) -> tuple[float, float]:
     """Estimate the expected profit by sampled self-selection.
 
-    Each sampled type picks the entry maximizing its risk reduction (its
-    own entry wins ties; staying out beats any negative value); the profit
-    P - H[I(X_k)] of the chosen entry is evaluated analytically.  Returns
+    Each sampled type picks its entry by GenericMenu.self_select: the first
+    entry maximizing its risk reduction, or its own entry if within 1e-12
+    relative of the best; it stays out when the best is below -1e-12 relative.
+    The profit P - H[I(X_k)] of the chosen entry is evaluated analytically.
+    On a GenericMenu, memory does not grow with the menu's length.  Returns
     (estimate, standard error); deterministic given the seed.
     """
     if n < 1:
@@ -324,29 +317,12 @@ def monte_carlo_profit(
     rng = np.random.default_rng(seed)
     a, k = dist.sample(n, rng)
     if isinstance(menu, GenericMenu):
-        # One entry at a time: the first maximum wins, as np.argmax would.
-        best = np.full(n, -np.inf)
-        choice = np.zeros(n, dtype=int)
-        own = np.full(n, -1)
-        own_value = np.zeros(n)
-        for j, e in enumerate(menu.entries):
-            value = e.risk_reduction(a)
-            better = value > best
-            best[better] = value[better]
-            choice[better] = j
-            match = (a == e.a) & (k == e.k) & (own < 0)
-            own[match] = j
-            own_value[match] = value[match]
-        tie_tol = 1e-12 * np.maximum(1.0, np.abs(best))
-        own_ok = (own >= 0) & (own_value >= best - tie_tol)
-        choice = np.where(own_ok, own, choice)
-        take = best >= -tie_tol
         profile = KProfile(cost, dist.family)
         profits = np.zeros(n)
-        for j, e in enumerate(menu.entries):
-            rows = take & (choice == j)
-            if rows.any():
-                profits[rows] = _contract_profit(profile, e, k[rows])
+        for block, _best, (lam, d, premium) in menu.self_select(a, k):
+            paid = np.flatnonzero(lam)
+            premium[paid] -= lam[paid] * profile.stop_loss_cost(k[block][paid], d[paid])
+            profits[block] = premium
     else:
         profits = np.asarray(menu.profit_per_type(a, k), dtype=float)
     est = float(profits.mean())

@@ -4,7 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from remenu.cli import main
+from remenu import ScenarioConfig, monte_carlo_profit
+from remenu.cli import _read_menu_csv, main
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 LN11 = math.log(1.1)
 ALPHA_LO = 0.049787068367863944  # e^-3
@@ -347,3 +350,20 @@ class TestSimulate:
         assert (
             main(["simulate", "--config", str(config), "--out", str(tmp_path), "--n", "0"]) == 2
         )
+
+    @pytest.mark.parametrize("name", ["uniform_alpha_stop_loss", "uniform_alpha_quota_share"])
+    def test_menu_file_estimate(self, name, tmp_path):
+        # simulate --menu self-selects from the tabulated menu.csv of a solve.
+        config = SCRIPTS / f"{name}.json"
+        solved, out = tmp_path / "solved", tmp_path / "sim"
+        assert main(["solve", "--config", str(config), "--out", str(solved)]) == 0
+        menu_csv = solved / "menu.csv"
+        argv = ["simulate", "--config", str(config), "--out", str(out), "--menu", str(menu_csv)]
+        assert main(argv) == 0
+        est = json.loads((out / "estimate.json").read_text())
+        cfg = ScenarioConfig.from_file(str(config))
+        want = monte_carlo_profit(
+            _read_menu_csv(menu_csv), cfg.build_dist(), cfg.build_cost(), est["n"], cfg.seed
+        )
+        assert (est["estimate"], est["std_error"]) == want
+        assert abs(est["estimate"] - est["analytic_objective"]) <= 4.0 * est["std_error"]

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from remenu import (
     Distortion,
     DomainError,
     GenericMenu,
+    KProfile,
     MenuEntry,
     PiecewiseLinearConvexUtility,
     bl_decompose,
@@ -26,7 +29,16 @@ from remenu import (
     quota_share,
     stop_loss,
 )
+from remenu import menus
+from remenu.cli import _read_menu_csv, main
 from remenu.verification import random_utilities
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+PRODUCT_CONFIGS = (
+    "uniform_alpha_stop_loss",
+    "uniform_alpha_quota_share",
+    "uniform_alpha_change_loss",
+)
 
 
 class TestPiecewiseLinearConvexUtility:
@@ -266,3 +278,172 @@ class TestMonteCarlo:
         menu = stop_loss.solve(product_dist, cost)
         with pytest.raises(DomainError):
             monte_carlo_profit(menu, product_dist, cost, 0, seed=1)
+
+
+# -- per-entry reference loops: exact oracles for GenericMenu.self_select -----
+
+
+def loop_indirect_utility(menu, a):
+    """Every entry's risk reduction stacked, then the best one, floored at 0."""
+    a = np.asarray(a, dtype=float)
+    return np.maximum(np.stack([e.risk_reduction(a) for e in menu.entries]).max(axis=0), 0.0)
+
+
+def loop_monte_carlo_profit(menu, dist, cost, n, seed):
+    """Self-selection one entry at a time: the first maximum wins, the own
+    entry (first with equal (a, k)) within tie of it, stay out below -tie."""
+    a, k = dist.sample(n, np.random.default_rng(seed))
+    best = np.full(n, -np.inf)
+    choice = np.zeros(n, dtype=int)
+    own = np.full(n, -1)
+    own_value = np.zeros(n)
+    for j, e in enumerate(menu.entries):
+        value = e.risk_reduction(a)
+        better = value > best
+        best[better] = value[better]
+        choice[better] = j
+        match = (a == e.a) & (k == e.k) & (own < 0)
+        own[match] = j
+        own_value[match] = value[match]
+    tie_tol = 1e-12 * np.maximum(1.0, np.abs(best))
+    choice = np.where((own >= 0) & (own_value >= best - tie_tol), own, choice)
+    take = best >= -tie_tol
+    profile = KProfile(cost, dist.family)
+    profits = np.zeros(n)
+    for j, e in enumerate(menu.entries):
+        rows = take & (choice == j)
+        if rows.any():
+            c = e.contract
+            if c.lam == 0.0 or math.isinf(c.deductible):
+                profits[rows] = e.premium
+            else:
+                profits[rows] = e.premium - c.lam * profile.stop_loss_cost(k[rows], c.deductible)
+    return float(profits.mean()), float(profits.std(ddof=1) / math.sqrt(n))
+
+
+def assert_same_bits(got, want):
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.fixture(scope="module")
+def bundled_tables(tmp_path_factory):
+    """menu.csv of each bundled product-market config, read back as remenu
+    verify and simulate --menu read it (231 rows each)."""
+    tables = {}
+    for name in PRODUCT_CONFIGS:
+        out = tmp_path_factory.mktemp(name)
+        assert main(["solve", "--config", str(SCRIPTS / f"{name}.json"), "--out", str(out)]) == 0
+        tables[name] = _read_menu_csv(out / "menu.csv")
+    return tables
+
+
+E3, E2 = math.exp(-3), math.exp(-2)
+HAND_ATOMS = [(E3, 10000.0, 0.2), (math.exp(-2.5), 12000.0, 0.2), (E2, 20000.0, 0.2),
+              (E3, 15000.0, 0.2), (math.exp(-1.0), 20000.0, 0.2)]
+
+
+def hand_menu(dist, null_premium):
+    """Entries at the atoms: a duplicated contract (atoms 0 and 1 share a),
+    a contract tied with it for every a >= 22000, a half quota share, and
+    null rows (d = inf, and lam = 0) charging null_premium; with
+    null_premium > 0 low types stay out."""
+    (a0, a1, a2, a3, a4), (k0, k1, k2, k3, k4) = dist.a_vals, dist.ks
+    sl = Contract("stop_loss", 1.0, 20000.0)
+    return GenericMenu.from_entries([
+        MenuEntry(a0, k0, sl, 4000.0),
+        MenuEntry(a1, k1, sl, 4000.0),
+        MenuEntry(a2, k2, Contract("stop_loss", 1.0, 22000.0), 2000.0),
+        MenuEntry(a3, k3, Contract("stop_loss", 1.0, math.inf), null_premium),
+        MenuEntry(a4, k4, Contract("quota_share", 0.0, 0.0), null_premium),
+        MenuEntry(a3, k3, Contract("quota_share", 0.5, 0.0), 12000.0),
+        MenuEntry(a0, k0, sl, 4000.0),
+    ])
+
+
+class TestSelfSelectionOracle:
+    @pytest.mark.parametrize("name", PRODUCT_CONFIGS)
+    def test_bundled_tables(self, name, bundled_tables, cost, product_dist):
+        gm = bundled_tables[name]
+        assert len(gm) == 231
+        got = monte_carlo_profit(gm, product_dist, cost, 100_000, seed=7)
+        assert got == loop_monte_carlo_profit(gm, product_dist, cost, 100_000, 7)
+        a = np.concatenate([gm.columns[0], np.linspace(0.0, 80000.0, 1001)])
+        assert_same_bits(indirect_utility(gm, a), loop_indirect_utility(gm, a))
+
+    @pytest.mark.parametrize("module", [stop_loss, quota_share, change_loss])
+    def test_discrete_atoms_take_their_own_entries(self, module, cost):
+        dist = DiscreteTypes([(E3 + i * (E2 - E3) / 4, 6000.0 + 4000.0 * i, 0.2) for i in range(5)])
+        gm = module.solve(dist, cost).entries_for(list(zip(dist.a_vals, dist.ks)))
+        got = monte_carlo_profit(gm, dist, cost, 20001, seed=3)
+        assert got == loop_monte_carlo_profit(gm, dist, cost, 20001, 3)
+        assert_same_bits(indirect_utility(gm, dist.a_vals), loop_indirect_utility(gm, dist.a_vals))
+
+    @pytest.mark.parametrize("module", [stop_loss, quota_share, change_loss])
+    def test_degenerate_menu(self, module, cost, degenerate_dist):
+        menu = module.solve(degenerate_dist, cost)
+        gm = menu.entries_for(list(zip(*degenerate_dist.sample(300, np.random.default_rng(4)))))
+        got = monte_carlo_profit(gm, degenerate_dist, cost, 30000, seed=5)
+        assert got == loop_monte_carlo_profit(gm, degenerate_dist, cost, 30000, 5)
+        a = np.linspace(0.0, 90000.0, 1001)
+        assert_same_bits(indirect_utility(gm, a), loop_indirect_utility(gm, a))
+
+    @pytest.mark.parametrize("null_premium", [0.0, 500.0])
+    def test_hand_built_menu(self, null_premium, cost, product_dist):
+        atoms = DiscreteTypes(HAND_ATOMS)
+        gm = hand_menu(atoms, null_premium)
+        for dist in (atoms, product_dist):
+            got = monte_carlo_profit(gm, dist, cost, 10007, seed=8)
+            assert got == loop_monte_carlo_profit(gm, dist, cost, 10007, 8)
+        a = np.concatenate([atoms.a_vals, np.linspace(0.0, 90000.0, 901)])
+        assert_same_bits(indirect_utility(gm, a), loop_indirect_utility(gm, a))
+        if null_premium > 0.0:
+            assert indirect_utility(gm, 10000.0) == 0.0  # everyone stays out down there
+
+    def test_ragged_blocks(self, monkeypatch, bundled_tables, cost, product_dist):
+        # 997 samples are a multiple of no block length the menus give.
+        monkeypatch.setattr(menus, "_BLOCK_ELEMS", 64)
+        atoms = DiscreteTypes(HAND_ATOMS)
+        table = bundled_tables[PRODUCT_CONFIGS[0]]
+        for gm, dist in [(hand_menu(atoms, 500.0), atoms), (table, product_dist)]:
+            got = monte_carlo_profit(gm, dist, cost, 997, seed=9)
+            assert got == loop_monte_carlo_profit(gm, dist, cost, 997, 9)
+            a = np.linspace(0.0, 90000.0, 997)
+            assert_same_bits(indirect_utility(gm, a), loop_indirect_utility(gm, a))
+
+    def test_scalar_risk_level(self, bundled_tables):
+        gm = bundled_tables[PRODUCT_CONFIGS[0]]
+        for a in (0.0, 38000.0, 45000.5):
+            got = indirect_utility(gm, a)
+            assert_same_bits(got, loop_indirect_utility(gm, a))
+            assert type(got) is type(loop_indirect_utility(gm, a))
+
+
+def _mc_peak(menu, dist, cost) -> int:
+    tracemalloc.start()
+    try:
+        monte_carlo_profit(menu, dist, cost, 100_000, seed=1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    def test_tabulated_menu_below_per_entry_loop(self, bundled_tables, cost, product_dist):
+        # The per-entry loop peaked at 8.6 MB here: 100,000 samples times
+        # (a, k, best, choice, own, own value, profit) plus masks.
+        assert _mc_peak(bundled_tables[PRODUCT_CONFIGS[0]], product_dist, cost) < 6e6
+
+    def test_peak_independent_of_distinct_contracts(self, cost, product_dist):
+        a, k = product_dist.sample(1000, np.random.default_rng(2))
+        d = np.linspace(10000.0, 60000.0, 1000)
+
+        def menu(n_distinct):
+            j = np.arange(1000) % n_distinct
+            return GenericMenu.from_entries(
+                MenuEntry(a[i], k[i], Contract("stop_loss", 1.0, d[j[i]]), 1000.0 + j[i])
+                for i in range(1000)
+            )
+
+        few, many = _mc_peak(menu(10), product_dist, cost), _mc_peak(menu(1000), product_dist, cost)
+        assert abs(many - few) <= 1e6
