@@ -22,7 +22,7 @@ from . import threshold
 from .change_loss import ChangeLossMenu
 from .config import ScenarioConfig
 from .errors import AssumptionError, ConfigError, DomainError, UnsupportedError
-from .menus import Contract, GenericMenu, MenuEntry
+from .menus import Contract, GenericMenu, MenuEntry, risk_reduction
 from .quota_share import QuotaShareMenu
 from .stop_loss import StopLossMenu
 from .type_space import DegenerateAlpha, DiscreteTypes, ProductUniform
@@ -80,16 +80,15 @@ def _menu_grid(dist) -> tuple[np.ndarray, np.ndarray]:
 
 def _write_menu_csv(path: Path, menu, dist) -> None:
     a, k = _menu_grid(dist)
-    served, d, premium = menu.terms(a, k)
-    risk_reduction = served * np.maximum(a - d, 0.0) - premium
+    terms = menu.terms(a, k)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["a", "k", "contract_class", "lambda", "deductible", "premium", "risk_reduction"]
         )
-        for row in zip(a, k, served, d, premium, risk_reduction):
-            a_i, k_i, *terms = (_fmt(float(x)) for x in row)
-            writer.writerow([a_i, k_i, menu.contract_class, *terms])
+        for row in zip(a, k, *terms, risk_reduction(terms, a)):
+            a_i, k_i, *fields = (_fmt(float(x)) for x in row)
+            writer.writerow([a_i, k_i, menu.contract_class, *fields])
 
 
 def _read_menu_csv(path: Path) -> GenericMenu:
@@ -281,14 +280,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = ScenarioConfig.from_file(args.config)
-        if args.grid is not None or args.seed is not None:
-            grid = config.solver.grid_points if args.grid is None else args.grid
-            solver = replace(config.solver, grid_points=grid)
-            config = replace(
-                config,
-                solver=solver,
-                seed=config.seed if args.seed is None else args.seed,
-            )
+        if args.grid is not None:
+            config = replace(config, solver=replace(config.solver, grid_points=args.grid))
+        if args.seed is not None:  # validated by ScenarioConfig, like the file's seed
+            config = replace(config, seed=args.seed)
         solver_class = args.solver_class or config.solver.solver_class
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -162,6 +162,10 @@ class ScenarioConfig:
     quadrature: QuadratureConfig = field(default_factory=QuadratureConfig)
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
+
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "ScenarioConfig":
         top = _take(
@@ -210,10 +214,7 @@ class ScenarioConfig:
             _num(quad_raw, "quadrature", "simpson_tol", 1e-10),
         )
 
-        seed = top.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ConfigError("seed must be an integer")
-        return cls(cost, loss, types, solver, quadrature, seed)
+        return cls(cost, loss, types, solver, quadrature, top.get("seed", 0))
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":

@@ -18,6 +18,13 @@ NULL_DEDUCTIBLE = math.inf
 _BLOCK_ELEMS = 16384
 
 
+def risk_reduction(terms, a):
+    """lam * (a - d)_+ - P of each contract (lam, d, P) for an agent at risk
+    level a; lam may be the boolean served row of ThresholdMenu.terms."""
+    lam, d, premium = terms
+    return lam * np.maximum(a - d, 0.0) - premium
+
+
 @dataclass(frozen=True)
 class Contract:
     """An indemnity of the form lam * (x - deductible)_+.
@@ -121,15 +128,15 @@ class GenericMenu:
         """
         a, k = np.ravel(np.asarray(a, dtype=float)), None if k is None else np.ravel(k)
         terms, of = self._contracts
-        lam, d, premium = terms[:, :-1]
-        step, last = max(1, _BLOCK_ELEMS // len(lam)), len(of) - 1
+        offers = terms[:, :-1]
+        step, last = max(1, _BLOCK_ELEMS // offers.shape[1]), len(of) - 1
         if k is not None:  # the entries' types a + ik, sorted stably
             keys = self.columns[0] + 1j * self.columns[1]
             order = np.argsort(keys, kind="stable")
             keys = keys[order]
         for start in range(0, len(a), step):
             block = slice(start, start + step)
-            values = np.maximum(a[block, None] - d, 0.0) * lam - premium
+            values = risk_reduction(offers, a[block, None])
             u = values.argmax(axis=1)
             best = values[np.arange(len(u)), u]
             tie = 1e-12 * np.maximum(1.0, np.abs(best))

@@ -1,9 +1,9 @@
 """Independent audits of solved menus.
 
 These checkers deliberately avoid the solvers' own shortcuts: incentive
-compatibility and participation are tested entry-against-entry, general
-candidate indirect utilities are integrated by brute-force quadrature, and
-expected profit is re-estimated by Monte Carlo self-selection.
+compatibility and participation are tested entry-against-entry (every row
+of a tabulated menu), candidate indirect utilities are integrated by
+brute-force quadrature, and profit is re-estimated by Monte Carlo.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .menus import GenericMenu
+from .menus import GenericMenu, risk_reduction
 from .risk_model import CostFunctional, KProfile
 from .threshold import reference, require_assumption
 from .type_space import TypeDistribution
@@ -50,30 +50,23 @@ class PiecewiseLinearConvexUtility:
         if w.sum() > 1.0 + 1e-12:
             raise DomainError("slope increments must sum to at most 1 (1-Lipschitz)")
 
-    def value(self, a):
+    def _sum(self, term, a):
+        """sum_i w_i term(a, t_i), accumulated in kink order from zero."""
         a = np.asarray(a, dtype=float)
-        out = np.zeros_like(a)
-        for t, w in zip(self.kinks, self.weights):
-            out = out + w * np.maximum(a - t, 0.0)
-        return out
+        return sum((w * term(a, t) for t, w in zip(self.kinks, self.weights)), np.zeros_like(a))
+
+    def value(self, a):
+        return self._sum(lambda a, t: np.maximum(a - t, 0.0), a)
 
     __call__ = value
 
     def slope_plus(self, a):
         """Right derivative: sum of increments at kinks t_i <= a."""
-        a = np.asarray(a, dtype=float)
-        out = np.zeros_like(a)
-        for t, w in zip(self.kinks, self.weights):
-            out = out + w * (a >= t)
-        return out
+        return self._sum(np.greater_equal, a)
 
     def slope_minus(self, a):
         """Left derivative: sum of increments at kinks t_i < a."""
-        a = np.asarray(a, dtype=float)
-        out = np.zeros_like(a)
-        for t, w in zip(self.kinks, self.weights):
-            out = out + w * (a > t)
-        return out
+        return self._sum(np.greater, a)
 
     @classmethod
     def single_kink(cls, t: float) -> "PiecewiseLinearConvexUtility":
@@ -115,14 +108,18 @@ def j_general(
 # -- menu audits --------------------------------------------------------
 
 
-def indirect_utility(menu: GenericMenu, a) -> np.ndarray:
-    """Largest risk reduction available from the menu (outside option 0), by
-    GenericMenu.self_select: memory does not grow with the menu's length."""
-    a = np.asarray(a, dtype=float)
+def _best_offer(menu: GenericMenu, a: np.ndarray) -> np.ndarray:
+    """Largest risk reduction on offer at each risk level in the array a, not
+    counting staying out; memory does not grow with the menu's length."""
     best = np.empty(a.size)
     for block, value, _taken in menu.self_select(a):
         best[block] = value
-    return np.maximum(best.reshape(a.shape), 0.0)
+    return best.reshape(a.shape)
+
+
+def indirect_utility(menu: GenericMenu, a) -> np.ndarray:
+    """Largest risk reduction available from the menu (outside option 0)."""
+    return np.maximum(_best_offer(menu, np.asarray(a, dtype=float)), 0.0)
 
 
 @dataclass(frozen=True)
@@ -139,14 +136,7 @@ class ViolationReport:
         return {**asdict(self), "violations": list(self.violations)}
 
 
-def _risk_reduction(terms, a: np.ndarray) -> np.ndarray:
-    """lam * (a - d)_+ - P of each (lam, d, P) for an agent at risk level a;
-    lam may be the boolean served row of ThresholdMenu.terms."""
-    lam, d, premium = terms
-    return lam * np.maximum(a - d, 0.0) - premium
-
-
-def _report(check: str, slack: np.ndarray, tol: float, own, alt=None) -> ViolationReport:
+def _report(check: str, n_checked: int, slack: np.ndarray, tol: float, own, alt=None) -> ViolationReport:
     """Worst slack and the first 20 records of types whose slack exceeds tol;
     own(i) and alt(i) give the (a, k) arrays of the types at indices i."""
     worst = float(slack.max()) if len(slack) else 0.0
@@ -158,7 +148,7 @@ def _report(check: str, slack: np.ndarray, tol: float, own, alt=None) -> Violati
     if alt is not None:
         for record, a, k in zip(records, *alt(bad)):
             record["alt_type"] = [float(a), float(k)]
-    return ViolationReport(check, len(slack), worst, worst <= tol, tuple(records))
+    return ViolationReport(check, n_checked, worst, worst <= tol, tuple(records))
 
 
 def check_ic(
@@ -168,26 +158,31 @@ def check_ic(
     rng: np.random.Generator | None = None,
     tol: float = IC_TOL,
 ) -> ViolationReport:
-    """Own entry at least as good as any other sampled type's entry.
+    """Own entry at least as good as any other type's entry.
 
-    Threshold menus are probed at type pairs sampled from dist; a finite
-    GenericMenu is probed at sampled pairs of its own rows.
+    A GenericMenu is checked exactly: a contract's value lam * (a - d)_+ - P
+    does not depend on k, so a row is IC iff its own value is the best offer
+    at its a (n_checked = len(menu)**2; alt_type is the first row attaining
+    it).  A threshold menu is probed at n_pairs type pairs drawn from dist
+    with rng; only threshold menus read dist, n_pairs and rng.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     if isinstance(menu, GenericMenu):
-        cols = menu.columns
-        own = rng.integers(0, len(menu), n_pairs)
-        alt = rng.integers(0, len(menu), n_pairs)
-        a = cols[0, own]
-        slack = _risk_reduction(cols[2:, alt], a) - _risk_reduction(cols[2:, own], a)
-        own_types, alt_types = (lambda i: cols[:2, own[i]]), (lambda i: cols[:2, alt[i]])
+        a, k, *terms = menu.columns
+        best = _best_offer(menu, a)
+        slack = best - risk_reduction(terms, a)
+
+        def alt_types(i):
+            j = (risk_reduction(terms, a[i, None]) == best[i, None]).argmax(axis=1)
+            return a[j], k[j]
+
+        n_checked = len(menu) ** 2
     else:
+        rng = np.random.default_rng(0) if rng is None else rng
         a, k = dist.sample(n_pairs, rng)
         a_alt, k_alt = dist.sample(n_pairs, rng)
-        slack = _risk_reduction(menu.terms(a_alt, k_alt), a) - _risk_reduction(menu.terms(a, k), a)
-        own_types, alt_types = (lambda i: (a[i], k[i])), (lambda i: (a_alt[i], k_alt[i]))
-    return _report("incentive_compatibility", slack, tol, own_types, alt_types)
+        slack = risk_reduction(menu.terms(a_alt, k_alt), a) - risk_reduction(menu.terms(a, k), a)
+        alt_types, n_checked = (lambda i: (a_alt[i], k_alt[i])), len(slack)
+    return _report("incentive_compatibility", n_checked, slack, tol, lambda i: (a[i], k[i]), alt_types)
 
 
 def check_ir(
@@ -197,14 +192,15 @@ def check_ir(
     rng: np.random.Generator | None = None,
     tol: float = IC_TOL,
 ) -> ViolationReport:
-    """Every sampled type weakly prefers its own entry to no contract."""
+    """Own entry at least as good as no contract, for every row of a GenericMenu
+    or n_types types drawn from dist with rng on a threshold menu."""
     if isinstance(menu, GenericMenu):
         a, k, *terms = menu.columns
     else:
         a, k = dist.sample(n_types, np.random.default_rng(0) if rng is None else rng)
         terms = menu.terms(a, k)
-    slack = -_risk_reduction(terms, a)
-    return _report("individual_rationality", slack, tol, lambda i: (a[i], k[i]))
+    slack = -risk_reduction(terms, a)
+    return _report("individual_rationality", len(slack), slack, tol, lambda i: (a[i], k[i]))
 
 
 # -- first-best failure demo --------------------------------------------

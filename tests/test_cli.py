@@ -140,6 +140,15 @@ class TestSolve:
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config_seed, flag, named", [(-5, [], "-5"), (0, ["--seed", "-1"], "-1")], ids=["config", "flag"]
+    )
+    def test_negative_seed_exits_2_naming_seed(self, tmp_path, capsys, config_seed, flag, named):
+        cfg = write_config(tmp_path / "c.json", seed=config_seed)
+        argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "out"), "--n", "10"]
+        assert main(argv + flag) == 2
+        assert f"seed must be an integer >= 0, got {named}" in capsys.readouterr().err
+
     def test_proportional_hazard_is_an_alias_of_power(self, tmp_path):
         summaries = []
         for kind in ("power", "proportional_hazard"):

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import tracemalloc
 from pathlib import Path
@@ -31,7 +33,7 @@ from remenu import (
 )
 from remenu import menus
 from remenu.cli import _read_menu_csv, main
-from remenu.verification import random_utilities
+from remenu.verification import IC_TOL, random_utilities
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 PRODUCT_CONFIGS = (
@@ -211,11 +213,12 @@ class TestICIRAudits:
         menu = GenericMenu.from_entries([e1, e2])
         report = check_ic(menu, n_pairs=500)
         assert not report.passed
-        assert report.violations
+        assert report.n_checked == 4
+        (record,) = report.violations
+        assert record["own_type"] == [100.0, 1.0] and record["alt_type"] == [120.0, 2.0]
+        assert record["violation"] == 25.0  # (100 - 10) - 60 against (100 - 50) - 45
 
     def test_report_serializes(self, cost, product_dist):
-        import json
-
         menu = stop_loss.solve(product_dist, cost)
         rng = np.random.default_rng(10)
         json.dumps(check_ic(menu, product_dist, 100, rng).to_dict())
@@ -327,15 +330,20 @@ def assert_same_bits(got, want):
 
 
 @pytest.fixture(scope="module")
-def bundled_tables(tmp_path_factory):
+def bundled_solves(tmp_path_factory):
+    """Output directory of remenu solve on each bundled product-market config."""
+    outs = {}
+    for name in PRODUCT_CONFIGS:
+        outs[name] = tmp_path_factory.mktemp(name)
+        assert main(["solve", "--config", str(SCRIPTS / f"{name}.json"), "--out", str(outs[name])]) == 0
+    return outs
+
+
+@pytest.fixture(scope="module")
+def bundled_tables(bundled_solves):
     """menu.csv of each bundled product-market config, read back as remenu
     verify and simulate --menu read it (231 rows each)."""
-    tables = {}
-    for name in PRODUCT_CONFIGS:
-        out = tmp_path_factory.mktemp(name)
-        assert main(["solve", "--config", str(SCRIPTS / f"{name}.json"), "--out", str(out)]) == 0
-        tables[name] = _read_menu_csv(out / "menu.csv")
-    return tables
+    return {name: _read_menu_csv(out / "menu.csv") for name, out in bundled_solves.items()}
 
 
 E3, E2 = math.exp(-3), math.exp(-2)
@@ -447,3 +455,98 @@ class TestBoundedMemory:
 
         few, many = _mc_peak(menu(10), product_dist, cost), _mc_peak(menu(1000), product_dist, cost)
         assert abs(many - few) <= 1e6
+
+
+# -- exact IC on tabulated menus ----------------------------------------------
+
+
+def sampled_ic(menu, n_pairs, rng):
+    """IC probed at n_pairs random (own, alt) pairs of rows: the own row
+    indices and the gain of switching to the alt row's contract."""
+    cols = menu.columns
+    own = rng.integers(0, len(menu), n_pairs)
+    alt = rng.integers(0, len(menu), n_pairs)
+    a = cols[0, own]
+
+    def value(i):
+        lam, d, premium = cols[2:, i]
+        return lam * np.maximum(a - d, 0.0) - premium
+
+    return own, value(alt) - value(own)
+
+
+def planted_menu(bundled_solves):
+    """The solved uniform_alpha_stop_loss table plus one row at the kink whose
+    half quota share, at 47.8 under tau*/2, tempts the types just above tau*;
+    and that row."""
+    out = bundled_solves["uniform_alpha_stop_loss"]
+    tau = json.loads((out / "summary.json").read_text())["tau_star"]
+    row = MenuEntry(tau, 5000.0, Contract("change_loss", 0.5, 0.0), tau / 2 - 47.8)
+    return GenericMenu.from_entries(_read_menu_csv(out / "menu.csv").entries + (row,)), row
+
+
+class TestExactIC:
+    def test_planted_pair_found(self, bundled_solves):
+        menu, row = planted_menu(bundled_solves)
+        assert len(menu) == 232
+        report = check_ic(menu)
+        assert not report.passed
+        assert report.n_checked == 232**2
+        assert report.max_violation == pytest.approx(0.985, abs=1e-3)
+        (record,) = report.violations
+        assert record["own_type"][0] == pytest.approx(38955.28, abs=0.01)
+        assert record["violation"] == report.max_violation
+        assert record["alt_type"] == [row.a, row.k]
+
+    def test_planted_pair_fails_verify_on_ic_alone(self, bundled_solves, tmp_path):
+        menu, row = planted_menu(bundled_solves)
+        out = bundled_solves["uniform_alpha_stop_loss"]
+        planted = tmp_path / "planted.csv"
+        extra = [row.a, row.k, "change_loss", row.contract.lam, row.contract.deductible, row.premium, 0]
+        planted.write_text((out / "menu.csv").read_text() + ",".join(map(str, extra)) + "\n")
+        config = SCRIPTS / "uniform_alpha_stop_loss.json"
+        assert main(["verify", "--config", str(config), "--out", str(tmp_path), "--menu", str(planted)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["passed"] is False
+        assert report["incentive_compatibility"]["passed"] is False
+        assert report["individual_rationality"]["passed"] is True
+        assert report["indirect_utility"]["passed"] is True
+        assert report["incentive_compatibility"]["max_violation"] == check_ic(menu).max_violation
+
+    @pytest.mark.parametrize("name", PRODUCT_CONFIGS)
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_covers_sampled_pairs(self, name, seed, bundled_tables):
+        # Random premium bumps: a raised row may prefer another contract, a
+        # lowered one may tempt many other rows.
+        rng = np.random.default_rng(seed)
+        entries = list(bundled_tables[name].entries)
+        for j, i in enumerate(rng.choice(len(entries), 6, replace=False)):
+            bump = rng.uniform(1.0, 200.0) if j < 4 else -rng.uniform(0.0, 50.0)
+            entries[i] = dataclasses.replace(entries[i], premium=max(entries[i].premium + bump, 0.0))
+        menu = GenericMenu.from_entries(entries)
+        report = check_ic(menu)
+        own, slack = sampled_ic(menu, 10000, np.random.default_rng(seed))
+        assert report.max_violation >= slack.max()
+        assert not report.passed and slack.max() > IC_TOL
+        for i in np.unique(own[slack > IC_TOL]):
+            # Records come in row order, so the row moved first is reported
+            # first if the exact check flags it.
+            moved = GenericMenu.from_entries([entries[i], *entries[:i], *entries[i + 1 :]])
+            first = check_ic(moved).violations[0]
+            assert first["own_type"] == [entries[i].a, entries[i].k]
+            assert first["violation"] >= slack[own == i].max()
+
+    def test_solved_tables_pass_exactly(self, bundled_tables):
+        for menu in bundled_tables.values():
+            report = check_ic(menu, n_pairs=1, rng=np.random.default_rng(5))
+            assert report.passed and report.n_checked == 231**2
+            assert 0.0 <= report.max_violation <= IC_TOL
+
+    def test_verify_report_independent_of_seed(self, bundled_solves, tmp_path):
+        out = bundled_solves["uniform_alpha_stop_loss"]
+        config, reports = SCRIPTS / "uniform_alpha_stop_loss.json", []
+        for seed in ("0", "7"):
+            argv = ["verify", "--config", str(config), "--out", str(tmp_path / seed)]
+            assert main(argv + ["--menu", str(out / "menu.csv"), "--seed", seed]) == 0
+            reports.append((tmp_path / seed / "report.json").read_bytes())
+        assert reports[0] == reports[1]
