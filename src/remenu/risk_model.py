@@ -20,8 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, UnsupportedError
-from .quadrature import adaptive_simpson, first_true
+from .errors import DomainError, UnsupportedError
+from .quadrature import first_true, tail_gauss
 
 _CONCAVITY_TOL = 1e-12
 
@@ -219,7 +219,7 @@ class CostFunctional:
 
     def tail(self, loss: LossModel) -> Callable:
         """Vectorized d -> H[(X - d)_+]: the closed form where one exists,
-        scalar quadrature at each d otherwise."""
+        one tail_gauss integral at each d otherwise."""
         closed = self._closed_forms(loss)
         if closed is not None:
             return closed[1]
@@ -237,29 +237,18 @@ class CostFunctional:
         return (1.0 + self.theta) * self._tail_integral(loss, d)
 
     def _tail_integral(self, loss: LossModel, d: float) -> float:
+        """int_d^hi h(survival(y)) dy by tail_gauss, scaled by the median excess
+        over d and split at the kinks VaR_u(X) of a tabulated h."""
+        top = float(loss.survival(d))
+        if top == 0.0 or d >= loss.support_hi:
+            return 0.0
+        try:
+            scale = float(loss.var(0.5 * top)) - d
+        except DomainError:  # survival stays above top / 2: halve toward hi, or diverge
+            scale = math.inf
         h = self.distortion
-
-        def g(y):
-            return h(loss.survival(y))
-
-        hi = loss.support_hi
-        if math.isfinite(hi):
-            if d >= hi:
-                return 0.0
-            return adaptive_simpson(g, d, hi, tol=1e-12)
-        # Unbounded support: integrate out to the 1 - 1e-12 quantile, then
-        # extend in doubling segments until the increment is negligible.
-        q = max(float(loss.var(1e-12)), d + 1.0)
-        total = adaptive_simpson(g, d, q, tol=1e-12)
-        left, width = q, q - d
-        for _ in range(80):
-            seg = adaptive_simpson(g, left, left + width, tol=1e-12)
-            total += seg
-            left += width
-            width *= 2.0
-            if abs(seg) <= 1e-13 * max(1.0, abs(total)):
-                return total
-        raise DivergenceError("distorted tail integral does not converge")
+        kinks = loss.var(np.array([u for u in h.xs[1:-1] if u < top]))
+        return tail_gauss(lambda y: h(loss.survival(y)), d, loss.support_hi, scale, kinks)
 
     def full_cost(self, loss: LossModel) -> float:
         """H[X] = stop-loss cost at deductible 0."""

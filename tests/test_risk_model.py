@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -20,9 +21,12 @@ from remenu import (
     change_loss,
     quota_share,
 )
+from remenu.quadrature import tail_gauss
 from remenu.risk_model import zero_loss
 
 LN11 = math.log(1.1)
+# Concave: u**0.75 at u = 0.2 and 0.55.
+TABULATED_KNOTS = [(0.0, 0.0), (0.2, 0.2**0.75), (0.55, 0.55**0.75), (1.0, 1.0)]
 
 
 class TestDistortion:
@@ -125,6 +129,95 @@ class TestStopLossCost:
         heavy = GenericLoss(lambda y: 1.0 / (1.0 + y))  # integral of survival diverges
         with pytest.raises(DivergenceError):
             cost.stop_loss_cost(heavy, 0.0)
+
+
+def lomax(s: float) -> GenericLoss:
+    """S(y) = (1 + y/s)^-3; under power(c) the distorted tail is (1 + y/s)^-3c."""
+    return GenericLoss(lambda y: (1.0 + y / s) ** -3.0)
+
+
+class TestTailOracles:
+    """Non-closed-form tails (tail_gauss) against independent closed forms."""
+
+    S, THETA = 2.0, 0.1
+
+    @pytest.mark.parametrize("c", [0.5, 0.7, 0.9, 1.0])
+    @pytest.mark.parametrize("d_over_s", [0.0, 0.5, 2.0, 10.0])
+    def test_lomax_stop_loss_cost(self, c, d_over_s):
+        s, theta = self.S, self.THETA
+        cost = CostFunctional(theta, Distortion.power(c))
+        want = (1.0 + theta) * (s / (3.0 * c - 1.0)) * (1.0 + d_over_s) ** (1.0 - 3.0 * c)
+        assert cost.stop_loss_cost(lomax(s), d_over_s * s) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("c", [0.5, 0.7, 0.9, 1.0])
+    def test_lomax_theta_star_xi_and_full_cost(self, c):
+        s, theta = self.S, self.THETA
+        cost = CostFunctional(theta, Distortion.power(c))
+        grow = (1.0 + theta) ** (1.0 / (3.0 * c))  # (1 + theta*/s)^(3c) = 1 + theta
+        assert cost.theta_star(lomax(s)) == pytest.approx(s * (grow - 1.0), rel=1e-10)
+        assert cost.xi(lomax(s)) == pytest.approx(s * (grow - 1.0) + s * grow / (3.0 * c - 1.0), rel=1e-10)
+        assert cost.full_cost(lomax(s)) == pytest.approx((1.0 + theta) * s / (3.0 * c - 1.0), rel=1e-10)
+
+    def test_tabulated_distortion_on_exponential(self):
+        """h piecewise linear with kinks at S = 0.2, 0.55: on each piece
+        h(e^{-y/k}) = b_i + m_i e^{-y/k}, integrated exactly."""
+        k, knots = 1000.0, TABULATED_KNOTS
+        cost = CostFunctional(self.THETA, Distortion.tabulated(knots))
+
+        def closed(d):
+            total = 0.0
+            for (x0, y0), (x1, y1) in zip(knots[:-1], knots[1:]):
+                m = (y1 - y0) / (x1 - x0)
+                lo, hi = max(d, -k * math.log(x1)), (math.inf if x0 == 0.0 else -k * math.log(x0))
+                if lo < hi:
+                    flat = 0.0 if x0 == 0.0 else (y0 - m * x0) * (hi - lo)
+                    total += flat + m * k * (math.exp(-lo / k) - math.exp(-hi / k))
+            return (1.0 + self.THETA) * total
+
+        q55, q20 = -k * math.log(0.55), -k * math.log(0.2)
+        for d in (0.0, 0.5 * q55, q55, 0.5 * (q55 + q20), q20, 2.0 * q20):
+            assert cost.stop_loss_cost(ExponentialLoss(k), d) == pytest.approx(closed(d), rel=1e-10)
+
+    @pytest.mark.parametrize("c", [0.3, 0.5, 1.0])
+    def test_finite_support_endpoint_singularity(self, c):
+        """S(y) = 1 - y/b on [0, b]: h(S) = (1 - y/b)^c is singular at b for c < 1."""
+        b, theta = 3.0, self.THETA
+        cost = CostFunctional(theta, Distortion.power(c))
+        loss = GenericLoss(lambda y: 1.0 - y / b, support_hi=b)
+        for d in (0.0, b / 3.0, 0.99 * b):
+            want = (1.0 + theta) * b / (c + 1.0) * (1.0 - d / b) ** (c + 1.0)
+            assert cost.stop_loss_cost(loss, d) == pytest.approx(want, rel=1e-10)
+        assert cost.stop_loss_cost(loss, b) == 0.0
+
+
+class TestTailDivergence:
+    """A tail that does not converge raises DivergenceError, fast, naming d and r."""
+
+    @pytest.mark.parametrize(
+        "loss, c",
+        [
+            (GenericLoss(lambda y: 1.0 / (1.0 + y)), 1.0),
+            (lomax(2.0), 1.0 / 3.0),  # (1 + y/2)^-1: every doubling segment adds 2 ln 2
+            (lomax(2.0), 0.3),  # the survival underflows to zero long before the tail settles
+            (GenericLoss(lambda y: 0.95 + 0.05 * math.exp(-y)), 1.0),  # survival never halves
+        ],
+    )
+    def test_raises_in_bounded_time(self, loss, c):
+        cost = CostFunctional(0.1, Distortion.power(c))
+        start = time.perf_counter()
+        with pytest.raises(DivergenceError, match=r"d=0\.0.*r="):
+            cost.stop_loss_cost(loss, 0.0)
+        assert time.perf_counter() - start < 1.0
+
+    def test_overflowing_edge_raises_instead_of_adding_zero(self):
+        # Past the overflow f(inf) would read 0 and end the sum silently.
+        # Edges 1e300 (2^j - 1) overflow after 27 segments, the last at 1.3e308.
+        with pytest.raises(DivergenceError, match=r"by edge 1.34218e\+308"):
+            tail_gauss(lambda y: 1.0 / (1.0 + y), 0.0, math.inf, 1e300)
+
+    def test_scale_must_be_positive(self):
+        with pytest.raises(ValueError, match="scale"):
+            tail_gauss(lambda y: np.exp(-y), 0.0, math.inf, 0.0)
 
 
 class TestCostFunctional:
@@ -245,7 +338,7 @@ class TestKProfile:
 
 
 UNIT_EXP = GenericLoss(lambda y: math.exp(-y))  # the base X_1 ~ Exp(1), as a generic loss
-TABULATED = Distortion.tabulated([(0.0, 0.0), (0.2, 0.2**0.75), (0.55, 0.55**0.75), (1.0, 1.0)])
+TABULATED = Distortion.tabulated(TABULATED_KNOTS)
 
 
 class TestScaleFamily:
