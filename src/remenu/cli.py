@@ -162,7 +162,6 @@ def cmd_curve(config: ScenarioConfig, out: Path, solver_class: str, t_lo, t_hi, 
 
 
 def cmd_verify(config: ScenarioConfig, out: Path, menu_path: Path) -> int:
-    config.build_cost()
     menu = _read_menu_csv(menu_path)
     ic = check_ic(menu)
     ir = check_ir(menu)

@@ -9,12 +9,15 @@ sets, so repeated runs are bitwise identical.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DivergenceError
+
+_TINY = sys.float_info.min  # smallest normal float
 
 
 @lru_cache(maxsize=32)
@@ -43,8 +46,11 @@ def tail_gauss(f: Callable, lo: float, hi: float, scale: float, splits=()) -> fl
     kinks in splits, takes 24-node Gauss-Legendre, 16 segments per call of f.
     With r the larger of the last two segment ratios, the rest after segment j
     is about seg_{j-1} r^2 / (1 - r); the sum stops once r < 1 and that is at
-    most 1e-13 |total|.  DivergenceError when it has not stopped within 1024
-    segments, or when an edge overflows.
+    most 1e-13 |total|.  A subnormal total cannot meet that test, so it stops
+    at its first zero segment instead: f is nonincreasing, so the rest is 0.
+    (After a normal total a zero may be a survival that underflowed under a
+    steep h, and proves nothing.)  DivergenceError when it has not stopped
+    within 1024 segments, or when an edge overflows.
     """
     if not scale > 0.0:
         raise ValueError(f"segment scale must be positive, got {scale!r}")
@@ -66,7 +72,7 @@ def tail_gauss(f: Callable, lo: float, hi: float, scale: float, splits=()) -> fl
             total += seg
             ratio = seg / prev if prev > 0.0 else math.inf
             r, last = max(ratio, last), ratio
-            if total == 0.0 or (r < 1.0 and prev * r * r / (1.0 - r) <= 1e-13 * abs(total)):
+            if (seg == 0.0 and abs(total) < _TINY) or (r < 1.0 and prev * r * r / (1.0 - r) <= 1e-13 * abs(total)):
                 return total
             prev = seg
         if len(edges) <= 16:  # the next edge overflows

@@ -111,6 +111,8 @@ class _UniformK(TypeDistribution):
     Subclasses set ``_edge_alphas``, the alphas bounding the support, and
     supply ``conditional_tail(k, t)``, P(a > t | k) vectorized in k, and
     ``_inner(f, k, bps)``, E[f(a, k) | k] at each Gauss node k.
+    Subclasses pass the keyword ``outer_nodes``, the Gauss-Legendre nodes per
+    k segment, through to here.
     """
 
     _edge_alphas: tuple[float, ...]
@@ -119,14 +121,7 @@ class _UniformK(TypeDistribution):
     def _row_elems(self) -> int:  # segment edges per threshold before k-splits
         return len(self._edge_alphas) + 2
 
-    def __init__(
-        self,
-        k_lo: float,
-        k_hi: float,
-        family: ScaleFamily | None,
-        outer_nodes: int,
-        simpson_tol: float,
-    ):
+    def __init__(self, k_lo: float, k_hi: float, family: ScaleFamily | None, outer_nodes: int = 256):
         if not 0.0 < k_lo < k_hi < math.inf:
             raise DomainError(f"need 0 < k_lo < k_hi < inf, got ({k_lo}, {k_hi})")
         self.k_lo = float(k_lo)
@@ -136,7 +131,6 @@ class _UniformK(TypeDistribution):
         if not isinstance(self.family, ScaleFamily):
             raise DomainError(f"uniform-k markets need a ScaleFamily, got {type(family).__name__}")
         self.outer_nodes = int(outer_nodes)
-        self.simpson_tol = float(simpson_tol)
 
     def _k_breaks_for(self, points: np.ndarray) -> np.ndarray:
         """(m, len(_edge_alphas)) array: the k where the a-support edge of each
@@ -204,10 +198,9 @@ class ProductUniform(_UniformK):
         alpha_lo: float,
         alpha_hi: float,
         family: ScaleFamily | None = None,
-        outer_nodes: int = 256,
-        simpson_tol: float = 1e-10,
+        **kw,
     ):
-        super().__init__(k_lo, k_hi, family, outer_nodes, simpson_tol)
+        super().__init__(k_lo, k_hi, family, **kw)
         cap = 1.0 - self.family.point_mass_zero
         if not 0.0 < alpha_lo < alpha_hi < cap:
             raise DomainError(
@@ -239,7 +232,7 @@ class ProductUniform(_UniformK):
 
         out = np.zeros(k.shape)
         for lo_c, hi_c in zip(cuts[:-1], cuts[1:]):
-            out += adaptive_gauss_batched(seg_f, lo_c, hi_c, tol=self.simpson_tol)
+            out += adaptive_gauss_batched(seg_f, lo_c, hi_c)
         return out
 
     def sample(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -257,10 +250,9 @@ class DegenerateAlpha(_UniformK):
         k_hi: float,
         alpha0: float,
         family: ScaleFamily | None = None,
-        outer_nodes: int = 256,
-        simpson_tol: float = 1e-10,
+        **kw,
     ):
-        super().__init__(k_lo, k_hi, family, outer_nodes, simpson_tol)
+        super().__init__(k_lo, k_hi, family, **kw)
         cap = 1.0 - self.family.point_mass_zero
         if not 0.0 < alpha0 < cap:
             raise DomainError(f"alpha0 must lie in (0, 1 - F(0)) = (0, {cap}), got {alpha0}")

@@ -4,7 +4,14 @@ from pathlib import Path
 
 import pytest
 
-from remenu import ScenarioConfig, monte_carlo_profit
+from remenu import (
+    CostFunctional,
+    DegenerateAlpha,
+    Distortion,
+    ProductUniform,
+    ScenarioConfig,
+    monte_carlo_profit,
+)
 from remenu.cli import _read_menu_csv, main
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -46,6 +53,35 @@ def degenerate_config(tmp_path):
             "alpha_dist": {"value": ALPHA_LO},
         },
     )
+
+
+class TestScenarioConfig:
+    @pytest.mark.parametrize(
+        "name, solver_class",
+        [
+            ("uniform_alpha_stop_loss", "stop_loss"),
+            ("uniform_alpha_quota_share", "quota_share"),
+            ("uniform_alpha_change_loss", "change_loss"),
+            ("fixed_alpha_stop_loss", "stop_loss"),
+            ("fixed_alpha_quota_share", "quota_share"),
+        ],
+    )
+    def test_bundled_script_builds_library_objects(self, name, solver_class):
+        cfg = ScenarioConfig.from_file(str(SCRIPTS / f"{name}.json"))
+        assert cfg.build_cost() == CostFunctional(0.1, Distortion.identity())
+        solver = cfg.solver
+        assert (solver.solver_class, solver.grid_points, solver.refine_tol) == (solver_class, 10001, 1e-6)
+        assert cfg.seed == 0
+        dist = cfg.build_dist()
+        if name.startswith("uniform_alpha"):
+            want = ProductUniform(5000.0, 25000.0, ALPHA_LO, ALPHA_HI)
+            attrs = ("k_lo", "k_hi", "alpha_lo", "alpha_hi", "outer_nodes")
+        else:
+            want = DegenerateAlpha(5000.0, 25000.0, ALPHA_LO)
+            attrs = ("k_lo", "k_hi", "alpha0", "outer_nodes")
+        assert type(dist) is type(want)
+        assert [getattr(dist, a) for a in attrs] == [getattr(want, a) for a in attrs]
+        assert dist.family.point_mass_zero == 0.0
 
 
 class TestSolve:
@@ -105,23 +141,40 @@ class TestSolve:
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "theta" in capsys.readouterr().err
 
+    # The quadrature section is no longer part of the schema: any value in it
+    # is rejected by naming the section as an unknown key.
     @pytest.mark.parametrize(
-        "section, key, value",
+        "section, key, value, named",
         [
-            ("quadrature", "outer_nodes", 0),
-            ("quadrature", "outer_nodes", -3),
-            ("quadrature", "outer_nodes", 1.5),
-            ("quadrature", "simpson_tol", -1),
-            ("solver", "grid_points", 2.5),
+            ("quadrature", "outer_nodes", 0, "unknown keys in config: ['quadrature']"),
+            ("quadrature", "outer_nodes", -3, "unknown keys in config: ['quadrature']"),
+            ("quadrature", "outer_nodes", 1.5, "unknown keys in config: ['quadrature']"),
+            ("quadrature", "simpson_tol", -1, "unknown keys in config: ['quadrature']"),
+            ("solver", "grid_points", 2.5, "solver.grid_points"),
+        ],
+        ids=[
+            "quadrature-outer_nodes-0",
+            "quadrature-outer_nodes--3",
+            "quadrature-outer_nodes-1.5",
+            "quadrature-simpson_tol--1",
+            "solver-grid_points-2.5",
         ],
     )
-    def test_bad_numeric_setting_exits_2_naming_key(self, tmp_path, capsys, section, key, value):
+    def test_bad_numeric_setting_exits_2_naming_key(
+        self, tmp_path, capsys, section, key, value, named
+    ):
         cfg = write_config(tmp_path / "c.json")
         raw = json.loads(cfg.read_text())
         raw.setdefault(section, {})[key] = value
         cfg.write_text(json.dumps(raw))
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-        assert f"{section}.{key}" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
+
+    def test_param_on_identity_exits_2_naming_it(self, tmp_path, capsys):
+        cost = {"theta": 0.1, "distortion": {"kind": "identity", "param": 0.5}}
+        cfg = write_config(tmp_path / "c.json", cost=cost)
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "cost.distortion.param" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "k_dist, alpha_dist, named",
@@ -260,6 +313,15 @@ class TestVerify:
         assert main(["verify", "--config", str(config), "--out", str(out), "--menu", str(bad)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["passed"] is False
+
+    def test_reads_only_the_cost_section(self, config, tmp_path):
+        out = tmp_path / "out"
+        main(["solve", "--config", str(config), "--out", str(out)])
+        bad_types = write_config(tmp_path / "c.json", types={"variant": "bogus"})
+        argv = ["verify", "--config", str(bad_types), "--out", str(out), "--menu", str(out / "menu.csv")]
+        assert main(argv) == 0
+        assert json.loads((out / "report.json").read_text())["passed"] is True
+        assert main(["solve", "--config", str(bad_types), "--out", str(tmp_path / "solve")]) == 2
 
     def test_empty_menu_exits_2(self, config, tmp_path):
         empty = tmp_path / "empty.csv"

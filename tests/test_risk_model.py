@@ -178,6 +178,18 @@ class TestTailOracles:
         for d in (0.0, 0.5 * q55, q55, 0.5 * (q55 + q20), q20, 2.0 * q20):
             assert cost.stop_loss_cost(ExponentialLoss(k), d) == pytest.approx(closed(d), rel=1e-10)
 
+    @pytest.mark.parametrize("d", [735.0, 740.0])
+    def test_subnormal_tabulated_tail_settles(self, d):
+        """Past the last knot h(e^-y) = 0.2^-0.25 e^-y, so the cost is
+        1.1 0.2^-0.25 e^-d; here it is subnormal and 1e-13 |total| underflows
+        to 0, so the sum must stop at the first zero segment."""
+        cost = CostFunctional(0.1, Distortion.tabulated(TABULATED_KNOTS))
+        start = time.perf_counter()
+        got = cost.stop_loss_cost(ExponentialLoss(1.0), d)
+        assert time.perf_counter() - start < 0.05
+        ulp = 2.0**-1074  # spacing of the subnormals
+        assert got == pytest.approx(1.1 * 0.2**-0.25 * math.exp(-d), rel=0.0, abs=16 * ulp)
+
     @pytest.mark.parametrize("c", [0.3, 0.5, 1.0])
     def test_finite_support_endpoint_singularity(self, c):
         """S(y) = 1 - y/b on [0, b]: h(S) = (1 - y/b)^c is singular at b for c < 1."""
