@@ -10,7 +10,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .risk_model import CostFunctional, LossModel
 
 NULL_DEDUCTIBLE = math.inf
 
@@ -46,17 +45,6 @@ class Contract:
         if not self.deductible >= 0.0:
             raise DomainError(f"deductible must be >= 0 (+inf for none), got {self.deductible}")
 
-    def indemnity(self, x):
-        if self.lam == 0.0 or math.isinf(self.deductible):
-            return np.zeros_like(np.asarray(x, dtype=float))
-        return self.lam * np.maximum(np.asarray(x, dtype=float) - self.deductible, 0.0)
-
-    def cost(self, cost: CostFunctional, loss: LossModel) -> float:
-        """H[I(X)]; positive homogeneity gives lam * H[(X - d)_+]."""
-        if self.lam == 0.0 or math.isinf(self.deductible):
-            return 0.0
-        return self.lam * cost.stop_loss_cost(loss, self.deductible)
-
     @classmethod
     def null(cls, kind: str = "stop_loss") -> "Contract":
         return cls(kind, lam=0.0, deductible=NULL_DEDUCTIBLE if kind != "quota_share" else 0.0)
@@ -77,7 +65,7 @@ class MenuEntry:
 
     def risk_reduction(self, a) -> np.ndarray:
         """Risk reduction I(a') - P an agent at risk level a' gets here."""
-        return self.contract.indemnity(a) - self.premium
+        return risk_reduction((self.contract.lam, self.contract.deductible, self.premium), a)
 
 
 @dataclass(frozen=True)

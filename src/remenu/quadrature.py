@@ -18,6 +18,8 @@ import numpy as np
 from .errors import DivergenceError
 
 _TINY = sys.float_info.min  # smallest normal float
+_BATCH_TOL = 1e-10  # adaptive_gauss_batched's relative change to stop at
+_BATCH_SIZES = (32, 64, 128, 256, 512)  # its node counts, in order
 
 
 @lru_cache(maxsize=32)
@@ -84,8 +86,6 @@ def adaptive_gauss_batched(
     f: Callable[[np.ndarray], np.ndarray],
     lo: np.ndarray,
     hi: np.ndarray,
-    tol: float = 1e-10,
-    sizes: Sequence[int] = (32, 64, 128, 256, 512),
 ) -> np.ndarray:
     """Batch of Gauss-Legendre integrals with increasing node counts.
 
@@ -99,28 +99,29 @@ def adaptive_gauss_batched(
     if not live.any():
         return np.zeros_like(width)
     prev = None
-    for n in sizes:
+    for n in _BATCH_SIZES:
         u, w = _leggauss(n)
         x = lo[:, None] + width[:, None] * 0.5 * (u[None, :] + 1.0)
         y = np.asarray(f(x), dtype=float)
         s = 0.5 * width * (y @ w)
         s = np.where(live, s, 0.0)
-        if prev is not None and np.all(np.abs(s - prev) <= tol * np.maximum(1.0, np.abs(s))):
+        if prev is not None and np.all(np.abs(s - prev) <= _BATCH_TOL * np.maximum(1.0, np.abs(s))):
             return s
         prev = s
     return prev
 
 
-def first_true(pred: Callable[[float], bool], lo: float = 0.0, hi: float = math.inf) -> float:
-    """Smallest x in [lo, hi] at which a monotone predicate (false, then true)
+def first_true(pred: Callable[[float], bool], hi: float = math.inf) -> float:
+    """Smallest x in [0, hi] at which a monotone predicate (false, then true)
     holds, bisected to float resolution; +inf if it holds nowhere there.
 
-    An infinite hi is bracketed by doubling from max(1, 2 lo), at most 300 times.
+    An infinite hi is bracketed by doubling from 1, at most 300 times.
     """
+    lo = 0.0
     if pred(lo):
         return lo
     if math.isinf(hi):
-        hi = max(1.0, 2.0 * lo)
+        hi = 1.0
         for _ in range(300):
             if pred(hi):
                 break

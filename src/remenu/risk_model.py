@@ -238,12 +238,15 @@ class CostFunctional:
 
     def _tail_integral(self, loss: LossModel, d: float) -> float:
         """int_d^hi h(survival(y)) dy by tail_gauss, scaled by the median excess
-        over d and split at the kinks VaR_u(X) of a tabulated h."""
+        over d (by d - VaR_2top(X) where top = survival(d) is the smallest
+        subnormal and top / 2 is 0) and split at the kinks VaR_u(X) of a
+        tabulated h."""
         top = float(loss.survival(d))
         if top == 0.0 or d >= loss.support_hi:
             return 0.0
+        half = 0.5 * top
         try:
-            scale = float(loss.var(0.5 * top)) - d
+            scale = float(loss.var(half)) - d if half > 0.0 else d - float(loss.var(2.0 * top))
         except DomainError:  # survival stays above top / 2: halve toward hi, or diverge
             scale = math.inf
         h = self.distortion

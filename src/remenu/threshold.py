@@ -161,28 +161,6 @@ class ThresholdMenu:
     def entries_for(self, pairs: Sequence[tuple[float, float]]) -> GenericMenu:
         return GenericMenu.from_entries([self.entry(a, k) for a, k in pairs])
 
-    def contract(self, a: float, k: float) -> Contract:
-        return self.entry(a, k).contract
-
-    def lam(self, a: float, k: float) -> float:
-        return float(self.terms(a, k)[0][0])
-
-    def deductible(self, a: float, k: float) -> float:
-        return float(self.terms(a, k)[1][0])
-
-    def premium(self, a: float, k: float) -> float:
-        return float(self.terms(a, k)[2][0])
-
-    def profit_per_type(self, a: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """Reinsurer profit P - H[I(X_k)] when each type takes its own entry."""
-        served = self.terms(a, k)[0]
-        k = np.broadcast_to(np.asarray(k, float), served.shape)[served]
-        cap_below = -math.inf if self.contract_class == "quota_share" else math.inf
-        out = np.zeros(served.shape)
-        t = np.broadcast_to(self.tau_star, k.shape)
-        out[served] = served_profit(self.contract_class, self.profile, t, k, cap_below)
-        return out
-
 
 def solve(
     menu_cls: type[ThresholdMenu],

@@ -124,7 +124,7 @@ def indirect_utility(menu: GenericMenu, a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ViolationReport:
-    """Audit outcome: worst slack found and the records exceeding tol."""
+    """Audit outcome: worst slack found and the records exceeding IC_TOL."""
 
     check: str
     n_checked: int
@@ -136,11 +136,11 @@ class ViolationReport:
         return {**asdict(self), "violations": list(self.violations)}
 
 
-def _report(check: str, n_checked: int, slack: np.ndarray, tol: float, own, alt=None) -> ViolationReport:
-    """Worst slack and the first 20 records of types whose slack exceeds tol;
+def _report(check: str, n_checked: int, slack: np.ndarray, own, alt=None) -> ViolationReport:
+    """Worst slack and the first 20 records of types whose slack exceeds IC_TOL;
     own(i) and alt(i) give the (a, k) arrays of the types at indices i."""
     worst = float(slack.max()) if len(slack) else 0.0
-    bad = np.nonzero(slack > tol)[0][:20]
+    bad = np.nonzero(slack > IC_TOL)[0][:20]
     records = [
         {"own_type": [float(a), float(k)], "violation": float(v)}
         for a, k, v in zip(*own(bad), slack[bad])
@@ -148,7 +148,7 @@ def _report(check: str, n_checked: int, slack: np.ndarray, tol: float, own, alt=
     if alt is not None:
         for record, a, k in zip(records, *alt(bad)):
             record["alt_type"] = [float(a), float(k)]
-    return ViolationReport(check, n_checked, worst, worst <= tol, tuple(records))
+    return ViolationReport(check, n_checked, worst, worst <= IC_TOL, tuple(records))
 
 
 def check_ic(
@@ -156,7 +156,6 @@ def check_ic(
     dist: TypeDistribution | None = None,
     n_pairs: int = 10000,
     rng: np.random.Generator | None = None,
-    tol: float = IC_TOL,
 ) -> ViolationReport:
     """Own entry at least as good as any other type's entry.
 
@@ -182,7 +181,7 @@ def check_ic(
         a_alt, k_alt = dist.sample(n_pairs, rng)
         slack = risk_reduction(menu.terms(a_alt, k_alt), a) - risk_reduction(menu.terms(a, k), a)
         alt_types, n_checked = (lambda i: (a_alt[i], k_alt[i])), len(slack)
-    return _report("incentive_compatibility", n_checked, slack, tol, lambda i: (a[i], k[i]), alt_types)
+    return _report("incentive_compatibility", n_checked, slack, lambda i: (a[i], k[i]), alt_types)
 
 
 def check_ir(
@@ -190,7 +189,6 @@ def check_ir(
     dist: TypeDistribution | None = None,
     n_types: int = 10000,
     rng: np.random.Generator | None = None,
-    tol: float = IC_TOL,
 ) -> ViolationReport:
     """Own entry at least as good as no contract, for every row of a GenericMenu
     or n_types types drawn from dist with rng on a threshold menu."""
@@ -200,7 +198,7 @@ def check_ir(
         a, k = dist.sample(n_types, np.random.default_rng(0) if rng is None else rng)
         terms = menu.terms(a, k)
     slack = -risk_reduction(terms, a)
-    return _report("individual_rationality", len(slack), slack, tol, lambda i: (a[i], k[i]))
+    return _report("individual_rationality", len(slack), slack, lambda i: (a[i], k[i]))
 
 
 # -- first-best failure demo --------------------------------------------
@@ -301,26 +299,27 @@ def monte_carlo_profit(
 ) -> tuple[float, float]:
     """Estimate the expected profit by sampled self-selection.
 
-    Each sampled type picks its entry by GenericMenu.self_select: the first
-    entry maximizing its risk reduction, or its own entry if within 1e-12
-    relative of the best; it stays out when the best is below -1e-12 relative.
-    The profit P - H[I(X_k)] of the chosen entry is evaluated analytically.
-    On a GenericMenu, memory does not grow with the menu's length.  Returns
-    (estimate, standard error); deterministic given the seed.
+    Each sampled type takes a contract (lam, d, P), priced analytically at
+    P - lam H[(X_k - d)_+].  On a threshold menu it takes its own entry, from
+    menu.terms.  On a GenericMenu, GenericMenu.self_select picks the first entry
+    maximizing its risk reduction, or its own entry if within 1e-12 relative of
+    the best, and no contract when the best is below -1e-12 relative; memory
+    does not grow with the menu's length.  Returns (estimate, standard error);
+    deterministic given the seed.
     """
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    a, k = dist.sample(n, rng)
+    a, k = dist.sample(n, np.random.default_rng(seed))
     if isinstance(menu, GenericMenu):
-        profile = KProfile(cost, dist.family)
-        profits = np.zeros(n)
-        for block, _best, (lam, d, premium) in menu.self_select(a, k):
-            paid = np.flatnonzero(lam)
-            premium[paid] -= lam[paid] * profile.stop_loss_cost(k[block][paid], d[paid])
-            profits[block] = premium
+        chosen = menu.self_select(a, k)
     else:
-        profits = np.asarray(menu.profit_per_type(a, k), dtype=float)
+        chosen = [(slice(None), None, menu.terms(a, k))]
+    profile = KProfile(cost, dist.family)
+    profits = np.zeros(n)
+    for block, _best, (lam, d, premium) in chosen:
+        paid = np.flatnonzero(lam)
+        premium[paid] -= lam[paid] * profile.stop_loss_cost(k[block][paid], d[paid])
+        profits[block] = premium
     est = float(profits.mean())
     se = float(profits.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return est, se
@@ -331,13 +330,12 @@ def random_utilities(
     lo: float,
     hi: float,
     rng: np.random.Generator,
-    max_kinks: int = 5,
 ) -> list[PiecewiseLinearConvexUtility]:
-    """Random feasible candidates: kinks uniform on [lo, hi], increments
+    """Random feasible candidates: 1 to 5 kinks uniform on [lo, hi], increments
     Dirichlet-scaled so their sum is at most 1."""
     out = []
     for _ in range(n):
-        m = int(rng.integers(1, max_kinks + 1))
+        m = int(rng.integers(1, 6))
         kinks = np.sort(rng.uniform(lo, hi, m))
         while len(np.unique(kinks)) < m:
             kinks = np.sort(rng.uniform(lo, hi, m))

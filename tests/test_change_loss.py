@@ -133,7 +133,7 @@ class TestSolve:
         rng = np.random.default_rng(4)
         a, k = product_dist.sample(500, rng)
         for ai, ki in zip(a, k):
-            lam = menu.contract(float(ai), float(ki)).lam
+            lam = menu.entry(float(ai), float(ki)).contract.lam
             assert lam in (0.0, 1.0)
 
     def test_served_deductible_respects_ic_bound(self, cost, product_dist):
@@ -145,7 +145,7 @@ class TestSolve:
         a, k = product_dist.sample(500, rng)
         for ai, ki in zip(a, k):
             if ai > tau:
-                d = menu.deductible(float(ai), float(ki))
+                d = menu.entry(float(ai), float(ki)).contract.deductible
                 assert d <= ai - (ai - tau) + 1e-9
 
     def test_ic_ir(self, cost, product_dist):

@@ -82,9 +82,9 @@ class TestSolve:
         menu = quota_share.solve(product_dist, cost)
         tau = menu.tau_star
         # Small k: tau >= H[X_k], the boundary type buys.
-        assert menu.lam(tau, 10000.0) == 1.0
+        assert menu.entry(tau, 10000.0).contract.lam == 1.0
         # Huge k would have H > tau; fabricate one to hit the other branch.
-        assert menu.lam(tau, 40000.0) == 0.0
+        assert menu.entry(tau, 40000.0).contract.lam == 0.0
 
     def test_self_consistency(self, cost, product_dist):
         menu = quota_share.solve(product_dist, cost)

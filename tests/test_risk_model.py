@@ -178,11 +178,13 @@ class TestTailOracles:
         for d in (0.0, 0.5 * q55, q55, 0.5 * (q55 + q20), q20, 2.0 * q20):
             assert cost.stop_loss_cost(ExponentialLoss(k), d) == pytest.approx(closed(d), rel=1e-10)
 
-    @pytest.mark.parametrize("d", [735.0, 740.0])
+    @pytest.mark.parametrize("d", [735.0, 740.0, 744.25, 744.5, 745.0])
     def test_subnormal_tabulated_tail_settles(self, d):
         """Past the last knot h(e^-y) = 0.2^-0.25 e^-y, so the cost is
         1.1 0.2^-0.25 e^-d; here it is subnormal and 1e-13 |total| underflows
-        to 0, so the sum must stop at the first zero segment."""
+        to 0, so the sum must stop at the first zero segment.  From 744.25 on
+        survival(d) is the smallest subnormal, whose half is 0, so the
+        segment scale is measured back to where the survival doubles."""
         cost = CostFunctional(0.1, Distortion.tabulated(TABULATED_KNOTS))
         start = time.perf_counter()
         got = cost.stop_loss_cost(ExponentialLoss(1.0), d)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from remenu import DiscreteTypes, ExponentialLoss, check_ic, check_ir, stop_loss
+from remenu import DiscreteTypes, ExponentialLoss, check_ic, check_ir, monte_carlo_profit, stop_loss, threshold
 
 LN11 = math.log(1.1)
 
@@ -14,6 +14,21 @@ def closed_form_objective_degenerate(tau: float) -> float:
         tau * (25000.0 - tau / 3.0)
         - ((1.0 + LN11) / 2.0) * (25000.0**2 - tau**2 / 9.0)
     )
+
+
+def assert_served_profit_matches_entries(menu, cost, a, k):
+    """served_profit at tau* (cap_below = inf) against P - lam H[(X_k - d)_+]
+    of each served type's entry; returns those entries."""
+    served = menu.terms(a, k)[0]
+    ks = k[served]
+    t = np.full(ks.shape, menu.tau_star)
+    vec = threshold.served_profit("stop_loss", menu.profile, t, ks, math.inf)
+    entries = [menu.entry(float(ai), float(ki)) for ai, ki in zip(a[served], ks)]
+    for got, e in zip(vec, entries):
+        c = e.contract
+        direct = e.premium - c.lam * cost.stop_loss_cost(ExponentialLoss(e.k), c.deductible)
+        assert got == pytest.approx(direct, abs=1e-9)
+    return entries
 
 
 class TestOptimalDeductible:
@@ -115,27 +130,17 @@ class TestSolve:
         assert idle.contract.lam == 0.0
         assert idle.premium == 0.0
 
-    def test_profit_per_type_matches_entries(self, cost, product_dist):
+    def test_served_profit_matches_entries(self, cost, product_dist):
         menu = stop_loss.solve(product_dist, cost)
-        rng = np.random.default_rng(5)
-        a, k = product_dist.sample(200, rng)
-        vec = menu.profit_per_type(a, k)
-        for i in range(200):
-            e = menu.entry(float(a[i]), float(k[i]))
-            direct = e.premium - e.contract.cost(cost, ExponentialLoss(float(k[i])))
-            assert vec[i] == pytest.approx(direct, abs=1e-9)
+        a, k = product_dist.sample(200, np.random.default_rng(5))
+        assert_served_profit_matches_entries(menu, cost, a, k)
 
-    def test_capped_profit_per_type_matches_entries(self, cost, product_dist):
+    def test_capped_served_profit_matches_entries(self, cost, product_dist):
         # tau = 1500 lies between the smallest and largest theta*_k.
         menu = stop_loss.StopLossMenu(1500.0, 0.0, cost, product_dist)
         a, k = product_dist.sample(200, np.random.default_rng(8))
-        vec = menu.profit_per_type(a, k)
-        capped = 0
-        for i in range(200):
-            e = menu.entry(float(a[i]), float(k[i]))
-            capped += e.contract.deductible == 1500.0
-            direct = e.premium - e.contract.cost(cost, ExponentialLoss(float(k[i])))
-            assert vec[i] == pytest.approx(direct, abs=1e-9)
+        entries = assert_served_profit_matches_entries(menu, cost, a, k)
+        capped = sum(e.contract.deductible == 1500.0 for e in entries)
         assert 0 < capped < 200
 
     def test_ic_ir(self, cost, product_dist):
@@ -157,7 +162,7 @@ class TestSolve:
         dist = DiscreteTypes([(math.exp(-1), 10000.0, 1.0)])  # a0 = 10000 < xi ~ 10953
         menu = stop_loss.solve(dist, cost)
         assert menu.objective_value == 0.0
-        assert float(menu.profit_per_type(np.array([10000.0]), np.array([10000.0]))[0]) == 0.0
+        assert monte_carlo_profit(menu, dist, cost, 10, seed=0) == (0.0, 0.0)
         entry = menu.entry(10000.0, 10000.0)
         assert entry.premium == 0.0
-        assert entry.contract.indemnity(10000.0) == 0.0
+        assert entry.risk_reduction(10000.0) == 0.0

@@ -72,9 +72,9 @@ def test_terms_follow_the_contract_rule(menu_cls, cost):
             assert d[i] == pytest.approx(want_d, rel=1e-12)
             assert premium[i] == pytest.approx(want_premium, rel=1e-12, abs=1e-9)
             entry = menu.entry(a, k)
-            assert entry.contract.lam == float(served[i]) == menu.lam(a, k)
-            assert entry.contract.deductible == d[i] == menu.deductible(a, k)
-            assert entry.premium == premium[i] == menu.premium(a, k)
+            assert entry.contract.lam == float(served[i])
+            assert entry.contract.deductible == d[i]
+            assert entry.premium == premium[i]
             if not served[i]:
                 assert entry.contract == Contract.null(kind)
             if a == tau:

@@ -275,7 +275,22 @@ class TestMonteCarlo:
         gm = menu.entries_for(pairs)
         est_rule, _ = monte_carlo_profit(menu, discrete_dist, cost, 20000, seed=5)
         est_gen, _ = monte_carlo_profit(gm, discrete_dist, cost, 20000, seed=5)
-        assert est_gen == pytest.approx(est_rule, rel=1e-12)
+        assert est_gen == est_rule
+
+    def test_rule_menu_is_priced_from_its_terms(self, cost, product_dist):
+        """A rule menu whose terms undercharge every served type by 500 earns
+        about 500 P(served) (about 250 here) less than J, outside 5 standard errors."""
+
+        class Undercharged(stop_loss.StopLossMenu):
+            def terms(self, a, k):
+                served, d, premium = super().terms(a, k)
+                premium[served] -= 500.0
+                return served, d, premium
+
+        solved = stop_loss.solve(product_dist, cost)
+        menu = Undercharged(solved.tau_star, solved.objective_value, cost, product_dist)
+        est, se = monte_carlo_profit(menu, product_dist, cost, 200000, seed=42)
+        assert abs(est - menu.objective_value) > 5.0 * se
 
     def test_invalid_sample_size(self, cost, product_dist):
         menu = stop_loss.solve(product_dist, cost)
