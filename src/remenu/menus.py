@@ -13,7 +13,8 @@ from .errors import DomainError
 
 NULL_DEDUCTIBLE = math.inf
 
-# Samples times distinct contracts per block of GenericMenu.self_select.
+# Samples times distinct contracts per block of GenericMenu.self_select, and
+# samples per block of a rule menu in verification.monte_carlo_profit.
 _BLOCK_ELEMS = 16384
 
 

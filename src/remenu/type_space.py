@@ -9,10 +9,11 @@ are supported:
 * ``DegenerateAlpha``  - k ~ U(k_lo, k_hi) with a single fixed alpha;
 * ``DiscreteTypes``    - finitely many weighted (alpha, k) atoms.
 
-Integration is deterministic: 256-node Gauss-Legendre in k (piecewise, with
-forced splits where an a-breakpoint crosses the conditional a-support) and
-batched adaptive Gauss-Legendre in alpha conditionally on k.  Integrands
-must accept numpy arrays broadcast over (a, k).
+Integration is deterministic: adaptive Gauss-Legendre in k on each segment
+between forced splits (where an a-breakpoint crosses the conditional
+a-support), and one batched adaptive Gauss-Legendre over every alpha-segment
+at the k nodes of each level.  Integrands must accept numpy arrays broadcast
+over (a, k).
 
 ``tail_integral(g, t)`` and ``kink_integral(g, t)`` take a threshold t, or a
 1-D array of them giving an array, and call ``g(k, t)`` with t broadcast to
@@ -112,7 +113,7 @@ class _UniformK(TypeDistribution):
     supply ``conditional_tail(k, t)``, P(a > t | k) vectorized in k, and
     ``_inner(f, k, bps)``, E[f(a, k) | k] at each Gauss node k.
     Subclasses pass the keyword ``outer_nodes``, the Gauss-Legendre nodes per
-    k segment, through to here.
+    k segment of tail_integral, through to here; integrate adapts its own.
     """
 
     _edge_alphas: tuple[float, ...]
@@ -181,10 +182,13 @@ class _UniformK(TypeDistribution):
         bps = sorted({float(b) for b in breakpoints if math.isfinite(b)})
         dens = 1.0 / (self.k_hi - self.k_lo)
         edges = split_edges(self.k_lo, self.k_hi, self._k_breaks_for(np.array(bps)).ravel())
+
+        def inner(k):  # one adaptive batch per k-segment keeps the rows few
+            return self._inner(f, k.ravel(), bps).reshape(k.shape)
+
         total = 0.0
         for lo, hi in zip(edges[:-1], edges[1:]):
-            k, w = gauss_legendre(lo, hi, self.outer_nodes)
-            total += float(np.dot(w, self._inner(f, k, bps))) * dens
+            total += float(adaptive_gauss_batched(inner, np.array([lo]), np.array([hi]))[0]) * dens
         return total
 
 
@@ -222,18 +226,20 @@ class ProductUniform(_UniformK):
         """E[f(a, k) | k] in alpha coordinates: alpha is uniform and
         a = VaR_alpha(X_k), so a breakpoint b cuts alpha at survival_k(b)."""
         width = self.alpha_hi - self.alpha_lo
-        kcol = k[:, None]
         cuts = [np.clip(self.family.survival(b, k), self.alpha_lo, self.alpha_hi) for b in bps]
-        cuts = [np.full(k.shape, self.alpha_lo), *reversed(cuts), np.full(k.shape, self.alpha_hi)]
+        cuts = np.array([np.full(k.shape, self.alpha_lo), *reversed(cuts), np.full(k.shape, self.alpha_hi)])
+        # One batch over the alpha-segments with width at some k node, as
+        # (segment, node) rows; the rest add 0.
+        lo, hi = cuts[:-1], cuts[1:]
+        live = (hi > lo).any(axis=1)
+        lo, hi = lo[live], hi[live]
+        kcol = np.broadcast_to(k, lo.shape).reshape(-1, 1)
 
         def seg_f(alpha):
             a = self.family.var(alpha, kcol)
             return np.asarray(f(a, np.broadcast_to(kcol, a.shape)), dtype=float) / width
 
-        out = np.zeros(k.shape)
-        for lo_c, hi_c in zip(cuts[:-1], cuts[1:]):
-            out += adaptive_gauss_batched(seg_f, lo_c, hi_c)
-        return out
+        return adaptive_gauss_batched(seg_f, lo.ravel(), hi.ravel()).reshape(lo.shape).sum(axis=0)
 
     def sample(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         k = rng.uniform(self.k_lo, self.k_hi, n)

@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import menus
 from .errors import DomainError
 from .menus import GenericMenu, risk_reduction
 from .risk_model import CostFunctional, KProfile
@@ -89,7 +90,9 @@ def j_general(
 
     The per-type profit is slope(a) * (a - ref_k) - v(a), where ref_k is
     H[X_k] for the quota-share class and xi_k for the change-loss class;
-    the right slope applies where a >= ref_k and the left slope below.
+    the right slope applies where a >= ref_k and the left slope below.  One
+    pass over the kinks sums both in kink order from zero, as slope_plus,
+    slope_minus and value do, so each element has the same bits.
     """
     if solver_class not in ("quota_share", "change_loss"):
         raise DomainError(f"j_general supports quota_share/change_loss, got {solver_class!r}")
@@ -99,8 +102,11 @@ def j_general(
 
     def integrand(a, k):
         r = ref(k)
-        slope = np.where(a >= r, v.slope_plus(a), v.slope_minus(a))
-        return slope * (a - r) - v.value(a)
+        right, slope, value = a >= r, np.zeros_like(a), np.zeros_like(a)
+        for t, w in zip(v.kinks, v.weights):
+            slope += w * np.where(right, a >= t, a > t)
+            value += w * np.maximum(a - t, 0.0)
+        return slope * (a - r) - value
 
     return dist.integrate(integrand, breakpoints=v.kinks)
 
@@ -303,9 +309,10 @@ def monte_carlo_profit(
     P - lam H[(X_k - d)_+].  On a threshold menu it takes its own entry, from
     menu.terms.  On a GenericMenu, GenericMenu.self_select picks the first entry
     maximizing its risk reduction, or its own entry if within 1e-12 relative of
-    the best, and no contract when the best is below -1e-12 relative; memory
-    does not grow with the menu's length.  Returns (estimate, standard error);
-    deterministic given the seed.
+    the best, and no contract when the best is below -1e-12 relative.  Either
+    way contracts are priced in blocks of about _BLOCK_ELEMS values, so memory
+    beyond the samples and their profits does not grow with n or the menu's
+    length.  Returns (estimate, standard error); deterministic given the seed.
     """
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
@@ -313,7 +320,9 @@ def monte_carlo_profit(
     if isinstance(menu, GenericMenu):
         chosen = menu.self_select(a, k)
     else:
-        chosen = [(slice(None), None, menu.terms(a, k))]
+        step = menus._BLOCK_ELEMS
+        blocks = (slice(s, s + step) for s in range(0, n, step))
+        chosen = ((b, None, menu.terms(a[b], k[b])) for b in blocks)
     profile = KProfile(cost, dist.family)
     profits = np.zeros(n)
     for block, _best, (lam, d, premium) in chosen:

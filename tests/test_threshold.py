@@ -182,7 +182,7 @@ def test_batched_capped_rows_match_brute_force():
     for tau, fast in zip(taus.tolist(), batch.tolist()):
         phi = np.vectorize(lambda a, k: stop_loss.phi(tau, a, CAPPED_COST, ExponentialLoss(k)))
         brute = CAPPED.integrate(phi, breakpoints=[tau])
-        assert fast == pytest.approx(brute, rel=1e-8)
+        assert fast == pytest.approx(brute, rel=1e-9)
 
 
 def scalar_search(j, lo, hi, grid_points, refine_tol):

@@ -31,8 +31,9 @@ from remenu import (
     quota_share,
     stop_loss,
 )
-from remenu import menus
+from remenu import menus, type_space
 from remenu.cli import _read_menu_csv, main
+from remenu.threshold import reference
 from remenu.verification import IC_TOL, random_utilities
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -106,7 +107,57 @@ class TestBlDecompose:
         assert np.max(np.abs(rebuilt - v.value(a))) <= 1e-12 * 80000.0
 
 
+def three_sum_integrand(v, dist, cost, solver_class):
+    """j_general's integrand as three separate kink sums: the right slope,
+    the left slope and the value, each summed by its own pass over the kinks."""
+    ref = reference(solver_class, KProfile(cost, dist.family))
+
+    def integrand(a, k):
+        r = ref(k)
+        return np.where(a >= r, v.slope_plus(a), v.slope_minus(a)) * (a - r) - v.value(a)
+
+    return integrand
+
+
 class TestJGeneral:
+    @pytest.mark.parametrize("solver_class", ["quota_share", "change_loss"])
+    def test_one_pass_integrand_matches_three_sums(self, solver_class, cost, product_dist):
+        for v in random_utilities(4, 15000.0, 70000.0, np.random.default_rng(3)):
+            want = product_dist.integrate(three_sum_integrand(v, product_dist, cost, solver_class), v.kinks)
+            assert j_general(v, product_dist, cost, solver_class) == want
+
+    @pytest.mark.parametrize("solver_class", ["quota_share", "change_loss"])
+    def test_one_pass_integrand_at_atom_kinks(self, solver_class, cost):
+        # Kinks sit on both atoms: a = 30000 lies above its ref_k (about
+        # 11000), so the right slope counts that kink; a = 20000 lies below
+        # its ref_k (22000, or about 21900 for change-loss), so the left slope
+        # skips it.
+        dist = DiscreteTypes([(math.exp(-3), 10000.0, 0.5), (math.exp(-1), 20000.0, 0.5)])
+        v = PiecewiseLinearConvexUtility(tuple(sorted(dist.a_vals.tolist())), (0.25, 0.5))
+        want = dist.integrate(three_sum_integrand(v, dist, cost, solver_class), v.kinks)
+        assert j_general(v, dist, cost, solver_class) == want
+
+    def test_every_batch_stops_at_sixteen_nodes(self, cost, product_dist, monkeypatch):
+        # Between breakpoints the integrand is constant in a and smooth in k.
+        calls, evals, nodes = [0], [0], [0]
+        batched = type_space.adaptive_gauss_batched
+
+        def counted(f, lo, hi):
+            def g(x):
+                evals[0], nodes[0] = evals[0] + 1, nodes[0] + x.size
+                return f(x)
+
+            calls[0] += 1
+            return batched(g, lo, hi)
+
+        monkeypatch.setattr(type_space, "adaptive_gauss_batched", counted)
+        v = PiecewiseLinearConvexUtility((18000.0, 30000.0, 42000.0), (0.3, 0.3, 0.3))
+        j_general(v, product_dist, cost, "quota_share")
+        # A fixed 256-node k-rule with one batch per alpha-segment took
+        # 294,912 nodes here.
+        assert evals[0] == 2 * calls[0]
+        assert nodes[0] <= 10_000
+
     def test_zero_utility(self, cost, product_dist):
         v = PiecewiseLinearConvexUtility((), ())
         assert j_general(v, product_dist, cost, "quota_share") == pytest.approx(0.0, abs=1e-12)
@@ -456,6 +507,20 @@ class TestBoundedMemory:
         # The per-entry loop peaked at 8.6 MB here: 100,000 samples times
         # (a, k, best, choice, own, own value, profit) plus masks.
         assert _mc_peak(bundled_tables[PRODUCT_CONFIGS[0]], product_dist, cost) < 6e6
+
+    def test_rule_menu_prices_in_blocks(self, cost, product_dist):
+        # Pricing all 100,000 terms at once peaked at 6.6 MB.
+        assert _mc_peak(stop_loss.solve(product_dist, cost), product_dist, cost) < 4e6
+
+    @pytest.mark.parametrize("n", [1, 64, 65, 997])
+    def test_rule_menu_blocks_keep_bits(self, n, cost, product_dist, monkeypatch):
+        menu = stop_loss.solve(product_dist, cost)
+        a, k = product_dist.sample(n, np.random.default_rng(9))
+        served, d, premium = menu.terms(a, k)
+        premium[served] -= KProfile(cost, product_dist.family).stop_loss_cost(k[served], d[served])
+        se = float(premium.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        monkeypatch.setattr(menus, "_BLOCK_ELEMS", 64)
+        assert monte_carlo_profit(menu, product_dist, cost, n, seed=9) == (float(premium.mean()), se)
 
     def test_peak_independent_of_distinct_contracts(self, cost, product_dist):
         a, k = product_dist.sample(1000, np.random.default_rng(2))
