@@ -33,7 +33,6 @@ from .type_space import (
     DegenerateAlpha,
     DiscreteTypes,
     ProductUniform,
-    TransformedType,
     TypeDistribution,
 )
 from .verification import (
@@ -71,7 +70,6 @@ __all__ = [
     "ProductUniform",
     "ScaleFamily",
     "ScenarioConfig",
-    "TransformedType",
     "TypeDistribution",
     "UnsupportedError",
     "bl_decompose",

@@ -94,6 +94,7 @@ def adaptive_gauss_batched(
     lo and hi have shape (m,); f maps an (m, p) array of abscissae to an
     (m, p) array of integrand values.  All nodes are interior, so integrands
     may jump at the segment endpoints without spoiling convergence.
+    DivergenceError when the batch has not settled by the last node count.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     width = hi - lo
@@ -109,8 +110,9 @@ def adaptive_gauss_batched(
         s = np.where(live, s, 0.0)
         if prev is not None and np.all(np.abs(s - prev) <= _BATCH_TOL * np.maximum(1.0, np.abs(s))):
             return s
-        prev = s
-    return prev
+        last, prev = prev, s
+    change = np.max(np.abs(prev - last) / np.maximum(1.0, np.abs(prev)))
+    raise DivergenceError(f"batched Gauss-Legendre has not settled by {n} nodes: relative change {change:.3g}")
 
 
 def first_true(pred: Callable[[float], bool], hi: float = math.inf) -> float:

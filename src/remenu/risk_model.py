@@ -276,10 +276,6 @@ class CostFunctional:
             raise UnsupportedError("xi is undefined when theta_star is infinite")
         return d + self.stop_loss_cost(loss, d)
 
-    def b_curve(self, loss: LossModel, d: float) -> float:
-        """B_X(d) = -d - H[(X - d)_+]; concave, maximized at theta_star."""
-        return -d - self.stop_loss_cost(loss, d)
-
 
 # -- loss families (k -> LossModel) -------------------------------------
 
@@ -308,8 +304,8 @@ class LossFamily:
 class ScaleFamily(LossFamily):
     """k -> the loss k * X_1 for a base loss X_1.
 
-    Quantiles, survival and the scale putting a quantile at a given level all
-    follow from the base, and KProfile prices every X_k from it by positive
+    Quantiles and survival follow from the base, VaR_alpha(X_k) being
+    k VaR_alpha(X_1), and KProfile prices every X_k from it by positive
     homogeneity of H.
     """
 
@@ -327,13 +323,6 @@ class ScaleFamily(LossFamily):
 
     def survival(self, y, k):
         return self.base.survival(np.asarray(y, dtype=float) / np.asarray(k, dtype=float))
-
-    def k_for_var(self, alpha: float, a, k_lo: float, k_hi: float):
-        """The k in (k_lo, k_hi) with var(alpha, k) = a, elementwise in a.
-        Where there is none: None for a scalar a, NaN in an array."""
-        k = np.asarray(a, dtype=float) / float(self.base.var(alpha))
-        ks = np.where((k_lo < k) & (k < k_hi), k, math.nan)
-        return ks if np.ndim(a) else (None if math.isnan(ks) else float(ks))
 
 
 class ExponentialFamily(ScaleFamily):
@@ -399,13 +388,6 @@ class KProfile:
         if self._base is not None:
             return max(ks) * self._scalar("theta_star", None)
         return max(self._scalar("theta_star", float(k)) for k in ks)
-
-    def k_at_theta_star(self, levels: np.ndarray, k_lo: float, k_hi: float) -> np.ndarray:
-        """k in (k_lo, k_hi) where theta*_k = k theta*_1 crosses each level;
-        NaN where none.  ScaleFamily only."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            k = levels / self._scalar("theta_star", None)
-        return np.where((k_lo < k) & (k < k_hi), k, math.nan)
 
     def xi(self, k):
         return self._across("xi", k)

@@ -95,13 +95,10 @@ def objective(
     ref = reference(kind, prof)
     # The cap theta*_k ∧ tau binds only below sup theta*, where the capped
     # density has a kink at the k with theta*_k = tau.
-    cap_below = -math.inf if kind == "quota_share" else prof.sup_theta_star(dist.k_ends)
-    capped, splits = t < cap_below, None
-    if hasattr(dist, "k_lo") and capped.any():
-        splits = np.full((len(t), 1), math.nan)
-        splits[capped, 0] = prof.k_at_theta_star(t[capped], dist.k_lo, dist.k_hi)
+    kink = None if kind == "quota_share" else prof.theta_star
+    cap_below = -math.inf if kink is None else prof.sup_theta_star(dist.k_ends)
     out = dist.tail_integral(
-        lambda k, tk: served_profit(kind, prof, tk, k, cap_below), t, splits
+        lambda k, tk: served_profit(kind, prof, tk, k, cap_below), t, kink
     ) + dist.kink_integral(lambda k, tk: np.maximum(tk - ref(k), 0.0), t)
     return float(out[0]) if np.ndim(tau) == 0 else out
 

@@ -9,11 +9,13 @@ are supported:
 * ``DegenerateAlpha``  - k ~ U(k_lo, k_hi) with a single fixed alpha;
 * ``DiscreteTypes``    - finitely many weighted (alpha, k) atoms.
 
-Integration is deterministic: adaptive Gauss-Legendre in k on each segment
-between forced splits (where an a-breakpoint crosses the conditional
-a-support), and one batched adaptive Gauss-Legendre over every alpha-segment
-at the k nodes of each level.  Integrands must accept numpy arrays broadcast
-over (a, k).
+On a uniform-k market a level t meets the geometry only where t = c k for a
+fixed ratio c: VaR_1 of an edge alpha (a support edge, as a = k VaR_1(alpha))
+or theta*_1 (a kink of the integrand); so the k-quadrature splits at t / c,
+and a ratio outside (0, inf) splits nowhere.  Integration is deterministic:
+adaptive Gauss-Legendre in k on each segment between those splits, and one
+batched adaptive Gauss-Legendre over every alpha-segment at the k nodes of
+each level.  Integrands must accept numpy arrays broadcast over (a, k).
 
 ``tail_integral(g, t)`` and ``kink_integral(g, t)`` take a threshold t, or a
 1-D array of them giving an array, and call ``g(k, t)`` with t broadcast to
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,33 +36,28 @@ from .risk_model import ExponentialFamily, LossFamily, ScaleFamily
 
 _WEIGHT_TOL = 1e-12
 _CHUNK_ELEMS = 1 << 12  # array elements per pass of a batch; bounds its memory
+_TAIL_NODES = 256  # Gauss-Legendre nodes per k-segment of tail_integral
 
 
 def _per_threshold(method):
-    """Let method(self, g, t[, k_splits]) take a scalar t, giving a float, or a
-    1-D array, giving an array; it sees blocks of rows of t and k_splits."""
+    """Let method(self, g, t, *args) take a scalar t, giving a float, or a
+    1-D array, giving an array; it sees blocks of rows of t."""
 
     @functools.wraps(method)
-    def wrapper(self, g, t, k_splits=None):
+    def wrapper(self, g, t, *args):
         t = np.asarray(t, dtype=float)
-        width = self._row_elems + (0 if k_splits is None else k_splits.shape[1])
-        rows, step = np.atleast_1d(t), max(1, _CHUNK_ELEMS // width)
+        rows, step = np.atleast_1d(t), max(1, _CHUNK_ELEMS // self._row_elems)
         out = np.zeros(len(rows))
         for s in range(0, len(rows), step):
             b = slice(s, s + step)
-            out[b] = method(self, g, rows[b], *(() if k_splits is None else (k_splits[b],)))
+            out[b] = method(self, g, rows[b], *args)
         return float(out[0]) if t.ndim == 0 else out
 
     return wrapper
 
 
-class TransformedType(NamedTuple):
-    a: float
-    k: float
-
-
 class TypeDistribution:
-    """Common interface: transform, support bounds, quadrature, sampling.
+    """Common interface: support bounds, quadrature, sampling.
 
     ``k_ends`` holds the k values over which sup_k theta*_k is taken: the
     ends of a uniform k-range, where a scale family's quantiles and
@@ -69,14 +66,6 @@ class TypeDistribution:
 
     family: LossFamily
     k_ends: tuple[float, ...]
-
-    def transform(self, alpha: float, k: float) -> TransformedType:
-        if not self.in_support(alpha, k):
-            raise DomainError(f"type (alpha={alpha}, k={k}) lies outside the support")
-        return TransformedType(float(self.family.var(alpha, k)), float(k))
-
-    def in_support(self, alpha: float, k: float) -> bool:
-        raise NotImplementedError
 
     def lower_support(self) -> float:
         """Infimum of the transformed risk level a over the support."""
@@ -89,12 +78,12 @@ class TypeDistribution:
         """Deterministic quadrature of int f(a, k) dQ."""
         raise NotImplementedError
 
-    def tail_integral(self, g, t, k_splits: np.ndarray | None = None):
+    def tail_integral(self, g, t, kink=None):
         """int g(k, t) 1{a > t} dQ with the indicator handled exactly.
 
-        g(k, t) gets t broadcast to k's shape; k_splits is an (m, s) array of
-        extra forced k-splits, one row per threshold (e.g. where a solver
-        integrand has a kink in k), NaN or out-of-range meaning no split.
+        g(k, t) gets t broadcast to k's shape.  g may have a kink in k where
+        kink(k) = t, for a kink proportional to k (such as theta*_k); the
+        k-quadrature splits there.
         """
         raise NotImplementedError
 
@@ -112,8 +101,8 @@ class _UniformK(TypeDistribution):
     Subclasses set ``_edge_alphas``, the alphas bounding the support, and
     supply ``conditional_tail(k, t)``, P(a > t | k) vectorized in k, and
     ``_inner(f, k, bps)``, E[f(a, k) | k] at each Gauss node k.
-    Subclasses pass the keyword ``outer_nodes``, the Gauss-Legendre nodes per
-    k segment of tail_integral, through to here; integrate adapts its own.
+    tail_integral takes _TAIL_NODES Gauss-Legendre nodes per k-segment;
+    integrate adapts its own.
     """
 
     _edge_alphas: tuple[float, ...]
@@ -122,7 +111,7 @@ class _UniformK(TypeDistribution):
     def _row_elems(self) -> int:  # segment edges per threshold before k-splits
         return len(self._edge_alphas) + 2
 
-    def __init__(self, k_lo: float, k_hi: float, family: ScaleFamily | None, outer_nodes: int = 256):
+    def __init__(self, k_lo: float, k_hi: float, family: ScaleFamily | None):
         if not 0.0 < k_lo < k_hi < math.inf:
             raise DomainError(f"need 0 < k_lo < k_hi < inf, got ({k_lo}, {k_hi})")
         self.k_lo = float(k_lo)
@@ -131,13 +120,14 @@ class _UniformK(TypeDistribution):
         self.family = family if family is not None else ExponentialFamily()
         if not isinstance(self.family, ScaleFamily):
             raise DomainError(f"uniform-k markets need a ScaleFamily, got {type(family).__name__}")
-        self.outer_nodes = int(outer_nodes)
 
-    def _k_breaks_for(self, points: np.ndarray) -> np.ndarray:
-        """(m, len(_edge_alphas)) array: the k where the a-support edge of each
-        edge alpha crosses each of m points, NaN where it does not."""
-        fam, lo, hi = self.family, self.k_lo, self.k_hi
-        return np.column_stack([fam.k_for_var(al, points, lo, hi) for al in self._edge_alphas])
+    def _k_breaks_for(self, points: np.ndarray, *ratios: float) -> np.ndarray:
+        """(m, r) array points[:, None] / c: the k where the level c k meets
+        each of m points, for c the VaR_1 of each edge alpha (a support edge)
+        and then each of ratios.  A ratio outside (0, inf) gives no column;
+        k outside (k_lo, k_hi) is the caller's to drop."""
+        c = np.array([float(self.family.base.var(al)) for al in self._edge_alphas] + list(ratios))
+        return points[:, None] / c[(c > 0.0) & (c < math.inf)]
 
     def lower_support(self) -> float:
         # a decreases in alpha, so the largest edge alpha bounds it below.
@@ -147,15 +137,13 @@ class _UniformK(TypeDistribution):
         return float(np.max(self.family.var(min(self._edge_alphas), self.k_ends)))
 
     @_per_threshold
-    def tail_integral(self, g, t: np.ndarray, k_splits: np.ndarray | None = None) -> np.ndarray:
-        cuts = self._k_breaks_for(t)
-        if k_splits is not None:
-            cuts = np.concatenate([cuts, k_splits], axis=1)
-        # Per-row edges (m, S + 1); a missing or outside split gives a
+    def tail_integral(self, g, t: np.ndarray, kink=None) -> np.ndarray:
+        cuts = self._k_breaks_for(t, *(() if kink is None else (float(kink(1.0)),)))
+        # Per-row edges (m, S + 1); a split outside (k_lo, k_hi) gives a
         # zero-width segment at an end.
         edges = np.empty((len(t), cuts.shape[1] + 2))
         edges[:, 0], edges[:, -1] = self.k_lo, self.k_hi
-        edges[:, 1:-1] = np.sort(np.fmin(np.fmax(cuts, self.k_lo), self.k_hi))
+        edges[:, 1:-1] = np.sort(np.clip(cuts, self.k_lo, self.k_hi))
         lo, hi = edges[:, :-1], edges[:, 1:]
         # No edge crossing of t falls inside a segment, so the tail is 0, 1 or
         # strictly between throughout it: its middle tells which.  Only live
@@ -165,11 +153,11 @@ class _UniformK(TypeDistribution):
         row = np.nonzero(live)[0]
         lo, hi, tail, t = lo[live], hi[live], tail[live], t[row]
         sums = np.empty(len(t))
-        step = max(1, _CHUNK_ELEMS // self.outer_nodes)  # segments per pass
+        step = max(1, _CHUNK_ELEMS // _TAIL_NODES)  # segments per pass
         for s in range(0, len(t), step):
             c = slice(s, s + step)
-            k, w = gauss_legendre(lo[c, None], hi[c, None], self.outer_nodes)
-            tk = np.repeat(t[c, None], self.outer_nodes, axis=1)
+            k, w = gauss_legendre(lo[c, None], hi[c, None], _TAIL_NODES)
+            tk = np.repeat(t[c, None], _TAIL_NODES, axis=1)
             vals = np.asarray(g(k, tk), dtype=float) * w
             p = tail[c] < 1.0
             if p.any():
@@ -202,9 +190,8 @@ class ProductUniform(_UniformK):
         alpha_lo: float,
         alpha_hi: float,
         family: ScaleFamily | None = None,
-        **kw,
     ):
-        super().__init__(k_lo, k_hi, family, **kw)
+        super().__init__(k_lo, k_hi, family)
         cap = 1.0 - self.family.point_mass_zero
         if not 0.0 < alpha_lo < alpha_hi < cap:
             raise DomainError(
@@ -213,9 +200,6 @@ class ProductUniform(_UniformK):
         self.alpha_lo = float(alpha_lo)
         self.alpha_hi = float(alpha_hi)
         self._edge_alphas = (self.alpha_lo, self.alpha_hi)
-
-    def in_support(self, alpha: float, k: float) -> bool:
-        return self.alpha_lo <= alpha <= self.alpha_hi and self.k_lo <= k <= self.k_hi
 
     def conditional_tail(self, k, t: float):
         """P(a > t | k) for the uniform alpha pushforward."""
@@ -256,17 +240,13 @@ class DegenerateAlpha(_UniformK):
         k_hi: float,
         alpha0: float,
         family: ScaleFamily | None = None,
-        **kw,
     ):
-        super().__init__(k_lo, k_hi, family, **kw)
+        super().__init__(k_lo, k_hi, family)
         cap = 1.0 - self.family.point_mass_zero
         if not 0.0 < alpha0 < cap:
             raise DomainError(f"alpha0 must lie in (0, 1 - F(0)) = (0, {cap}), got {alpha0}")
         self.alpha0 = float(alpha0)
         self._edge_alphas = (self.alpha0,)
-
-    def in_support(self, alpha: float, k: float) -> bool:
-        return alpha == self.alpha0 and self.k_lo <= k <= self.k_hi
 
     def a_of_k(self, k):
         return self.family.var(self.alpha0, k)
@@ -307,9 +287,6 @@ class DiscreteTypes(TypeDistribution):
         self.a_vals = np.asarray(self.family.var(self.alphas, self.ks), dtype=float)
         self._row_elems = len(self.ks)
 
-    def in_support(self, alpha: float, k: float) -> bool:
-        return bool(np.any((self.alphas == alpha) & (self.ks == k)))
-
     def lower_support(self) -> float:
         return float(self.a_vals.min())
 
@@ -321,7 +298,7 @@ class DiscreteTypes(TypeDistribution):
         return float(np.dot(self.weights, vals))
 
     @_per_threshold
-    def tail_integral(self, g, t: np.ndarray, k_splits: np.ndarray | None = None) -> np.ndarray:
+    def tail_integral(self, g, t: np.ndarray, kink=None) -> np.ndarray:
         return self._atom_sum(g, t, self.a_vals > t[:, None])
 
     @_per_threshold

@@ -18,6 +18,8 @@ from remenu import (
     stop_loss,
 )
 
+from reference_rules import phi
+
 LN11 = math.log(1.1)
 
 
@@ -71,7 +73,7 @@ class TestSupThetaStarOverEveryAtom:
     def test_objective_caps_the_middle_atom(self, cost):
         dist = self.market()
         brute = sum(
-            w * stop_loss.phi(1500.0, float(a), cost, dist.family.model(k))
+            w * phi(1500.0, float(a), cost, dist.family.model(k))
             for a, k, w in zip(dist.a_vals, dist.ks, dist.weights)
         )
         assert stop_loss.objective(1500.0, dist, cost) == pytest.approx(brute, rel=1e-12)

@@ -75,10 +75,10 @@ class TestScenarioConfig:
         dist = cfg.build_dist()
         if name.startswith("uniform_alpha"):
             want = ProductUniform(5000.0, 25000.0, ALPHA_LO, ALPHA_HI)
-            attrs = ("k_lo", "k_hi", "alpha_lo", "alpha_hi", "outer_nodes")
+            attrs = ("k_lo", "k_hi", "alpha_lo", "alpha_hi")
         else:
             want = DegenerateAlpha(5000.0, 25000.0, ALPHA_LO)
-            attrs = ("k_lo", "k_hi", "alpha0", "outer_nodes")
+            attrs = ("k_lo", "k_hi", "alpha0")
         assert type(dist) is type(want)
         assert [getattr(dist, a) for a in attrs] == [getattr(want, a) for a in attrs]
         assert dist.family.point_mass_zero == 0.0
@@ -263,6 +263,24 @@ class TestCurve:
         )
         rows = (out / "curve.csv").read_text().splitlines()[1:]
         assert all(float(r.split(",")[1]) == 0.0 for r in rows)
+
+    def test_zero_theta_star_from_zero(self, tmp_path):
+        # An atom of 0.15 at zero makes theta*_1 = 0, so the stop-loss kink
+        # theta*_k = t has ratio 0; from t = 0 every J is finite.
+        cfg = write_config(
+            tmp_path / "atom.json",
+            loss={"family": "exponential", "point_mass_zero": 0.15},
+            types={
+                "variant": "product_uniform",
+                "k_dist": {"lo": 5000, "hi": 25000},
+                "alpha_dist": {"lo": 0.03, "hi": 0.1},
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["curve", "--config", str(cfg), "--out", str(out), "--t-lo", "0"]) == 0
+        js = [float(r.split(",")[1]) for r in (out / "curve.csv").read_text().splitlines()[1:]]
+        assert len(js) == 201 and all(math.isfinite(j) for j in js)
+        assert js[0] == pytest.approx(-14025.0, rel=1e-12)
 
     def test_bad_range_exits_2(self, config, tmp_path):
         assert (

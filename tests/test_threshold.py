@@ -11,6 +11,7 @@ from remenu import (
     CostFunctional,
     DegenerateAlpha,
     DiscreteTypes,
+    ExponentialFamily,
     ExponentialLoss,
     GenericFamily,
     GenericLoss,
@@ -22,6 +23,8 @@ from remenu import (
     type_space,
 )
 from remenu.search import maximize_over_tau
+
+from reference_rules import phi
 
 LN11 = math.log(1.1)
 MENUS = [stop_loss.StopLossMenu, quota_share.QuotaShareMenu, change_loss.ChangeLossMenu]
@@ -177,12 +180,71 @@ def test_batched_rows_equal_scalar_calls(
 
 def test_batched_capped_rows_match_brute_force():
     # Both kinks lie in (L, sup theta*), where the cap theta*_k ∧ tau binds.
+    # The profit density kinks in k at theta*_k = k ln 2 = tau, so the brute
+    # force integrates the sub-markets on either side of it, by k-share.
     taus = np.array([12000.0, 16000.0])
     batch = stop_loss.objective(taus, CAPPED, CAPPED_COST)
+    alphas, k_lo, k_hi = (CAPPED.alpha_lo, CAPPED.alpha_hi), CAPPED.k_lo, CAPPED.k_hi
     for tau, fast in zip(taus.tolist(), batch.tolist()):
-        phi = np.vectorize(lambda a, k: stop_loss.phi(tau, a, CAPPED_COST, ExponentialLoss(k)))
-        brute = CAPPED.integrate(phi, breakpoints=[tau])
-        assert fast == pytest.approx(brute, rel=1e-9)
+        profit = np.vectorize(lambda a, k: phi(tau, a, CAPPED_COST, ExponentialLoss(k)))
+        kink = tau / math.log(2.0)
+        brute = sum(
+            (hi - lo) / (k_hi - k_lo) * ProductUniform(lo, hi, *alphas).integrate(profit, breakpoints=[tau])
+            for lo, hi in ((k_lo, kink), (kink, k_hi))
+        )
+        assert fast == pytest.approx(brute, rel=1e-12)
+
+
+# With an atom of 0.15 at zero and theta = 0.1, theta*_1 = ln 1.1 + ln 0.85 < 0
+# is 0: the stop-loss kink theta*_k = tau has ratio 0 and splits no k-segment.
+ZERO_THETA_STAR = ProductUniform(5000.0, 25000.0, 0.03, 0.1, ExponentialFamily(0.15))
+
+
+def test_zero_theta_star_splits_nowhere(cost):
+    # Below L ~ 10700 every type is served at profit tau - xi_k = tau - 0.935 k.
+    got = stop_loss.objective(np.array([0.0, 1000.0, 50000.0]), ZERO_THETA_STAR, cost)
+    assert got == pytest.approx([-14025.0, -13025.0, 8388.186408651098], rel=1e-12)
+    assert stop_loss.solve(ZERO_THETA_STAR, cost).tau_star == pytest.approx(39554.51937377825, rel=1e-12)
+
+
+def doubled(dist):
+    """The market with every k doubled, so every a = k VaR_1(alpha) doubles."""
+    if isinstance(dist, DiscreteTypes):
+        return DiscreteTypes([(al, 2.0 * k, w) for al, k, w in zip(dist.alphas, dist.ks, dist.weights)])
+    if isinstance(dist, DegenerateAlpha):
+        return DegenerateAlpha(2.0 * dist.k_lo, 2.0 * dist.k_hi, dist.alpha0)
+    return ProductUniform(2.0 * dist.k_lo, 2.0 * dist.k_hi, dist.alpha_lo, dist.alpha_hi)
+
+
+# Change-loss has no menu on the capped market, where sup theta* > L.
+@pytest.mark.parametrize(
+    "market, menu_cls",
+    [(m, c) for m in ("product", "degenerate", "discrete", "capped") for c in MENUS
+     if (m, c) != ("capped", change_loss.ChangeLossMenu)],
+    ids=lambda x: getattr(x, "contract_class", x),
+)
+def test_doubling_every_k_doubles_the_menu(market, menu_cls, cost, product_dist, degenerate_dist):
+    # H[2X] = 2 H[X]: doubling every k doubles every level and price, and
+    # doubling is exact in floating point, so the menu doubles bit for bit.
+    dist, c = {
+        "product": (product_dist, cost),
+        "degenerate": (degenerate_dist, cost),
+        "discrete": (INTERIOR, cost),
+        "capped": (CAPPED, CAPPED_COST),
+    }[market]
+    big = doubled(dist)
+    menu, twice = (threshold.solve(menu_cls, d, c, grid_points=2001) for d in (dist, big))
+    assert (twice.tau_star, twice.objective_value) == (2.0 * menu.tau_star, 2.0 * menu.objective_value)
+    a, k = dist.sample(500, np.random.default_rng(7))
+    a2, k2 = big.sample(500, np.random.default_rng(7))
+    assert (a2.tolist(), k2.tolist()) == ((2.0 * a).tolist(), (2.0 * k).tolist())
+    # Types at the kink too, where the break-even rule decides who is served.
+    ends = np.array(dist.k_ends)
+    a, k = np.append(a, np.full(len(ends), menu.tau_star)), np.append(k, ends)
+    served, d, premium = menu.terms(a, k)
+    served2, d2, premium2 = twice.terms(2.0 * a, 2.0 * k)
+    assert served2.tolist() == served.tolist()
+    assert (d2.tolist(), premium2.tolist()) == ((2.0 * d).tolist(), (2.0 * premium).tolist())
 
 
 def scalar_search(j, lo, hi, grid_points, refine_tol):

@@ -20,20 +20,12 @@ ALPHA_HI = math.exp(-2)
 
 
 class TestTransform:
+    # A type (alpha, k) sits at a = VaR_alpha(X_k) = -k ln(alpha).
     def test_known_point(self, degenerate_dist):
-        got = degenerate_dist.transform(ALPHA_LO, 5000.0)
-        assert got.a == pytest.approx(15000.0)
-        assert got.k == 5000.0
+        assert degenerate_dist.a_of_k(5000.0) == pytest.approx(15000.0)
 
     def test_second_point(self, product_dist):
-        got = product_dist.transform(ALPHA_HI, 25000.0)
-        assert got.a == pytest.approx(50000.0)
-
-    def test_out_of_support_rejected(self, product_dist):
-        with pytest.raises(DomainError):
-            product_dist.transform(0.5, 10000.0)
-        with pytest.raises(DomainError):
-            product_dist.transform(ALPHA_LO, 1.0)
+        assert product_dist.family.var(ALPHA_HI, 25000.0) == pytest.approx(50000.0)
 
 
 class TestSupport:
@@ -108,8 +100,8 @@ class TestIntegrate:
         from remenu import GenericLoss, ScaleFamily
 
         family = ScaleFamily(GenericLoss(lambda y: math.exp(-y)))
-        generic = ProductUniform(5000.0, 25000.0, ALPHA_LO, ALPHA_HI, family, outer_nodes=4)
-        closed = ProductUniform(5000.0, 25000.0, ALPHA_LO, ALPHA_HI, outer_nodes=4)
+        generic = ProductUniform(5000.0, 25000.0, ALPHA_LO, ALPHA_HI, family)
+        closed = ProductUniform(5000.0, 25000.0, ALPHA_LO, ALPHA_HI)
 
         def f(a, k):
             return np.maximum(a - 30000.0, 0.0) / (1.0 + k / 10000.0)
