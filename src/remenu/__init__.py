@@ -25,7 +25,6 @@ from .risk_model import (
     GenericFamily,
     GenericLoss,
     KProfile,
-    LossFamily,
     LossModel,
     ScaleFamily,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "GenericLoss",
     "GenericMenu",
     "KProfile",
-    "LossFamily",
     "LossModel",
     "MenuEntry",
     "NULL_DEDUCTIBLE",

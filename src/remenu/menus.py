@@ -46,10 +46,6 @@ class Contract:
         if not self.deductible >= 0.0:
             raise DomainError(f"deductible must be >= 0 (+inf for none), got {self.deductible}")
 
-    @classmethod
-    def null(cls, kind: str = "stop_loss") -> "Contract":
-        return cls(kind, lam=0.0, deductible=NULL_DEDUCTIBLE if kind != "quota_share" else 0.0)
-
 
 @dataclass(frozen=True)
 class MenuEntry:

@@ -177,11 +177,6 @@ class GenericLoss(LossModel):
         return GenericLoss(lambda y: fn(y / s), self.support_hi * s, self.point_mass_zero)
 
 
-def zero_loss() -> GenericLoss:
-    """The degenerate loss X = 0 (all mass at zero)."""
-    return GenericLoss(lambda y: 0.0, support_hi=0.0, point_mass_zero=1.0)
-
-
 @dataclass(frozen=True)
 class CostFunctional:
     """H[Y] = (1 + theta) * int h(survival_Y) dy and derived quantities."""
@@ -280,28 +275,8 @@ class CostFunctional:
 # -- loss families (k -> LossModel) -------------------------------------
 
 
-class LossFamily:
-    """Maps a scale parameter k to a LossModel, one k at a time.
-
-    Discrete markets take any family; the uniform-k markets take only a
-    ScaleFamily, whose quantiles and theta*_k are k times the base's.
-    """
-
-    point_mass_zero: float = 0.0
-
-    def model(self, k: float) -> LossModel:
-        raise NotImplementedError
-
-    def var(self, alpha, k):
-        alpha, k = np.broadcast_arrays(np.asarray(alpha, float), np.asarray(k, float))
-        out = np.empty(k.shape)
-        for i in np.ndindex(k.shape):
-            out[i] = self.model(float(k[i])).var(float(alpha[i]))
-        return out
-
-
 @dataclass(frozen=True)
-class ScaleFamily(LossFamily):
+class ScaleFamily:
     """k -> the loss k * X_1 for a base loss X_1.
 
     Quantiles and survival follow from the base, VaR_alpha(X_k) being
@@ -333,13 +308,24 @@ class ExponentialFamily(ScaleFamily):
 
 
 @dataclass(frozen=True)
-class GenericFamily(LossFamily):
-    """k -> LossModel through an arbitrary builder callable."""
+class GenericFamily:
+    """k -> LossModel through an arbitrary builder callable, one k at a time.
+
+    Discrete markets take it; the uniform-k markets take only a ScaleFamily,
+    whose quantiles and theta*_k are k times the base's.
+    """
 
     builder: Callable[[float], LossModel]
 
     def model(self, k: float) -> LossModel:
         return self.builder(k)
+
+    def var(self, alpha, k):
+        alpha, k = np.broadcast_arrays(np.asarray(alpha, float), np.asarray(k, float))
+        out = np.empty(k.shape)
+        for i in np.ndindex(k.shape):
+            out[i] = self.model(float(k[i])).var(float(alpha[i]))
+        return out
 
 
 class KProfile:
@@ -353,7 +339,7 @@ class KProfile:
     memoized on its own.
     """
 
-    def __init__(self, cost: CostFunctional, family: LossFamily):
+    def __init__(self, cost: CostFunctional, family: ScaleFamily | GenericFamily):
         self.cost = cost
         self.family = family
         self._base = family.base if isinstance(family, ScaleFamily) else None

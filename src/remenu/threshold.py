@@ -16,12 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property, partial
-from typing import ClassVar, Sequence
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import AssumptionError
-from .menus import Contract, GenericMenu, MenuEntry
+from .menus import Contract, MenuEntry
 from .risk_model import CostFunctional, KProfile
 from .search import maximize_over_points, maximize_over_tau
 from .type_space import DiscreteTypes, TypeDistribution
@@ -154,9 +154,6 @@ class ThresholdMenu:
     def entry(self, a: float, k: float) -> MenuEntry:
         served, d, premium = (float(x[0]) for x in self.terms(a, k))
         return MenuEntry(a, k, Contract(self.contract_class, served, d), premium)
-
-    def entries_for(self, pairs: Sequence[tuple[float, float]]) -> GenericMenu:
-        return GenericMenu.from_entries([self.entry(a, k) for a, k in pairs])
 
 
 def solve(

@@ -19,7 +19,10 @@ each level.  Integrands must accept numpy arrays broadcast over (a, k).
 
 ``tail_integral(g, t)`` and ``kink_integral(g, t)`` take a threshold t, or a
 1-D array of them giving an array, and call ``g(k, t)`` with t broadcast to
-k's shape; row i of a batch is the scalar call at t[i], bit for bit.
+k's shape; row i of a batch is the scalar call at t[i], bit for bit.  A batch
+is cut once, into blocks of thresholds of about _CHUNK_ELEMS Gauss nodes (or
+atoms) each; a uniform-k block prices all its live k-segments in one
+Gauss-Legendre call.
 """
 
 from __future__ import annotations
@@ -32,16 +35,17 @@ import numpy as np
 
 from .errors import DomainError
 from .quadrature import adaptive_gauss_batched, gauss_legendre, split_edges
-from .risk_model import ExponentialFamily, LossFamily, ScaleFamily
+from .risk_model import ExponentialFamily, GenericFamily, ScaleFamily
 
 _WEIGHT_TOL = 1e-12
-_CHUNK_ELEMS = 1 << 12  # array elements per pass of a batch; bounds its memory
+_CHUNK_ELEMS = 1 << 15  # array elements per block of thresholds; bounds its memory
 _TAIL_NODES = 256  # Gauss-Legendre nodes per k-segment of tail_integral
 
 
 def _per_threshold(method):
     """Let method(self, g, t, *args) take a scalar t, giving a float, or a
-    1-D array, giving an array; it sees blocks of rows of t."""
+    1-D array, giving an array; it sees blocks of rows of t, each row taking
+    self._row_elems array elements and a block about _CHUNK_ELEMS."""
 
     @functools.wraps(method)
     def wrapper(self, g, t, *args):
@@ -64,7 +68,7 @@ class TypeDistribution:
     theta*_k = k theta*_1 take their extremes, or every distinct atom k.
     """
 
-    family: LossFamily
+    family: ScaleFamily | GenericFamily
     k_ends: tuple[float, ...]
 
     def lower_support(self) -> float:
@@ -101,15 +105,16 @@ class _UniformK(TypeDistribution):
     Subclasses set ``_edge_alphas``, the alphas bounding the support, and
     supply ``conditional_tail(k, t)``, P(a > t | k) vectorized in k, and
     ``_inner(f, k, bps)``, E[f(a, k) | k] at each Gauss node k.
-    tail_integral takes _TAIL_NODES Gauss-Legendre nodes per k-segment;
-    integrate adapts its own.
+    tail_integral takes _TAIL_NODES Gauss-Legendre nodes per k-segment, at
+    most len(_edge_alphas) + 2 segments per threshold (``_row_elems`` nodes),
+    all of a block in one call; integrate adapts its own.
     """
 
     _edge_alphas: tuple[float, ...]
 
     @property
-    def _row_elems(self) -> int:  # segment edges per threshold before k-splits
-        return len(self._edge_alphas) + 2
+    def _row_elems(self) -> int:
+        return _TAIL_NODES * (len(self._edge_alphas) + 2)
 
     def __init__(self, k_lo: float, k_hi: float, family: ScaleFamily | None):
         if not 0.0 < k_lo < k_hi < math.inf:
@@ -152,19 +157,14 @@ class _UniformK(TypeDistribution):
         live = (hi > lo) & (tail > 0.0)
         row = np.nonzero(live)[0]
         lo, hi, tail, t = lo[live], hi[live], tail[live], t[row]
-        sums = np.empty(len(t))
-        step = max(1, _CHUNK_ELEMS // _TAIL_NODES)  # segments per pass
-        for s in range(0, len(t), step):
-            c = slice(s, s + step)
-            k, w = gauss_legendre(lo[c, None], hi[c, None], _TAIL_NODES)
-            tk = np.repeat(t[c, None], _TAIL_NODES, axis=1)
-            vals = np.asarray(g(k, tk), dtype=float) * w
-            p = tail[c] < 1.0
-            if p.any():
-                vals[p] *= self.conditional_tail(k[p], tk[p])
-            sums[c] = vals.sum(axis=-1)
+        k, w = gauss_legendre(lo[:, None], hi[:, None], _TAIL_NODES)
+        tk = np.repeat(t[:, None], _TAIL_NODES, axis=1)
+        vals = np.asarray(g(k, tk), dtype=float) * w
+        p = tail < 1.0
+        if p.any():
+            vals[p] *= self.conditional_tail(k[p], tk[p])
         # Each row adds up its segments in order from 0.0.
-        return np.bincount(row, sums * (1.0 / (self.k_hi - self.k_lo)), len(live))
+        return np.bincount(row, vals.sum(axis=-1) * (1.0 / (self.k_hi - self.k_lo)), len(live))
 
     def integrate(self, f, breakpoints: Sequence[float] = ()) -> float:
         bps = sorted({float(b) for b in breakpoints if math.isfinite(b)})
@@ -269,7 +269,7 @@ class DiscreteTypes(TypeDistribution):
     def __init__(
         self,
         atoms: Sequence[tuple[float, float, float]],
-        family: LossFamily | None = None,
+        family: ScaleFamily | GenericFamily | None = None,
     ):
         if not atoms:
             raise DomainError("discrete type distribution needs at least one atom")

@@ -219,39 +219,24 @@ class FirstBestReport:
     risk reduction.  A lower-risk type's contract then strictly attracts a
     higher-risk type whenever its deductible bites below a1, and mimicry
     caps the profit earned on the high type below its benchmark level.
+    Pairs list type 1, then type 2.
     """
 
-    a1: float
-    k1: float
-    a2: float
-    k2: float
-    deductible_1: float
-    deductible_2: float
-    premium_1: float
-    premium_2: float
-    risk_reduction_1: float
-    risk_reduction_2: float
+    type_1: tuple[float, float]
+    type_2: tuple[float, float]
+    deductibles: tuple[float, float]
+    premiums: tuple[float, float]
+    risk_reductions: tuple[float, float]
     mimic_gain: float
     mimic_profit: float
-    first_best_profit_1: float
-    first_best_profit_2: float
+    first_best_profits: tuple[float, float]
 
     @property
     def profit_inequality_holds(self) -> bool:
-        return self.mimic_profit <= self.first_best_profit_1 + 1e-12
+        return self.mimic_profit <= self.first_best_profits[0] + 1e-12
 
     def to_dict(self) -> dict:
-        return {
-            "type_1": [self.a1, self.k1],
-            "type_2": [self.a2, self.k2],
-            "deductibles": [self.deductible_1, self.deductible_2],
-            "premiums": [self.premium_1, self.premium_2],
-            "risk_reductions": [self.risk_reduction_1, self.risk_reduction_2],
-            "mimic_gain": self.mimic_gain,
-            "mimic_profit": self.mimic_profit,
-            "first_best_profits": [self.first_best_profit_1, self.first_best_profit_2],
-            "profit_inequality_holds": self.profit_inequality_holds,
-        }
+        return {**asdict(self), "profit_inequality_holds": self.profit_inequality_holds}
 
 
 def first_best_demo(
@@ -262,35 +247,27 @@ def first_best_demo(
     dist: TypeDistribution,
     cost: CostFunctional,
 ) -> FirstBestReport:
-    """Evaluate the mimicry chain for a pair of types with a2 < a1."""
+    """Evaluate the mimicry chain for a pair of types with a2 < a1.
+
+    Each type is priced from theta*_k, xi_k and H[(X_k - d)_+] of one
+    KProfile; an infinite theta*_k gives xi_k = inf, so the type is unserved
+    (d = inf, no premium, no profit, nothing to mimic).
+    """
     if a2 >= a1:
         raise DomainError(f"need a2 < a1, got a1={a1}, a2={a2}")
-    family = dist.family
-
-    def fb(a: float, k: float) -> tuple[float, float, float]:
-        """Full-information deductible, premium, and reinsurer profit."""
-        loss = family.model(k)
-        ts = cost.theta_star(loss)
-        xi = cost.xi(loss) if math.isfinite(ts) else math.inf
-        if a >= xi:
-            prem = max(a - ts, 0.0)
-            return ts, prem, prem - cost.stop_loss_cost(loss, ts)
-        return math.inf, 0.0, 0.0
-
-    d1, p1, profit1 = fb(a1, k1)
-    d2, p2, profit2 = fb(a2, k2)
+    prof = KProfile(cost, dist.family)
+    a, k = np.array([a1, a2], dtype=float), np.array([k1, k2], dtype=float)
+    served = a >= prof.xi(k)
+    d = np.where(served, prof.theta_star(k), math.inf)
+    premium = np.where(served, np.maximum(a - d, 0.0), 0.0)
+    profit = premium - prof.stop_loss_cost(k, d)
     # Risk reduction at the intended type is zero by construction.
-    rr1 = max(a1 - d1, 0.0) - p1 if math.isfinite(d1) else 0.0
-    rr2 = max(a2 - d2, 0.0) - p2 if math.isfinite(d2) else 0.0
-    if math.isfinite(d2):
-        gain = (max(a1 - d2, 0.0) - p2) - (max(a2 - d2, 0.0) - p2)
-        mimic_profit = p2 - cost.stop_loss_cost(family.model(k1), d2)
-    else:
-        gain = 0.0
-        mimic_profit = 0.0
-    return FirstBestReport(
-        a1, k1, a2, k2, d1, d2, p1, p2, rr1, rr2, gain, mimic_profit, profit1, profit2
-    )
+    rr = np.maximum(a - d, 0.0) - premium
+    # Type 1 taking type 2's contract, against type 2 taking it.
+    gain = (max(a1 - d[1], 0.0) - premium[1]) - rr[1]
+    mimic_profit = premium[1] - prof.stop_loss_cost(k1, d[1])
+    d, premium, rr, profit = (tuple(x.tolist()) for x in (d, premium, rr, profit))
+    return FirstBestReport((a1, k1), (a2, k2), d, premium, rr, float(gain), float(mimic_profit), profit)
 
 
 # -- Monte Carlo profit -------------------------------------------------

@@ -16,6 +16,7 @@ from remenu import (
     CostFunctional,
     DegenerateAlpha,
     Distortion,
+    GenericMenu,
     ProductUniform,
     bl_decompose,
     change_loss,
@@ -282,9 +283,9 @@ def test_criterion_08_first_best_failure(cost, product):
             continue
         r = first_best_demo(a1, k1, a2, k2, product, cost)
         ok &= r.mimic_gain >= -1e-12
-        if r.deductible_2 < a1:
+        if r.deductibles[1] < a1:
             ok &= r.mimic_gain > 1e-12
-        ok &= r.mimic_profit <= r.first_best_profit_1 + 1e-12
+        ok &= r.mimic_profit <= r.first_best_profits[0] + 1e-12
         checked += 1
     report(8, "full-information menus invite mimicry (20 random pairs)", ok)
 
@@ -305,7 +306,7 @@ def test_criterion_10_indirect_utility_recovery(cost, product, sl_product, qs_pr
     a_grid = np.linspace(product.lower_support(), product.upper_support(), 1000)
     k_grid = np.clip(a_grid / 2.5, 5000.0, 25000.0)  # keeps (a, k) in the support
     for menu in (sl_product, qs_product, cl_product):
-        gm = menu.entries_for(list(zip(a_grid, k_grid)))
+        gm = GenericMenu.from_entries([menu.entry(a, k) for a, k in zip(a_grid, k_grid)])
         got = indirect_utility(gm, a_grid)
         target = np.maximum(a_grid - menu.tau_star, 0.0)
         worst = max(worst, float(np.max(np.abs(got - target))))

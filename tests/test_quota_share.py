@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from remenu import DiscreteTypes, ExponentialLoss, check_ic, check_ir, quota_share
-from remenu.risk_model import zero_loss
+from remenu import DiscreteTypes, ExponentialLoss, GenericLoss, check_ic, check_ir, quota_share
+
+ZERO_LOSS = GenericLoss(lambda y: 0.0, support_hi=0.0, point_mass_zero=1.0)  # X = 0
 
 
 def closed_form_j(t: float) -> float:
@@ -20,7 +21,7 @@ class TestFullCost:
         assert cost.full_cost(ExponentialLoss(25000.0)) == pytest.approx(27500.0)
 
     def test_zero_loss(self, cost):
-        assert cost.full_cost(zero_loss()) == 0.0
+        assert cost.full_cost(ZERO_LOSS) == 0.0
 
 
 class TestJPhi:

@@ -22,9 +22,10 @@ from remenu import (
     quota_share,
 )
 from remenu.quadrature import tail_gauss
-from remenu.risk_model import zero_loss
 
 from reference_rules import b_curve
+
+ZERO_LOSS = GenericLoss(lambda y: 0.0, support_hi=0.0, point_mass_zero=1.0)  # X = 0
 
 LN11 = math.log(1.1)
 # Concave: u**0.75 at u = 0.2 and 0.55.
@@ -268,7 +269,7 @@ class TestThetaStar:
         assert with_atom == pytest.approx(max(k * LN11 + k * math.log(0.95), 0.0))
 
     def test_zero_loss_theta_star_zero(self, cost):
-        assert cost.theta_star(zero_loss()) == 0.0
+        assert cost.theta_star(ZERO_LOSS) == 0.0
 
 
 class TestXi:
@@ -280,7 +281,7 @@ class TestXi:
         assert cost.xi(ExponentialLoss(10000.0)) == pytest.approx(10953.10, abs=0.01)
 
     def test_zero_loss(self, cost):
-        assert cost.xi(zero_loss()) == 0.0
+        assert cost.xi(ZERO_LOSS) == 0.0
 
     def test_infinite_theta_star_unsupported(self, cost):
         gen = GenericLoss(lambda y: 0.95 + 0.05 * math.exp(-y))

@@ -11,11 +11,13 @@ from remenu import (
     CostFunctional,
     DegenerateAlpha,
     DiscreteTypes,
+    Distortion,
     ExponentialFamily,
     ExponentialLoss,
     GenericFamily,
     GenericLoss,
     ProductUniform,
+    ScaleFamily,
     change_loss,
     quota_share,
     stop_loss,
@@ -79,7 +81,7 @@ def test_terms_follow_the_contract_rule(menu_cls, cost):
             assert entry.contract.deductible == d[i]
             assert entry.premium == premium[i]
             if not served[i]:
-                assert entry.contract == Contract.null(kind)
+                assert entry.contract == Contract(kind, 0.0, 0.0 if kind == "quota_share" else math.inf)
             if a == tau:
                 kink_outcomes.add(bool(served[i]))
     assert kink_outcomes == {True, False}
@@ -150,9 +152,10 @@ def kink_batch(dist, n=301):
     return np.concatenate([taus[::2], [math.inf], taus[1::2], [lo, hi], dist.k_ends])
 
 
-# With 800 elements per pass, a batch of ~310 kinks spans two blocks of kinks
-# on every market (160 to 266 kinks per block) and many node passes of three
-# segments, and is a multiple of neither.
+# By default a block holds about 2^15 Gauss nodes: 32 kinks (product, capped)
+# or 42 (degenerate), so a batch of ~310 kinks spans several blocks and is a
+# multiple of none. With 800 elements per block, a block holds 160 kinks of
+# the 5-atom discrete market (two blocks), or one kink of a uniform-k market.
 @pytest.mark.parametrize("chunk", [None, 800], ids=["default-chunk", "small-chunk"])
 @pytest.mark.parametrize("kind", [m.contract_class for m in MENUS])
 @pytest.mark.parametrize("market", ["product", "degenerate", "discrete", "capped"])
@@ -210,28 +213,39 @@ def test_zero_theta_star_splits_nowhere(cost):
 def doubled(dist):
     """The market with every k doubled, so every a = k VaR_1(alpha) doubles."""
     if isinstance(dist, DiscreteTypes):
-        return DiscreteTypes([(al, 2.0 * k, w) for al, k, w in zip(dist.alphas, dist.ks, dist.weights)])
+        atoms = zip(dist.alphas, dist.ks, dist.weights)
+        return DiscreteTypes([(al, 2.0 * k, w) for al, k, w in atoms], dist.family)
     if isinstance(dist, DegenerateAlpha):
-        return DegenerateAlpha(2.0 * dist.k_lo, 2.0 * dist.k_hi, dist.alpha0)
-    return ProductUniform(2.0 * dist.k_lo, 2.0 * dist.k_hi, dist.alpha_lo, dist.alpha_hi)
+        return DegenerateAlpha(2.0 * dist.k_lo, 2.0 * dist.k_hi, dist.alpha0, dist.family)
+    return ProductUniform(2.0 * dist.k_lo, 2.0 * dist.k_hi, dist.alpha_lo, dist.alpha_hi, dist.family)
+
+
+def lomax_base(y):
+    """S(y) = (1 + y/2)^-3: a Lomax loss of mean 1, priced by quadrature."""
+    return (1.0 + y / 2.0) ** -3.0
+
+
+# The product market on a Lomax base; sup theta* ~ 1614 < L ~ 9477 at theta = 0.1.
+LOMAX = ProductUniform(5000.0, 25000.0, math.exp(-3), math.exp(-2), ScaleFamily(GenericLoss(lomax_base)))
+MARKETS = {
+    "product": CAPPED,  # the cap binds only under CAPPED_COST
+    "degenerate": DegenerateAlpha(5000.0, 25000.0, math.exp(-3)),
+    "discrete": INTERIOR,
+    "lomax": LOMAX,
+}
 
 
 # Change-loss has no menu on the capped market, where sup theta* > L.
 @pytest.mark.parametrize(
     "market, menu_cls",
-    [(m, c) for m in ("product", "degenerate", "discrete", "capped") for c in MENUS
+    [(m, c) for m in ("product", "degenerate", "discrete", "capped", "lomax") for c in MENUS
      if (m, c) != ("capped", change_loss.ChangeLossMenu)],
     ids=lambda x: getattr(x, "contract_class", x),
 )
-def test_doubling_every_k_doubles_the_menu(market, menu_cls, cost, product_dist, degenerate_dist):
+def test_doubling_every_k_doubles_the_menu(market, menu_cls, cost):
     # H[2X] = 2 H[X]: doubling every k doubles every level and price, and
     # doubling is exact in floating point, so the menu doubles bit for bit.
-    dist, c = {
-        "product": (product_dist, cost),
-        "degenerate": (degenerate_dist, cost),
-        "discrete": (INTERIOR, cost),
-        "capped": (CAPPED, CAPPED_COST),
-    }[market]
+    dist, c = (CAPPED, CAPPED_COST) if market == "capped" else (MARKETS[market], cost)
     big = doubled(dist)
     menu, twice = (threshold.solve(menu_cls, d, c, grid_points=2001) for d in (dist, big))
     assert (twice.tau_star, twice.objective_value) == (2.0 * menu.tau_star, 2.0 * menu.objective_value)
@@ -245,6 +259,57 @@ def test_doubling_every_k_doubles_the_menu(market, menu_cls, cost, product_dist,
     served2, d2, premium2 = twice.terms(2.0 * a, 2.0 * k)
     assert served2.tolist() == served.tolist()
     assert (d2.tolist(), premium2.tolist()) == ((2.0 * d).tolist(), (2.0 * premium).tolist())
+
+
+SL_QS = (stop_loss.StopLossMenu, quota_share.QuotaShareMenu)
+
+
+def j_star(menu_cls, dist, cost):
+    return threshold.solve(menu_cls, dist, cost, grid_points=2001).objective_value
+
+
+def kinks(dist):
+    """101 kinks from 0 through the support, and every atom of a discrete market."""
+    return np.union1d(np.linspace(0.0, dist.upper_support(), 101), getattr(dist, "a_vals", []))
+
+
+def at_most(lower, upper):
+    """lower <= upper at every kink, up to rounding (1e-12 relative)."""
+    return bool(np.all(lower <= upper + 1e-12 * np.abs(upper)))
+
+
+@pytest.mark.parametrize("market", [*MARKETS, "capped"])
+def test_stop_loss_dominates_quota_share(market, cost):
+    # xi_k <= H[X_k], and below theta*_k, where the cap binds, the stop-loss
+    # profit -H[(X_k - t)_+] is at least t - H[X_k]: B_X(d) = -d - H[(X - d)_+]
+    # rises up to theta*.  So stop-loss J is at least quota-share J at every
+    # kink, and so is its optimum.
+    dist, c = (CAPPED, CAPPED_COST) if market == "capped" else (MARKETS[market], cost)
+    t = kinks(dist)
+    assert at_most(quota_share.j_phi(t, dist, c), stop_loss.objective(t, dist, c))
+    assert j_star(stop_loss.StopLossMenu, dist, c) >= j_star(quota_share.QuotaShareMenu, dist, c)
+
+
+@pytest.mark.parametrize("menu_cls", SL_QS, ids=lambda c: c.contract_class)
+@pytest.mark.parametrize("market", MARKETS)
+@pytest.mark.parametrize(
+    "costs",
+    [
+        [CostFunctional(theta) for theta in (0.05, 0.1, 0.2)],
+        [CostFunctional(0.1, Distortion.power(c)) for c in (1.0, 0.95, 0.9)],
+    ],
+    ids=["theta", "power"],
+)
+def test_j_does_not_rise_with_the_cost(costs, market, menu_cls):
+    # H grows pointwise as theta rises and as a power distortion's c falls,
+    # so no type's profit at a kink grows: J falls at every kink, and so
+    # does J*.
+    dist, kind = MARKETS[market], menu_cls.contract_class
+    t = kinks(dist)
+    js = [threshold.objective(kind, t, dist, c) for c in costs]
+    assert all(at_most(hi, lo) for lo, hi in zip(js, js[1:]))
+    stars = [j_star(menu_cls, dist, c) for c in costs]
+    assert stars[0] >= stars[1] >= stars[2]
 
 
 def scalar_search(j, lo, hi, grid_points, refine_tol):

@@ -216,7 +216,7 @@ class TestIndirectUtility:
         menu = stop_loss.solve(product_dist, cost)
         rng = np.random.default_rng(9)
         pairs = list(zip(*product_dist.sample(300, rng)))
-        gm = menu.entries_for(pairs)
+        gm = GenericMenu.from_entries([menu.entry(a, k) for a, k in pairs])
         a = np.linspace(5000.0, 80000.0, 301)
         vals = indirect_utility(gm, a)
         d = np.diff(vals)
@@ -252,7 +252,7 @@ class TestICIRAudits:
         assert report.max_violation == pytest.approx(40.0)
 
     def test_null_entry_passes_with_equality(self):
-        menu = GenericMenu.from_entries([MenuEntry(100.0, 1.0, Contract.null(), 0.0)])
+        menu = GenericMenu.from_entries([MenuEntry(100.0, 1.0, Contract("stop_loss", 0.0, math.inf), 0.0)])
         report = check_ir(menu)
         assert report.passed
         assert report.max_violation == 0.0
@@ -278,8 +278,7 @@ class TestICIRAudits:
 class TestFirstBest:
     def test_reference_pair_has_positive_mimic_gain(self, cost, product_dist):
         r = first_best_demo(45000.0, 15000.0, 30000.0, 15000.0, product_dist, cost)
-        assert r.risk_reduction_1 == 0.0
-        assert r.risk_reduction_2 == 0.0
+        assert r.risk_reductions == (0.0, 0.0)
         assert r.mimic_gain == pytest.approx(15000.0, rel=1e-9)
         assert r.profit_inequality_holds
 
@@ -287,7 +286,7 @@ class TestFirstBest:
         # a2 below its break-even level: the low type gets no contract, so
         # there is nothing to mimic.
         r = first_best_demo(45000.0, 15000.0, 12000.0, 15000.0, product_dist, cost)
-        assert math.isinf(r.deductible_2)
+        assert math.isinf(r.deductibles[1])
         assert r.mimic_gain == 0.0
 
     def test_order_violation_rejected(self, cost, product_dist):
@@ -303,9 +302,9 @@ class TestFirstBest:
                 continue
             r = first_best_demo(float(a1), float(k[i]), float(a2), float(k[i + 1]), product_dist, cost)
             assert r.mimic_gain >= -1e-12
-            if r.deductible_2 < a1:
+            if r.deductibles[1] < a1:
                 assert r.mimic_gain > 1e-12
-            assert r.mimic_profit <= r.first_best_profit_1 + 1e-12
+            assert r.mimic_profit <= r.first_best_profits[0] + 1e-12
 
 
 class TestMonteCarlo:
@@ -323,7 +322,7 @@ class TestMonteCarlo:
     def test_generic_menu_matches_rule_menu_on_atoms(self, cost, discrete_dist):
         menu = stop_loss.solve(discrete_dist, cost)
         pairs = [(float(a), float(k)) for a, k in zip(discrete_dist.a_vals, discrete_dist.ks)]
-        gm = menu.entries_for(pairs)
+        gm = GenericMenu.from_entries([menu.entry(a, k) for a, k in pairs])
         est_rule, _ = monte_carlo_profit(menu, discrete_dist, cost, 20000, seed=5)
         est_gen, _ = monte_carlo_profit(gm, discrete_dist, cost, 20000, seed=5)
         assert est_gen == est_rule
@@ -448,7 +447,8 @@ class TestSelfSelectionOracle:
     @pytest.mark.parametrize("module", [stop_loss, quota_share, change_loss])
     def test_discrete_atoms_take_their_own_entries(self, module, cost):
         dist = DiscreteTypes([(E3 + i * (E2 - E3) / 4, 6000.0 + 4000.0 * i, 0.2) for i in range(5)])
-        gm = module.solve(dist, cost).entries_for(list(zip(dist.a_vals, dist.ks)))
+        menu = module.solve(dist, cost)
+        gm = GenericMenu.from_entries([menu.entry(a, k) for a, k in zip(dist.a_vals, dist.ks)])
         got = monte_carlo_profit(gm, dist, cost, 20001, seed=3)
         assert got == loop_monte_carlo_profit(gm, dist, cost, 20001, 3)
         assert_same_bits(indirect_utility(gm, dist.a_vals), loop_indirect_utility(gm, dist.a_vals))
@@ -456,7 +456,8 @@ class TestSelfSelectionOracle:
     @pytest.mark.parametrize("module", [stop_loss, quota_share, change_loss])
     def test_degenerate_menu(self, module, cost, degenerate_dist):
         menu = module.solve(degenerate_dist, cost)
-        gm = menu.entries_for(list(zip(*degenerate_dist.sample(300, np.random.default_rng(4)))))
+        a, k = degenerate_dist.sample(300, np.random.default_rng(4))
+        gm = GenericMenu.from_entries([menu.entry(ai, ki) for ai, ki in zip(a, k)])
         got = monte_carlo_profit(gm, degenerate_dist, cost, 30000, seed=5)
         assert got == loop_monte_carlo_profit(gm, degenerate_dist, cost, 30000, 5)
         a = np.linspace(0.0, 90000.0, 1001)
