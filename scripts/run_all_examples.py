@@ -3,14 +3,17 @@
 print a one-line summary each.
 
 Per scenario: `solve`, then `verify --menu` and `simulate --menu` on the
-menu.csv it wrote, and `first-best` on the pair of its highest-a and
-lowest-a rows.  A non-zero exit, a verify report that does not pass, a
-simulated estimate more than 4 standard errors from the analytic objective
-or a first-best report whose profit inequality fails counts as a failure;
-the exit code is the number of failures.  Artifacts (menu.csv, summary.json,
-report.json, estimate.json) land in out/<scenario-name>/ next to this
-script, the first-best report.json in its first-best/ subfolder.  Run from
-anywhere: paths are resolved relative to this file.
+menu.csv it wrote, `curve` (its default 201 kinks, a batched J call), and
+`first-best` on the pair of its highest-a and lowest-a rows.  A non-zero
+exit, a verify report that does not pass, a simulated estimate more than 4
+standard errors from the analytic objective, a curve J above the solved
+objective J* by more than 1e-12 max(1, |J*|) (every curve kink lies on the
+solve grid, up to ulps) or a first-best report whose profit inequality fails
+counts as a failure; the exit code is the number of failures.  Artifacts
+(menu.csv, summary.json, report.json, estimate.json, curve.csv) land in
+out/<scenario-name>/ next to this script, the first-best report.json in its
+first-best/ subfolder.  Run from anywhere: paths are resolved relative to
+this file.
 """
 
 import csv
@@ -22,6 +25,7 @@ from remenu.cli import main as cli_main
 
 HERE = pathlib.Path(__file__).resolve().parent
 MAX_Z = 4.0
+CURVE_TOL = 1e-12  # relative slack of a curve J over the solved J*
 
 
 def run() -> int:
@@ -33,6 +37,7 @@ def run() -> int:
             ["solve", "--config", str(config), "--out", str(out)],
             ["verify", "--config", str(config), "--out", str(out), "--menu", menu],
             ["simulate", "--config", str(config), "--out", str(out), "--menu", menu],
+            ["curve", "--config", str(config), "--out", str(out)],
         ]
         codes = [cli_main(argv) for argv in steps]
         if not codes[0]:
@@ -43,20 +48,28 @@ def run() -> int:
             argv = ["first-best", "--config", str(config), "--out", str(out / "first-best"), "--pair", pair]
             codes.append(cli_main(argv))
         if any(codes):
-            print(f"{config.name}: exit codes {codes} (solve, verify, simulate, first-best)")
+            print(f"{config.name}: exit codes {codes} (solve, verify, simulate, curve, first-best)")
             failures += 1
             continue
         summary = json.loads((out / "summary.json").read_text())
         report = json.loads((out / "report.json").read_text())
         estimate = json.loads((out / "estimate.json").read_text())
         first_best = json.loads((out / "first-best" / "report.json").read_text())["pairs"][0]
-        ok = report["passed"] and abs(estimate["z_score"]) <= MAX_Z and first_best["profit_inequality_holds"]
+        j_star = summary["objective_value"]
+        curve_max = max(float(r["J"]) for r in csv.DictReader((out / "curve.csv").open()))
+        curve_ok = curve_max <= j_star + CURVE_TOL * max(1.0, abs(j_star))
+        ok = (
+            report["passed"]
+            and abs(estimate["z_score"]) <= MAX_Z
+            and curve_ok
+            and first_best["profit_inequality_holds"]
+        )
         failures += not ok
         print(
             f"{config.name}: class={summary['contract_class']} "
             f"tau*={summary['tau_star']:.2f} J={summary['objective_value']:.2f} "
             f"assumption_holds={summary['assumption_holds']} verify={report['passed']} "
-            f"simulate z={estimate['z_score']:.2f} "
+            f"simulate z={estimate['z_score']:.2f} curve max J={curve_max:.2f} "
             f"first-best holds={first_best['profit_inequality_holds']}" + ("" if ok else "  FAILED")
         )
     return failures

@@ -242,34 +242,35 @@ def build_parser() -> argparse.ArgumentParser:
         prog="remenu", description="Optimal reinsurance menu solver and auditors."
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Each command takes only the flags it reads; main sees None for the rest.
+    parser.set_defaults(solver_class=None, grid=None, seed=None)
 
-    def common(p):
+    overrides = {
+        "class": dict(
+            dest="solver_class", choices=sorted(_MENUS), help="override the config's contract class"
+        ),
+        "grid": dict(type=int, help="override solver grid points"),
+        "seed": dict(type=int, help="override config seed"),
+    }
+
+    def command(name, help, *flags):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", required=True, help="scenario config JSON")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument(
-            "--class",
-            dest="solver_class",
-            choices=sorted(_MENUS),
-            default=None,
-            help="override the config's contract class",
-        )
-        p.add_argument("--grid", type=int, default=None, help="override solver grid points")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
+        for flag in flags:
+            p.add_argument(f"--{flag}", **overrides[flag])
+        return p
 
-    common(sub.add_parser("solve", help="solve for the optimal menu"))
-    p_curve = sub.add_parser("curve", help="tabulate the profit curve J(t)")
-    common(p_curve)
+    command("solve", "solve for the optimal menu", "class", "grid")
+    p_curve = command("curve", "tabulate the profit curve J(t)", "class")
     p_curve.add_argument("--t-lo", type=float, default=None)
     p_curve.add_argument("--t-hi", type=float, default=None)
     p_curve.add_argument("--n", type=int, default=201)
-    p_verify = sub.add_parser("verify", help="audit a menu file")
-    common(p_verify)
+    p_verify = command("verify", "audit a menu file")
     p_verify.add_argument("--menu", required=True, help="menu.csv to audit")
-    p_fb = sub.add_parser("first-best", help="full-information mimicry demo")
-    common(p_fb)
+    p_fb = command("first-best", "full-information mimicry demo")
     p_fb.add_argument("--pair", action="append", default=[], help="a1,k1,a2,k2 (repeatable)")
-    p_sim = sub.add_parser("simulate", help="Monte Carlo profit estimate")
-    common(p_sim)
+    p_sim = command("simulate", "Monte Carlo profit estimate", "class", "grid", "seed")
     p_sim.add_argument("--menu", default=None, help="menu.csv (default: solve the config)")
     p_sim.add_argument("--n", type=int, default=100000)
     return parser

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -34,12 +34,6 @@ def gauss_legendre(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray
     x, w = _leggauss(n)
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), half * w
-
-
-def split_edges(lo: float, hi: float, points: Sequence[float]) -> list[float]:
-    """Sorted segment edges for [lo, hi] with forced splits at interior points."""
-    inner = sorted({float(p) for p in points if lo < p < hi})
-    return [lo, *inner, hi]
 
 
 def tail_gauss(f: Callable, lo: float, hi: float, scale: float, splits=()) -> float:

@@ -290,9 +290,6 @@ class ScaleFamily:
     def point_mass_zero(self) -> float:
         return self.base.point_mass_zero
 
-    def model(self, k: float) -> LossModel:
-        return self.base.scaled(k)
-
     def var(self, alpha, k):
         return np.asarray(k, dtype=float) * self.base.var(alpha)
 

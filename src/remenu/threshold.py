@@ -98,8 +98,11 @@ def objective(
     kink = None if kind == "quota_share" else prof.theta_star
     cap_below = -math.inf if kink is None else prof.sup_theta_star(dist.k_ends)
     out = dist.tail_integral(
-        lambda k, tk: served_profit(kind, prof, tk, k, cap_below), t, kink
-    ) + dist.kink_integral(lambda k, tk: np.maximum(tk - ref(k), 0.0), t)
+        lambda k, tk: served_profit(kind, prof, tk, k, cap_below),
+        t,
+        kink,
+        at=lambda k, tk: np.maximum(tk - ref(k), 0.0),
+    )
     return float(out[0]) if np.ndim(tau) == 0 else out
 
 

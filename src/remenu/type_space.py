@@ -12,52 +12,33 @@ are supported:
 On a uniform-k market a level t meets the geometry only where t = c k for a
 fixed ratio c: VaR_1 of an edge alpha (a support edge, as a = k VaR_1(alpha))
 or theta*_1 (a kink of the integrand); so the k-quadrature splits at t / c,
-and a ratio outside (0, inf) splits nowhere.  Integration is deterministic:
-adaptive Gauss-Legendre in k on each segment between those splits, and one
-batched adaptive Gauss-Legendre over every alpha-segment at the k nodes of
-each level.  Integrands must accept numpy arrays broadcast over (a, k).
+and a ratio outside (0, inf) splits nowhere.  ``_k_edges`` builds those
+segments for both quadratures.  Integration is deterministic: adaptive
+Gauss-Legendre in k on each segment, and one batched adaptive Gauss-Legendre
+over every alpha-segment at the k nodes of each level.  Integrands must
+accept numpy arrays broadcast over (a, k).
 
-``tail_integral(g, t)`` and ``kink_integral(g, t)`` take a threshold t, or a
-1-D array of them giving an array, and call ``g(k, t)`` with t broadcast to
-k's shape; row i of a batch is the scalar call at t[i], bit for bit.  A batch
-is cut once, into blocks of thresholds of about _CHUNK_ELEMS Gauss nodes (or
-atoms) each; a uniform-k block prices all its live k-segments in one
-Gauss-Legendre call.
+``tail_integral(g, t, kink, at)`` takes a 1-D array of thresholds and calls
+``g(k, t)`` (and ``at(k, t)`` on atoms) with t broadcast to k's shape; row i
+is the call on t[i] alone, bit for bit.  The thresholds are cut once,
+into blocks of about _CHUNK_ELEMS Gauss nodes (or atoms) each; a uniform-k
+block prices all its live k-segments in one Gauss-Legendre call.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import adaptive_gauss_batched, gauss_legendre, split_edges
+from .quadrature import adaptive_gauss_batched, gauss_legendre
 from .risk_model import ExponentialFamily, GenericFamily, ScaleFamily
 
 _WEIGHT_TOL = 1e-12
 _CHUNK_ELEMS = 1 << 15  # array elements per block of thresholds; bounds its memory
 _TAIL_NODES = 256  # Gauss-Legendre nodes per k-segment of tail_integral
-
-
-def _per_threshold(method):
-    """Let method(self, g, t, *args) take a scalar t, giving a float, or a
-    1-D array, giving an array; it sees blocks of rows of t, each row taking
-    self._row_elems array elements and a block about _CHUNK_ELEMS."""
-
-    @functools.wraps(method)
-    def wrapper(self, g, t, *args):
-        t = np.asarray(t, dtype=float)
-        rows, step = np.atleast_1d(t), max(1, _CHUNK_ELEMS // self._row_elems)
-        out = np.zeros(len(rows))
-        for s in range(0, len(rows), step):
-            b = slice(s, s + step)
-            out[b] = method(self, g, rows[b], *args)
-        return float(out[0]) if t.ndim == 0 else out
-
-    return wrapper
 
 
 class TypeDistribution:
@@ -66,6 +47,8 @@ class TypeDistribution:
     ``k_ends`` holds the k values over which sup_k theta*_k is taken: the
     ends of a uniform k-range, where a scale family's quantiles and
     theta*_k = k theta*_1 take their extremes, or every distinct atom k.
+    Subclasses price a block of thresholds in ``_tail_block(g, t, kink, at)``,
+    each threshold taking ``_row_elems`` array elements.
     """
 
     family: ScaleFamily | GenericFamily
@@ -82,18 +65,19 @@ class TypeDistribution:
         """Deterministic quadrature of int f(a, k) dQ."""
         raise NotImplementedError
 
-    def tail_integral(self, g, t, kink=None):
-        """int g(k, t) 1{a > t} dQ with the indicator handled exactly.
+    def tail_integral(self, g, t: np.ndarray, kink=None, at=None) -> np.ndarray:
+        """int g(k, t) 1{a > t} dQ with the indicator handled exactly, plus
+        int at(k, t) 1{a = t} dQ over atoms, at each threshold of the 1-D t.
 
         g(k, t) gets t broadcast to k's shape.  g may have a kink in k where
         kink(k) = t, for a kink proportional to k (such as theta*_k); the
-        k-quadrature splits there.
+        k-quadrature splits there.  Markets without atoms ignore at.
         """
-        raise NotImplementedError
-
-    def kink_integral(self, g, t):
-        """int g(k, t) 1{a = t} dQ, as tail_integral: zero without atoms."""
-        return 0.0 if np.ndim(t) == 0 else np.zeros(np.shape(t))
+        out, step = np.zeros(len(t)), max(1, _CHUNK_ELEMS // self._row_elems)
+        for s in range(0, len(t), step):
+            b = slice(s, s + step)
+            out[b] = self._tail_block(g, t[b], kink, at)
+        return out
 
     def sample(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
@@ -126,13 +110,18 @@ class _UniformK(TypeDistribution):
         if not isinstance(self.family, ScaleFamily):
             raise DomainError(f"uniform-k markets need a ScaleFamily, got {type(family).__name__}")
 
-    def _k_breaks_for(self, points: np.ndarray, *ratios: float) -> np.ndarray:
-        """(m, r) array points[:, None] / c: the k where the level c k meets
-        each of m points, for c the VaR_1 of each edge alpha (a support edge)
-        and then each of ratios.  A ratio outside (0, inf) gives no column;
-        k outside (k_lo, k_hi) is the caller's to drop."""
+    def _k_edges(self, points: np.ndarray, *ratios: float) -> np.ndarray:
+        """(m, S + 2) k-segment edges for the m rows of points: k_lo, the
+        sorted k where the level c k meets a point of the row, clipped to
+        [k_lo, k_hi], then k_hi.  c runs over the VaR_1 of each edge alpha (a
+        support edge) and then ratios; a ratio outside (0, inf) splits
+        nowhere, and a split outside (k_lo, k_hi) gives a zero-width segment."""
         c = np.array([float(self.family.base.var(al)) for al in self._edge_alphas] + list(ratios))
-        return points[:, None] / c[(c > 0.0) & (c < math.inf)]
+        cuts = (points[:, :, None] / c[(c > 0.0) & (c < math.inf)]).reshape(len(points), -1)
+        edges = np.empty((len(points), cuts.shape[1] + 2))
+        edges[:, 0], edges[:, -1] = self.k_lo, self.k_hi
+        edges[:, 1:-1] = np.sort(np.clip(cuts, self.k_lo, self.k_hi))
+        return edges
 
     def lower_support(self) -> float:
         # a decreases in alpha, so the largest edge alpha bounds it below.
@@ -141,14 +130,8 @@ class _UniformK(TypeDistribution):
     def upper_support(self) -> float:
         return float(np.max(self.family.var(min(self._edge_alphas), self.k_ends)))
 
-    @_per_threshold
-    def tail_integral(self, g, t: np.ndarray, kink=None) -> np.ndarray:
-        cuts = self._k_breaks_for(t, *(() if kink is None else (float(kink(1.0)),)))
-        # Per-row edges (m, S + 1); a split outside (k_lo, k_hi) gives a
-        # zero-width segment at an end.
-        edges = np.empty((len(t), cuts.shape[1] + 2))
-        edges[:, 0], edges[:, -1] = self.k_lo, self.k_hi
-        edges[:, 1:-1] = np.sort(np.clip(cuts, self.k_lo, self.k_hi))
+    def _tail_block(self, g, t: np.ndarray, kink, at) -> np.ndarray:
+        edges = self._k_edges(t[:, None], *(() if kink is None else (float(kink(1.0)),)))
         lo, hi = edges[:, :-1], edges[:, 1:]
         # No edge crossing of t falls inside a segment, so the tail is 0, 1 or
         # strictly between throughout it: its middle tells which.  Only live
@@ -169,7 +152,7 @@ class _UniformK(TypeDistribution):
     def integrate(self, f, breakpoints: Sequence[float] = ()) -> float:
         bps = sorted({float(b) for b in breakpoints if math.isfinite(b)})
         dens = 1.0 / (self.k_hi - self.k_lo)
-        edges = split_edges(self.k_lo, self.k_hi, self._k_breaks_for(np.array(bps)).ravel())
+        edges = np.unique(self._k_edges(np.array([bps])))
 
         def inner(k):  # one adaptive batch per k-segment keeps the rows few
             return self._inner(f, k.ravel(), bps).reshape(k.shape)
@@ -297,14 +280,10 @@ class DiscreteTypes(TypeDistribution):
         vals = np.asarray(f(self.a_vals, self.ks), dtype=float)
         return float(np.dot(self.weights, vals))
 
-    @_per_threshold
-    def tail_integral(self, g, t: np.ndarray, kink=None) -> np.ndarray:
-        return self._atom_sum(g, t, self.a_vals > t[:, None])
-
-    @_per_threshold
-    def kink_integral(self, g, t: np.ndarray) -> np.ndarray:
-        # Exact, as the menu's kink rule a == tau.
-        return self._atom_sum(g, t, self.a_vals == t[:, None])
+    def _tail_block(self, g, t: np.ndarray, kink, at) -> np.ndarray:
+        out = self._atom_sum(g, t, self.a_vals > t[:, None])
+        # The atoms at a == t exactly, as the menu's kink rule.
+        return out if at is None else out + self._atom_sum(at, t, self.a_vals == t[:, None])
 
     def _atom_sum(self, g, t: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Per threshold, the sum of w g(k, t) over the atoms in its mask row;

@@ -456,3 +456,30 @@ class TestSimulate:
         )
         assert (est["estimate"], est["std_error"]) == want
         assert abs(est["estimate"] - est["analytic_objective"]) <= 4.0 * est["std_error"]
+
+
+# Each command takes only the flags it reads; every other override is a
+# usage error rather than a flag silently ignored or validated for nothing.
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("solve", ["--seed", "7"]),
+        ("curve", ["--grid", "1"]),
+        ("curve", ["--seed", "7"]),
+        ("verify", ["--class", "quota_share"]),
+        ("verify", ["--grid", "3"]),
+        ("verify", ["--seed", "7"]),
+        ("first-best", ["--class", "quota_share"]),
+        ("first-best", ["--grid", "3"]),
+        ("first-best", ["--seed", "7"]),
+    ],
+    ids=lambda x: x if isinstance(x, str) else x[0],
+)
+def test_unread_flag_is_a_usage_error(command, flag, config, tmp_path, capsys):
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "out"), *flag]
+    argv += {"verify": ["--menu", str(tmp_path / "menu.csv")], "first-best": ["--pair", "1,1,2,2"]}.get(command, [])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -3,7 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from remenu import DiscreteTypes, ExponentialLoss, GenericLoss, check_ic, check_ir, quota_share
+from remenu import (
+    DiscreteTypes,
+    ExponentialLoss,
+    GenericLoss,
+    change_loss,
+    check_ic,
+    check_ir,
+    quota_share,
+    stop_loss,
+)
+
+LN11 = math.log(1.1)
+XI_CLASSES = (stop_loss.objective, change_loss.j_phi_cl)  # classes whose ref_k is xi_k
 
 ZERO_LOSS = GenericLoss(lambda y: 0.0, support_hi=0.0, point_mass_zero=1.0)  # X = 0
 
@@ -48,15 +60,25 @@ class TestJPhi:
             assert fast == pytest.approx(brute, rel=1e-8)
 
     def test_discrete_atom_at_threshold(self, cost):
-        # One atom at a0 = 30000 >= H = 11000: at t = a0 the atom still buys.
+        # One atom at a0 = 30000 >= ref_k (H = 11000, xi = 10000 (1 + ln 1.1)):
+        # at t = a0 the atom still buys, for every class.
         dist = DiscreteTypes([(math.exp(-3), 10000.0, 1.0)])
-        assert quota_share.j_phi(30000.0, dist, cost) == pytest.approx(30000.0 - 11000.0)
+        for j, ref in ((quota_share.j_phi, 11000.0), *((j, 10000.0 * (1.0 + LN11)) for j in XI_CLASSES)):
+            assert j(30000.0, dist, cost) == pytest.approx(30000.0 - ref)
 
     def test_discrete_atom_below_full_cost_drops_out(self, cost):
-        # a0 = 10000 < H = 11000: participation at t = a0 would lose money
+        # a0 = 10000 < xi_k < H = 11000: participation at t = a0 would lose money
         # for the agent, so the atom contributes nothing.
         dist = DiscreteTypes([(math.exp(-1), 10000.0, 1.0)])
         assert quota_share.j_phi(10000.0, dist, cost) == 0.0
+        # Nor under the xi_k rule, neither at a0 = 10000 (not a0 - xi_k) nor at
+        # a0 ~ 100.5 < theta*_k ~ 953.1, where the capped -H[(X_k - a0)_+] is
+        # what a served type would yield.
+        for alpha in (math.exp(-1), 0.99):
+            dist = DiscreteTypes([(alpha, 10000.0, 1.0)])
+            a0 = float(dist.a_vals[0])
+            for j in XI_CLASSES:
+                assert j(a0, dist, cost) == 0.0
 
 
 class TestSolve:

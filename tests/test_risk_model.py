@@ -365,12 +365,12 @@ class TestScaleFamily:
         alpha = math.exp(-3)
         assert generic.var(alpha, ks) == pytest.approx(closed.var(alpha, ks), rel=1e-14)
         assert generic.survival(30000.0, ks) == pytest.approx(closed.survival(30000.0, ks))
-        assert float(generic.model(4000.0).var(alpha)) == pytest.approx(12000.0)
+        assert float(generic.base.scaled(4000.0).var(alpha)) == pytest.approx(12000.0)
 
     def test_exponential_family_keeps_point_mass(self):
         fam = ExponentialFamily(point_mass_zero=0.1)
         assert fam.point_mass_zero == 0.1
-        assert fam.model(3000.0) == ExponentialLoss(3000.0, 0.1)
+        assert fam.base.scaled(3000.0) == ExponentialLoss(3000.0, 0.1)
 
     @pytest.mark.parametrize("module", [quota_share, change_loss])
     def test_generic_base_solves_like_closed_form(self, cost, module):

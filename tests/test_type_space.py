@@ -136,26 +136,29 @@ class TestIntegrate:
 
 class TestTailIntegral:
     def test_matches_integrate_route(self, product_dist):
-        for t in (12000.0, 30000.0, 60000.0):
-            via_tail = product_dist.tail_integral(lambda k, t: k / 10000.0, t)
+        ts = np.array([12000.0, 30000.0, 60000.0])
+        via_tail = product_dist.tail_integral(lambda k, t: k / 10000.0, ts)
+        for t, got in zip(ts.tolist(), via_tail):
             via_full = product_dist.integrate(
                 lambda a, k: (a > t) * (k / 10000.0), breakpoints=[t]
             )
-            assert via_tail == pytest.approx(via_full, rel=1e-9, abs=1e-12)
+            assert got == pytest.approx(via_full, rel=1e-9, abs=1e-12)
 
     def test_degenerate_route(self, degenerate_dist):
-        for t in (20000.0, 45000.0):
-            via_tail = degenerate_dist.tail_integral(lambda k, t: np.ones_like(k), t)
+        ts = np.array([20000.0, 45000.0])
+        via_tail = degenerate_dist.tail_integral(lambda k, t: np.ones_like(k), ts)
+        for t, got in zip(ts.tolist(), via_tail):
             via_full = degenerate_dist.integrate(lambda a, k: (a > t) * 1.0, breakpoints=[t])
-            assert via_tail == pytest.approx(via_full, rel=1e-9, abs=1e-12)
+            assert got == pytest.approx(via_full, rel=1e-9, abs=1e-12)
 
     def test_infinite_threshold(self, product_dist):
-        assert product_dist.tail_integral(lambda k, t: np.ones_like(k), math.inf) == 0.0
+        assert product_dist.tail_integral(lambda k, t: np.ones_like(k), np.array([math.inf])).tolist() == [0.0]
 
     def test_discrete_is_strict(self, discrete_dist):
         # Atoms exactly at t are excluded from the strict tail.
-        assert discrete_dist.tail_integral(lambda k, t: np.ones_like(k), 30000.0) == pytest.approx(0.6)
-        assert discrete_dist.tail_integral(lambda k, t: np.ones_like(k), 29999.0) == pytest.approx(1.0)
+        got = discrete_dist.tail_integral(lambda k, t: np.ones_like(k), np.array([30000.0, 29999.0]))
+        assert got[0] == pytest.approx(0.6)
+        assert got[1] == pytest.approx(1.0)
 
 
 class TestDiscrete:
@@ -175,11 +178,14 @@ class TestDiscrete:
             DiscreteTypes([(0.7, 1000.0, 1.0)], fam)
 
     def test_atoms_at(self, discrete_dist):
-        # kink_integral weighs exactly the atoms at a == t: here (30000, 10000, 0.4).
-        assert discrete_dist.kink_integral(lambda k, t: np.ones_like(k), 30000.0) == 0.4
-        assert discrete_dist.kink_integral(lambda k, t: k, 30000.0) == 0.4 * 10000.0
-        assert discrete_dist.kink_integral(lambda k, t: t, 30000.0) == 0.4 * 30000.0
-        assert discrete_dist.kink_integral(lambda k, t: np.ones_like(k), 31000.0) == 0.0
+        # The at= integrand weighs exactly the atoms at a == t: here (30000, 10000, 0.4).
+        def at_only(at, t):
+            return float(discrete_dist.tail_integral(lambda k, t: np.zeros_like(k), np.array([t]), at=at)[0])
+
+        assert at_only(lambda k, t: np.ones_like(k), 30000.0) == 0.4
+        assert at_only(lambda k, t: k, 30000.0) == 0.4 * 10000.0
+        assert at_only(lambda k, t: t, 30000.0) == 0.4 * 30000.0
+        assert at_only(lambda k, t: np.ones_like(k), 31000.0) == 0.0
 
     def test_sampling_frequencies(self, discrete_dist):
         rng = np.random.default_rng(11)

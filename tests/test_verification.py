@@ -625,9 +625,11 @@ class TestExactIC:
 
     def test_verify_report_independent_of_seed(self, bundled_solves, tmp_path):
         out = bundled_solves["uniform_alpha_stop_loss"]
-        config, reports = SCRIPTS / "uniform_alpha_stop_loss.json", []
-        for seed in ("0", "7"):
-            argv = ["verify", "--config", str(config), "--out", str(tmp_path / seed)]
-            assert main(argv + ["--menu", str(out / "menu.csv"), "--seed", seed]) == 0
-            reports.append((tmp_path / seed / "report.json").read_bytes())
+        raw, reports = json.loads((SCRIPTS / "uniform_alpha_stop_loss.json").read_text()), []
+        for seed in (0, 7):
+            config = tmp_path / f"seed{seed}.json"
+            config.write_text(json.dumps({**raw, "seed": seed}))
+            argv = ["verify", "--config", str(config), "--out", str(tmp_path / str(seed))]
+            assert main(argv + ["--menu", str(out / "menu.csv")]) == 0
+            reports.append((tmp_path / str(seed) / "report.json").read_bytes())
         assert reports[0] == reports[1]
