@@ -9,11 +9,15 @@ exit, a verify report that does not pass, a simulated estimate more than 4
 standard errors from the analytic objective, a curve J above the solved
 objective J* by more than 1e-12 max(1, |J*|) (every curve kink lies on the
 solve grid, up to ulps) or a first-best report whose profit inequality fails
-counts as a failure; the exit code is the number of failures.  Artifacts
+counts as a failure.  A copy of each scenario with k_dist scaled by 1000
+(SCALE) is solved and verified too, and a non-zero exit or a verify report
+that does not pass counts as a failure: the verdict must not depend on the
+scale of the market.  The exit code is the number of failures.  Artifacts
 (menu.csv, summary.json, report.json, estimate.json, curve.csv) land in
 out/<scenario-name>/ next to this script, the first-best report.json in its
-first-best/ subfolder.  Run from anywhere: paths are resolved relative to
-this file.
+first-best/ subfolder, and the scaled copy's config.json, menu.csv,
+summary.json and report.json in its x1000/ subfolder.  Run from anywhere:
+paths are resolved relative to this file.
 """
 
 import csv
@@ -26,6 +30,20 @@ from remenu.cli import main as cli_main
 HERE = pathlib.Path(__file__).resolve().parent
 MAX_Z = 4.0
 CURVE_TOL = 1e-12  # relative slack of a curve J over the solved J*
+SCALE = 1000
+
+
+def solve_and_verify_scaled(config: pathlib.Path, out: pathlib.Path) -> bool:
+    """Solve and verify config with every k_dist value times SCALE, in out."""
+    raw = json.loads(config.read_text())
+    raw["types"]["k_dist"] = {key: SCALE * v for key, v in raw["types"]["k_dist"].items()}
+    out.mkdir(parents=True, exist_ok=True)
+    scaled = out / "config.json"
+    scaled.write_text(json.dumps(raw, indent=2) + "\n")
+    common = ["--config", str(scaled), "--out", str(out)]
+    if cli_main(["solve", *common]) or cli_main(["verify", *common, "--menu", str(out / "menu.csv")]):
+        return False
+    return json.loads((out / "report.json").read_text())["passed"]
 
 
 def run() -> int:
@@ -58,8 +76,10 @@ def run() -> int:
         j_star = summary["objective_value"]
         curve_max = max(float(r["J"]) for r in csv.DictReader((out / "curve.csv").open()))
         curve_ok = curve_max <= j_star + CURVE_TOL * max(1.0, abs(j_star))
+        scaled_ok = solve_and_verify_scaled(config, out / f"x{SCALE}")
         ok = (
             report["passed"]
+            and scaled_ok
             and abs(estimate["z_score"]) <= MAX_Z
             and curve_ok
             and first_best["profit_inequality_holds"]
@@ -70,7 +90,8 @@ def run() -> int:
             f"tau*={summary['tau_star']:.2f} J={summary['objective_value']:.2f} "
             f"assumption_holds={summary['assumption_holds']} verify={report['passed']} "
             f"simulate z={estimate['z_score']:.2f} curve max J={curve_max:.2f} "
-            f"first-best holds={first_best['profit_inequality_holds']}" + ("" if ok else "  FAILED")
+            f"first-best holds={first_best['profit_inequality_holds']} "
+            f"x{SCALE} verify={scaled_ok}" + ("" if ok else "  FAILED")
         )
     return failures
 

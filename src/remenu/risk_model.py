@@ -368,9 +368,7 @@ class KProfile:
 
     def sup_theta_star(self, ks) -> float:
         """max theta*_k over the k values ks, such as a market's k_ends."""
-        if self._base is not None:
-            return max(ks) * self._scalar("theta_star", None)
-        return max(self._scalar("theta_star", float(k)) for k in ks)
+        return float(np.max(self.theta_star(ks)))
 
     def xi(self, k):
         return self._across("xi", k)

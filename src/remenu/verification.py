@@ -4,6 +4,10 @@ These checkers deliberately avoid the solvers' own shortcuts: incentive
 compatibility and participation are tested entry-against-entry (every row
 of a tabulated menu), candidate indirect utilities are integrated by
 brute-force quadrature, and profit is re-estimated by Monte Carlo.
+
+IC and IR judge each row or sampled type of risk level a against
+IC_TOL * max(1, |a|): a valid menu's slack is rounding in a - d, about one
+ulp of a, so the verdict is the same at any scale of k.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from .risk_model import CostFunctional, KProfile
 from .threshold import reference, require_assumption
 from .type_space import TypeDistribution
 
-IC_TOL = 1e-9
+IC_TOL = 2.5e-14  # per unit of |a|: 1e-9 at a = 40,000
 
 
 # -- candidate indirect utilities ---------------------------------------
@@ -130,7 +134,7 @@ def indirect_utility(menu: GenericMenu, a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ViolationReport:
-    """Audit outcome: worst slack found and the records exceeding IC_TOL."""
+    """Audit outcome: worst slack found and the records exceeding the tolerance."""
 
     check: str
     n_checked: int
@@ -142,19 +146,20 @@ class ViolationReport:
         return {**asdict(self), "violations": list(self.violations)}
 
 
-def _report(check: str, n_checked: int, slack: np.ndarray, own, alt=None) -> ViolationReport:
-    """Worst slack and the first 20 records of types whose slack exceeds IC_TOL;
-    own(i) and alt(i) give the (a, k) arrays of the types at indices i."""
+def _report(check: str, n_checked: int, slack: np.ndarray, a, k, alt=None) -> ViolationReport:
+    """Worst slack and the first 20 records of types (a, k) whose slack exceeds
+    IC_TOL * max(1, |a|); alt(i) gives the alternatives' (a, k) at indices i."""
     worst = float(slack.max()) if len(slack) else 0.0
-    bad = np.nonzero(slack > IC_TOL)[0][:20]
+    ok = slack <= IC_TOL * np.maximum(1.0, np.abs(a))  # a NaN slack fails
+    bad = np.flatnonzero(~ok)[:20]
     records = [
-        {"own_type": [float(a), float(k)], "violation": float(v)}
-        for a, k, v in zip(*own(bad), slack[bad])
+        {"own_type": [float(a_i), float(k_i)], "violation": float(v)}
+        for a_i, k_i, v in zip(a[bad], k[bad], slack[bad])
     ]
     if alt is not None:
-        for record, a, k in zip(records, *alt(bad)):
-            record["alt_type"] = [float(a), float(k)]
-    return ViolationReport(check, n_checked, worst, worst <= IC_TOL, tuple(records))
+        for record, a_j, k_j in zip(records, *alt(bad)):
+            record["alt_type"] = [float(a_j), float(k_j)]
+    return ViolationReport(check, n_checked, worst, bool(ok.all()), tuple(records))
 
 
 def check_ic(
@@ -187,7 +192,7 @@ def check_ic(
         a_alt, k_alt = dist.sample(n_pairs, rng)
         slack = risk_reduction(menu.terms(a_alt, k_alt), a) - risk_reduction(menu.terms(a, k), a)
         alt_types, n_checked = (lambda i: (a_alt[i], k_alt[i])), len(slack)
-    return _report("incentive_compatibility", n_checked, slack, lambda i: (a[i], k[i]), alt_types)
+    return _report("incentive_compatibility", n_checked, slack, a, k, alt_types)
 
 
 def check_ir(
@@ -204,7 +209,7 @@ def check_ir(
         a, k = dist.sample(n_types, np.random.default_rng(0) if rng is None else rng)
         terms = menu.terms(a, k)
     slack = -risk_reduction(terms, a)
-    return _report("individual_rationality", len(slack), slack, lambda i: (a[i], k[i]))
+    return _report("individual_rationality", len(slack), slack, a, k)
 
 
 # -- first-best failure demo --------------------------------------------

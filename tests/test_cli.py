@@ -370,6 +370,35 @@ class TestVerify:
         assert main(["verify", "--config", str(config), "--out", str(out), "--menu", str(bad)]) == 2
         assert f"menu row {len(lines) - 1}:" in capsys.readouterr().err
 
+    def test_valid_menu_passes_despite_rounding(self, config, tmp_path):
+        # One change-loss contract offered at six risk levels 1.3e-7 apart:
+        # a valid menu, whose indirect utility differs by rounding only.
+        menu = tmp_path / "menu.csv"
+        rows = [f"{30000 + i * 1.3e-7!r},10000,change_loss,0.7,20000.3,4999.7,0" for i in range(6)]
+        menu.write_text("a,k,contract_class,lambda,deductible,premium,risk_reduction\n" + "\n".join(rows) + "\n")
+        argv = ["verify", "--config", str(config), "--out", str(tmp_path), "--menu", str(menu)]
+        assert main(argv) == 0
+        assert json.loads((tmp_path / "report.json").read_text())["passed"] is True
+
+    @pytest.mark.parametrize("scale", [1e3, 1e6])
+    @pytest.mark.parametrize("name", sorted(p.stem for p in SCRIPTS.glob("*.json")))
+    def test_scaled_bundled_market_passes(self, name, scale, tmp_path):
+        # Scaling k scales every a, d and P, and the rounding of a - d with
+        # them; the verdict and the simulated z-score must not move.
+        raw = json.loads((SCRIPTS / f"{name}.json").read_text())
+        k_dist = raw["types"]["k_dist"]
+        z = []
+        for s in (1.0, scale):
+            raw["types"]["k_dist"] = {key: s * v for key, v in k_dist.items()}
+            config, out = write_config(tmp_path / f"{s:g}.json", **raw), tmp_path / f"{s:g}"
+            menu = str(out / "menu.csv")
+            assert main(["solve", "--config", str(config), "--out", str(out)]) == 0
+            assert main(["verify", "--config", str(config), "--out", str(out), "--menu", menu]) == 0
+            assert json.loads((out / "report.json").read_text())["passed"] is True
+            assert main(["simulate", "--config", str(config), "--out", str(out), "--n", "20000"]) == 0
+            z.append(json.loads((out / "estimate.json").read_text())["z_score"])
+        assert z[1] == pytest.approx(z[0], rel=1e-9, abs=1e-9)
+
     def test_malformed_menu_exits_2(self, config, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,k\n1,2\n")

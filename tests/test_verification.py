@@ -588,11 +588,31 @@ class TestExactIC:
         config = SCRIPTS / "uniform_alpha_stop_loss.json"
         assert main(["verify", "--config", str(config), "--out", str(tmp_path), "--menu", str(planted)]) == 0
         report = json.loads((tmp_path / "report.json").read_text())
+        assert set(report) == {"incentive_compatibility", "individual_rationality", "passed"}
         assert report["passed"] is False
         assert report["incentive_compatibility"]["passed"] is False
         assert report["individual_rationality"]["passed"] is True
-        assert report["indirect_utility"]["passed"] is True
         assert report["incentive_compatibility"]["max_violation"] == check_ic(menu).max_violation
+
+    def test_planted_pair_fails_at_any_scale(self, bundled_solves):
+        # Scaling every a, d and P by 1000 scales the gain of mimicry by
+        # 1000; the tolerance grows with a, so the pair still fails.
+        menu, row = planted_menu(bundled_solves)
+        scaled = GenericMenu.from_entries(
+            dataclasses.replace(
+                e,
+                a=1000.0 * e.a,
+                contract=dataclasses.replace(e.contract, deductible=1000.0 * e.contract.deductible),
+                premium=1000.0 * e.premium,
+            )
+            for e in menu.entries
+        )
+        report = check_ic(scaled)
+        assert not report.passed
+        assert report.max_violation == pytest.approx(1000.0 * check_ic(menu).max_violation, rel=1e-9)
+        (record,) = report.violations
+        assert record["own_type"][0] == pytest.approx(38955280.0, abs=10.0)
+        assert record["alt_type"] == [1000.0 * row.a, row.k]
 
     @pytest.mark.parametrize("name", PRODUCT_CONFIGS)
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -607,9 +627,10 @@ class TestExactIC:
         menu = GenericMenu.from_entries(entries)
         report = check_ic(menu)
         own, slack = sampled_ic(menu, 10000, np.random.default_rng(seed))
+        over = slack > IC_TOL * np.maximum(1.0, np.abs(menu.columns[0, own]))
         assert report.max_violation >= slack.max()
-        assert not report.passed and slack.max() > IC_TOL
-        for i in np.unique(own[slack > IC_TOL]):
+        assert not report.passed and over.any()
+        for i in np.unique(own[over]):
             # Records come in row order, so the row moved first is reported
             # first if the exact check flags it.
             moved = GenericMenu.from_entries([entries[i], *entries[:i], *entries[i + 1 :]])
@@ -620,8 +641,8 @@ class TestExactIC:
     def test_solved_tables_pass_exactly(self, bundled_tables):
         for menu in bundled_tables.values():
             report = check_ic(menu, n_pairs=1, rng=np.random.default_rng(5))
-            assert report.passed and report.n_checked == 231**2
-            assert 0.0 <= report.max_violation <= IC_TOL
+            assert report.passed and report.n_checked == 231**2 and report.violations == ()
+            assert 0.0 <= report.max_violation <= IC_TOL * np.abs(menu.columns[0]).max()
 
     def test_verify_report_independent_of_seed(self, bundled_solves, tmp_path):
         out = bundled_solves["uniform_alpha_stop_loss"]
