@@ -105,15 +105,16 @@ class GenericMenu:
         """Self-selection at risk levels a (types (a, k)), block by block.
 
         Yields (block, best, taken): the best risk reduction lam * (a - d)_+ - P
-        on offer and the (lam, d, P) taken, that of the first maximizing entry
-        or, within tie = 1e-12 * max(1, |best|), of the type's own entry (the
-        first with equal (a, k)); (0, inf, 0), staying out, when best < -tie.
+        on offer and the (lam, d, P) taken: with tie = 1e-12 * max(1, |best|),
+        that of the type's own entry (the first with equal (a, k)) if within
+        tie of best, else of the first entry within tie of best (so rounding
+        does not pick among tied rows); (0, inf, 0), staying out, when best < -tie.
         Each distinct contract is valued once per block of about _BLOCK_ELEMS
         values, so memory does not grow with the menu's length.
         """
         a, k = np.ravel(np.asarray(a, dtype=float)), None if k is None else np.ravel(k)
         terms, of = self._contracts
-        offers = terms[:, :-1]
+        offers = terms[:, :-1, None]  # values are (contract, sample): cheap column reductions
         step, last = max(1, _BLOCK_ELEMS // offers.shape[1]), len(of) - 1
         if k is not None:  # the entries' types a + ik, sorted stably
             keys = self.columns[0] + 1j * self.columns[1]
@@ -121,10 +122,10 @@ class GenericMenu:
             keys = keys[order]
         for start in range(0, len(a), step):
             block = slice(start, start + step)
-            values = risk_reduction(offers, a[block, None])
-            u = values.argmax(axis=1)
-            best = values[np.arange(len(u)), u]
+            values = risk_reduction(offers, a[block])
+            best = values.max(axis=0)
             tie = 1e-12 * np.maximum(1.0, np.abs(best))
+            u = (values >= best - tie).argmax(axis=0)
             if k is not None:  # own entries: match a, then a + ik
                 ab, kb = a[block], k[block]
                 near = keys.real[np.minimum(np.searchsorted(keys.real, ab), last)]
@@ -132,7 +133,7 @@ class GenericMenu:
                 own = order[np.minimum(np.searchsorted(keys, ab[i] + 1j * kb[i]), last)]
                 hit = (self.columns[0, own] == ab[i]) & (self.columns[1, own] == kb[i])
                 i, c = i[hit], of[own[hit]]
-                ok = values[i, c] >= best[i] - tie[i]
+                ok = values[c, i] >= best[i] - tie[i]
                 u[i[ok]] = c[ok]
             u[best < -tie] = -1
             yield block, best, terms[:, u]

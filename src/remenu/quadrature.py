@@ -20,7 +20,8 @@ from .errors import DivergenceError
 _TINY = sys.float_info.min  # smallest normal float
 _BATCH_TOL = 1e-10  # adaptive_gauss_batched's relative change to stop at
 # Its node counts, in order.  Between forced splits its integrands are smooth
-# (j_general's is even constant in a there), so most batches stop at 16.
+# (j_general's is even constant in a there), so even a batch of every k-segment
+# of a market, or of every live (alpha-segment, k node) row, mostly stops at 16.
 _BATCH_SIZES = (8, 16, 32, 64, 128, 256, 512)
 
 

@@ -13,10 +13,10 @@ On a uniform-k market a level t meets the geometry only where t = c k for a
 fixed ratio c: VaR_1 of an edge alpha (a support edge, as a = k VaR_1(alpha))
 or theta*_1 (a kink of the integrand); so the k-quadrature splits at t / c,
 and a ratio outside (0, inf) splits nowhere.  ``_k_edges`` builds those
-segments for both quadratures.  Integration is deterministic: adaptive
-Gauss-Legendre in k on each segment, and one batched adaptive Gauss-Legendre
-over every alpha-segment at the k nodes of each level.  Integrands must
-accept numpy arrays broadcast over (a, k).
+segments for both quadratures.  Integration is deterministic: one batched
+adaptive Gauss-Legendre call in k over every segment, and at each of its node
+sets one in alpha over the (alpha-segment, k node) rows of nonzero width.
+Integrands must accept numpy arrays broadcast over (a, k).
 
 ``tail_integral(g, t, kink, at)`` takes a 1-D array of thresholds and calls
 ``g(k, t)`` (and ``at(k, t)`` on atoms) with t broadcast to k's shape; row i
@@ -91,7 +91,7 @@ class _UniformK(TypeDistribution):
     ``_inner(f, k, bps)``, E[f(a, k) | k] at each Gauss node k.
     tail_integral takes _TAIL_NODES Gauss-Legendre nodes per k-segment, at
     most len(_edge_alphas) + 2 segments per threshold (``_row_elems`` nodes),
-    all of a block in one call; integrate adapts its own.
+    all of a block in one call; integrate adapts, all k-segments in one call.
     """
 
     _edge_alphas: tuple[float, ...]
@@ -154,13 +154,11 @@ class _UniformK(TypeDistribution):
         dens = 1.0 / (self.k_hi - self.k_lo)
         edges = np.unique(self._k_edges(np.array([bps])))
 
-        def inner(k):  # one adaptive batch per k-segment keeps the rows few
+        def inner(k):  # every k-segment's nodes in one batch of _inner
             return self._inner(f, k.ravel(), bps).reshape(k.shape)
 
-        total = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            total += float(adaptive_gauss_batched(inner, np.array([lo]), np.array([hi]))[0]) * dens
-        return total
+        # Segments add in order from 0.0, not in np.sum's pairwise order.
+        return sum(float(s) * dens for s in adaptive_gauss_batched(inner, edges[:-1], edges[1:]))
 
 
 class ProductUniform(_UniformK):
@@ -193,20 +191,21 @@ class ProductUniform(_UniformK):
         """E[f(a, k) | k] in alpha coordinates: alpha is uniform and
         a = VaR_alpha(X_k), so a breakpoint b cuts alpha at survival_k(b)."""
         width = self.alpha_hi - self.alpha_lo
-        cuts = [np.clip(self.family.survival(b, k), self.alpha_lo, self.alpha_hi) for b in bps]
-        cuts = np.array([np.full(k.shape, self.alpha_lo), *reversed(cuts), np.full(k.shape, self.alpha_hi)])
-        # One batch over the alpha-segments with width at some k node, as
-        # (segment, node) rows; the rest add 0.
+        cuts = np.empty((len(bps) + 2, k.size))
+        cuts[0], cuts[-1] = self.alpha_lo, self.alpha_hi
+        cuts[1:-1] = np.clip(self.family.survival(np.array(bps[::-1])[:, None], k), self.alpha_lo, self.alpha_hi)
+        # One batch over the (alpha-segment, k node) rows of nonzero width.
         lo, hi = cuts[:-1], cuts[1:]
-        live = (hi > lo).any(axis=1)
-        lo, hi = lo[live], hi[live]
-        kcol = np.broadcast_to(k, lo.shape).reshape(-1, 1)
+        live = hi > lo
+        kcol = np.broadcast_to(k, lo.shape)[live][:, None]
 
         def seg_f(alpha):
             a = self.family.var(alpha, kcol)
             return np.asarray(f(a, np.broadcast_to(kcol, a.shape)), dtype=float) / width
 
-        return adaptive_gauss_batched(seg_f, lo.ravel(), hi.ravel()).reshape(lo.shape).sum(axis=0)
+        out = np.zeros(lo.shape)
+        out[live] = adaptive_gauss_batched(seg_f, lo[live], hi[live])
+        return out.sum(axis=0)
 
     def sample(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         k = rng.uniform(self.k_lo, self.k_hi, n)

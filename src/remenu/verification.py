@@ -100,9 +100,10 @@ def j_general(
     """
     if solver_class not in ("quota_share", "change_loss"):
         raise DomainError(f"j_general supports quota_share/change_loss, got {solver_class!r}")
+    profile = KProfile(cost, dist.family)  # shared by the validity check and ref_k
     if solver_class == "change_loss":
-        require_assumption(dist, cost)
-    ref = reference(solver_class, KProfile(cost, dist.family))
+        require_assumption(dist, cost, profile)
+    ref = reference(solver_class, profile)
 
     def integrand(a, k):
         r = ref(k)
@@ -289,8 +290,8 @@ def monte_carlo_profit(
 
     Each sampled type takes a contract (lam, d, P), priced analytically at
     P - lam H[(X_k - d)_+].  On a threshold menu it takes its own entry, from
-    menu.terms.  On a GenericMenu, GenericMenu.self_select picks the first entry
-    maximizing its risk reduction, or its own entry if within 1e-12 relative of
+    menu.terms.  On a GenericMenu, GenericMenu.self_select picks its own entry
+    if within 1e-12 relative of the best, else the first entry within that of
     the best, and no contract when the best is below -1e-12 relative.  Either
     way contracts are priced in blocks of about _BLOCK_ELEMS values, so memory
     beyond the samples and their profits does not grow with n or the menu's

@@ -384,10 +384,12 @@ class TestVerify:
     @pytest.mark.parametrize("name", sorted(p.stem for p in SCRIPTS.glob("*.json")))
     def test_scaled_bundled_market_passes(self, name, scale, tmp_path):
         # Scaling k scales every a, d and P, and the rounding of a - d with
-        # them; the verdict and the simulated z-score must not move.
+        # them; the verdict and the simulated z-scores must not move.  On the
+        # tabulated menu, rows that tie up to that rounding (every stop-loss
+        # row above tau*) must be told apart the same way at every scale.
         raw = json.loads((SCRIPTS / f"{name}.json").read_text())
         k_dist = raw["types"]["k_dist"]
-        z = []
+        z, z_menu = [], []
         for s in (1.0, scale):
             raw["types"]["k_dist"] = {key: s * v for key, v in k_dist.items()}
             config, out = write_config(tmp_path / f"{s:g}.json", **raw), tmp_path / f"{s:g}"
@@ -397,7 +399,11 @@ class TestVerify:
             assert json.loads((out / "report.json").read_text())["passed"] is True
             assert main(["simulate", "--config", str(config), "--out", str(out), "--n", "20000"]) == 0
             z.append(json.loads((out / "estimate.json").read_text())["z_score"])
+            argv = ["simulate", "--config", str(config), "--out", str(out), "--n", "20000", "--menu", menu]
+            assert main(argv) == 0
+            z_menu.append(json.loads((out / "estimate.json").read_text())["z_score"])
         assert z[1] == pytest.approx(z[0], rel=1e-9, abs=1e-9)
+        assert z_menu[1] == pytest.approx(z_menu[0], rel=1e-5)
 
     def test_malformed_menu_exits_2(self, config, tmp_path):
         bad = tmp_path / "bad.csv"

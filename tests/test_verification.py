@@ -33,6 +33,7 @@ from remenu import (
 )
 from remenu import menus, type_space
 from remenu.cli import _read_menu_csv, main
+from remenu.quadrature import adaptive_gauss_batched
 from remenu.threshold import reference
 from remenu.verification import IC_TOL, random_utilities
 
@@ -119,6 +120,22 @@ def three_sum_integrand(v, dist, cost, solver_class):
     return integrand
 
 
+def per_segment_integrate(dist, f, breakpoints):
+    """A uniform-k market's integrate as one adaptive call per k-segment,
+    each added in order from 0.0: the oracle for the one-call batch."""
+    bps = sorted({float(b) for b in breakpoints if math.isfinite(b)})
+    dens = 1.0 / (dist.k_hi - dist.k_lo)
+    edges = np.unique(dist._k_edges(np.array([bps])))
+
+    def inner(k):
+        return dist._inner(f, k.ravel(), bps).reshape(k.shape)
+
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        total += float(adaptive_gauss_batched(inner, np.array([lo]), np.array([hi]))[0]) * dens
+    return total
+
+
 class TestJGeneral:
     @pytest.mark.parametrize("solver_class", ["quota_share", "change_loss"])
     def test_one_pass_integrand_matches_three_sums(self, solver_class, cost, product_dist):
@@ -138,7 +155,9 @@ class TestJGeneral:
         assert j_general(v, dist, cost, solver_class) == want
 
     def test_every_batch_stops_at_sixteen_nodes(self, cost, product_dist, monkeypatch):
-        # Between breakpoints the integrand is constant in a and smooth in k.
+        # Between breakpoints the integrand is constant in a and smooth in k,
+        # so one call covers every k-segment and stops at 16 nodes, after two
+        # inner calls, one per node set.
         calls, evals, nodes = [0], [0], [0]
         batched = type_space.adaptive_gauss_batched
 
@@ -154,9 +173,21 @@ class TestJGeneral:
         v = PiecewiseLinearConvexUtility((18000.0, 30000.0, 42000.0), (0.3, 0.3, 0.3))
         j_general(v, product_dist, cost, "quota_share")
         # A fixed 256-node k-rule with one batch per alpha-segment took
-        # 294,912 nodes here.
+        # 294,912 nodes here; one adaptive call per k-segment, 21 calls and
+        # 7,080 nodes.
+        assert calls[0] == 3
         assert evals[0] == 2 * calls[0]
-        assert nodes[0] <= 10_000
+        assert nodes[0] <= 7_080
+
+    @pytest.mark.parametrize("solver_class", ["quota_share", "change_loss"])
+    @pytest.mark.parametrize("market", ["product_dist", "degenerate_dist"])
+    def test_one_call_matches_per_segment_loop(self, solver_class, market, cost, request):
+        dist = request.getfixturevalue(market)
+        utilities = random_utilities(6, dist.lower_support(), dist.upper_support(), np.random.default_rng(7))
+        utilities.append(PiecewiseLinearConvexUtility((18000.0, 30000.0, 42000.0), (0.3, 0.3, 0.3)))
+        for v in utilities:
+            want = per_segment_integrate(dist, three_sum_integrand(v, dist, cost, solver_class), v.kinks)
+            assert j_general(v, dist, cost, solver_class) == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_zero_utility(self, cost, product_dist):
         v = PiecewiseLinearConvexUtility((), ())
@@ -358,22 +389,23 @@ def loop_indirect_utility(menu, a):
 
 
 def loop_monte_carlo_profit(menu, dist, cost, n, seed):
-    """Self-selection one entry at a time: the first maximum wins, the own
-    entry (first with equal (a, k)) within tie of it, stay out below -tie."""
+    """Self-selection one entry at a time: the own entry (first with equal
+    (a, k)) within tie of the maximum wins, else the first entry within tie
+    of it; stay out below -tie."""
     a, k = dist.sample(n, np.random.default_rng(seed))
     best = np.full(n, -np.inf)
-    choice = np.zeros(n, dtype=int)
     own = np.full(n, -1)
     own_value = np.zeros(n)
     for j, e in enumerate(menu.entries):
         value = e.risk_reduction(a)
-        better = value > best
-        best[better] = value[better]
-        choice[better] = j
+        best = np.maximum(best, value)
         match = (a == e.a) & (k == e.k) & (own < 0)
         own[match] = j
         own_value[match] = value[match]
     tie_tol = 1e-12 * np.maximum(1.0, np.abs(best))
+    choice = np.full(n, -1)
+    for j, e in enumerate(menu.entries):
+        choice[(choice < 0) & (e.risk_reduction(a) >= best - tie_tol)] = j
     choice = np.where((own >= 0) & (own_value >= best - tie_tol), own, choice)
     take = best >= -tie_tol
     profile = KProfile(cost, dist.family)
