@@ -7,7 +7,7 @@ one-dimensional search over the kink of the indirect utility; the
 verification module audits the results independently.
 """
 
-from . import change_loss, quota_share, stop_loss, verification
+from . import threshold, verification
 from .config import ScenarioConfig
 from .errors import (
     AssumptionError,
@@ -71,15 +71,13 @@ __all__ = [
     "TypeDistribution",
     "UnsupportedError",
     "bl_decompose",
-    "change_loss",
     "check_ic",
     "check_ir",
     "first_best_demo",
     "indirect_utility",
     "j_general",
     "monte_carlo_profit",
-    "quota_share",
-    "stop_loss",
+    "threshold",
     "verification",
 ]
 

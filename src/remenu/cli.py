@@ -20,20 +20,15 @@ from pathlib import Path
 import numpy as np
 
 from . import threshold
-from .change_loss import ChangeLossMenu
 from .config import ScenarioConfig
 from .errors import AssumptionError, ConfigError, DomainError, UnsupportedError
 from .menus import Contract, GenericMenu, MenuEntry, risk_reduction
-from .quota_share import QuotaShareMenu
-from .stop_loss import StopLossMenu
 from .type_space import DegenerateAlpha, DiscreteTypes, ProductUniform
 from .verification import check_ic, check_ir, first_best_demo, monte_carlo_profit
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_ASSUMPTION = 3
-
-_MENUS = {m.contract_class: m for m in (StopLossMenu, QuotaShareMenu, ChangeLossMenu)}
 
 
 def _fmt(x: float) -> str:
@@ -61,8 +56,20 @@ def _jsonable(obj):
     return obj
 
 
+def _open(path: Path):
+    """Open an artifact, making --out at the first write: a failed command leaves none."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path.open("w", newline="", encoding="utf-8")
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n", "utf-8")
+    with _open(path) as fh:
+        fh.write(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with _open(path) as fh:
+        csv.writer(fh).writerows([header, *rows])
 
 
 def _menu_grid(dist) -> tuple[np.ndarray, np.ndarray]:
@@ -82,14 +89,9 @@ def _menu_grid(dist) -> tuple[np.ndarray, np.ndarray]:
 def _write_menu_csv(path: Path, menu, dist) -> None:
     a, k = _menu_grid(dist)
     terms = menu.terms(a, k)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["a", "k", "contract_class", "lambda", "deductible", "premium", "risk_reduction"]
-        )
-        for row in zip(a, k, *terms, risk_reduction(terms, a)):
-            a_i, k_i, *fields = (_fmt(float(x)) for x in row)
-            writer.writerow([a_i, k_i, menu.contract_class, *fields])
+    rows = ([_fmt(float(x)) for x in row] for row in zip(a, k, *terms, risk_reduction(terms, a)))
+    header = ["a", "k", "contract_class", "lambda", "deductible", "premium", "risk_reduction"]
+    _write_csv(path, header, ([*r[:2], menu.contract_class, *r[2:]] for r in rows))
 
 
 def _read_menu_csv(path: Path) -> GenericMenu:
@@ -117,12 +119,9 @@ def _read_menu_csv(path: Path) -> GenericMenu:
 
 
 def _solve(config: ScenarioConfig):
-    cost = config.build_cost()
-    dist = config.build_dist()
+    cost, dist = config.build_cost(), config.build_dist()
     solver = config.solver
-    menu = threshold.solve(
-        _MENUS[solver.solver_class], dist, cost, solver.grid_points, solver.refine_tol
-    )
+    menu = threshold.solve(solver.solver_class, dist, cost, solver.grid_points, solver.refine_tol)
     return cost, dist, menu
 
 
@@ -147,23 +146,18 @@ def cmd_solve(config: ScenarioConfig, out: Path, args) -> int:
 
 def cmd_curve(config: ScenarioConfig, out: Path, args) -> int:
     kind = config.solver.solver_class
-    cost = config.build_cost()
-    dist = config.build_dist()
+    cost, dist = config.build_cost(), config.build_dist()
     threshold.require_assumption(kind, dist, cost)
     lo, hi = threshold.tau_range(kind, dist)
     t_lo = lo if args.t_lo is None else args.t_lo
     t_hi = hi if args.t_hi is None else args.t_hi
-    n = args.n
     if not -math.inf < t_lo < t_hi < math.inf:
         raise ConfigError(f"need finite t_lo < t_hi, got ({t_lo}, {t_hi})")
-    if n < 2:
-        raise ConfigError(f"need n >= 2 curve points, got {n}")
-    ts = np.linspace(t_lo, t_hi, n)
+    if args.n < 2:
+        raise ConfigError(f"need n >= 2 curve points, got {args.n}")
+    ts = np.linspace(t_lo, t_hi, args.n)
     js = threshold.objective(kind, ts, dist, cost)
-    with (out / "curve.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "J"])
-        writer.writerows([_fmt(t), _fmt(j)] for t, j in zip(map(float, ts), map(float, js)))
+    _write_csv(out / "curve.csv", ["t", "J"], ([_fmt(t), _fmt(j)] for t, j in zip(ts.tolist(), js.tolist())))
     return EXIT_OK
 
 
@@ -185,8 +179,7 @@ def cmd_verify(config: ScenarioConfig, out: Path, args) -> int:
 
 
 def cmd_first_best(config: ScenarioConfig, out: Path, args) -> int:
-    cost = config.build_cost()
-    dist = config.build_dist()
+    cost, dist = config.build_cost(), config.build_dist()
     if not args.pair:
         raise ConfigError("first-best needs at least one --pair a1,k1,a2,k2")
     reports = []
@@ -258,9 +251,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = ScenarioConfig.from_file(args.config)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        return args.run(config, out, args)
+        return args.run(config, Path(args.out), args)
     except AssumptionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ASSUMPTION

@@ -11,10 +11,10 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, DomainError
+from .menus import CONTRACT_CLASSES
 from .risk_model import CostFunctional, Distortion, ExponentialFamily
 from .type_space import DegenerateAlpha, DiscreteTypes, ProductUniform, TypeDistribution
 
-_SOLVER_CLASSES = ("stop_loss", "quota_share", "change_loss")
 _DISTORTION_KINDS = {"identity": "identity", "power": "power", "proportional_hazard": "power"}
 # The uniform-k variants and their alpha_dist keys, in constructor order.
 _UNIFORM_K = {
@@ -74,8 +74,8 @@ class SolverConfig:
     refine_tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.solver_class not in _SOLVER_CLASSES:
-            raise ConfigError(f"solver.class must be one of {_SOLVER_CLASSES}")
+        if self.solver_class not in CONTRACT_CLASSES:
+            raise ConfigError(f"solver.class must be one of {CONTRACT_CLASSES}")
         if self.grid_points < 2:
             raise ConfigError("solver.grid_points must be >= 2")
         if not 0.0 < self.refine_tol < 1.0:

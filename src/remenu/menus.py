@@ -12,6 +12,7 @@ import numpy as np
 from .errors import DomainError
 
 NULL_DEDUCTIBLE = math.inf
+CONTRACT_CLASSES = ("stop_loss", "quota_share", "change_loss")
 
 # Samples times distinct contracts per block of GenericMenu.self_select, and
 # samples per block of a rule menu in verification.monte_carlo_profit.
@@ -23,6 +24,12 @@ def risk_reduction(terms, a):
     level a; lam may be the boolean served row of ThresholdMenu.terms."""
     lam, d, premium = terms
     return lam * np.maximum(a - d, 0.0) - premium
+
+
+def check_class(kind: str) -> None:
+    """Raise DomainError unless kind names one of the three contract classes."""
+    if kind not in CONTRACT_CLASSES:
+        raise DomainError(f"unknown contract class {kind!r}; expected one of {CONTRACT_CLASSES}")
 
 
 @dataclass(frozen=True)
@@ -39,8 +46,7 @@ class Contract:
     deductible: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("stop_loss", "quota_share", "change_loss"):
-            raise DomainError(f"unknown contract class {self.kind!r}")
+        check_class(self.kind)
         if not 0.0 <= self.lam <= 1.0:
             raise DomainError(f"coinsurance rate must lie in [0, 1], got {self.lam}")
         if not self.deductible >= 0.0:

@@ -1,14 +1,18 @@
-"""The threshold menu shared by the stop-loss, quota-share and change-loss classes.
+"""The one threshold menu of the stop-loss, quota-share and change-loss classes.
 
 Every class has the optimal indirect utility v(a) = (a - tau)_+: types above
 the kink tau are served, types below take the null contract, and a type at
 a = tau is served iff tau >= ref_k (H[X_k] for quota-share, xi_k otherwise).
-A served type pays tau - d for the deductible d (``ThresholdMenu.terms``):
-0 for quota-share, theta*_k ∧ tau otherwise.  It yields the profit
-tau - ref_k, or -H[(X_k - tau)_+] where the cap binds (``served_profit``).
+The class is the menu's ``contract_class`` field and sets its rule:
 
-Change-loss is the stop-loss rule; it differs only in its label and in the
-validity check sup_k theta*_k <= L, under which the cap never binds.
+- stop-loss: a served type takes the deductible d = theta*_k ∧ tau
+  (theta*_k at a = tau) at premium tau - d, for the profit tau - xi_k, or
+  -H[(X_k - tau)_+] where the cap binds (only below sup_k theta*_k).
+- quota-share: full coverage (lam = 1, d = 0) at premium tau, for the profit
+  tau - H[X_k]; the optimum within the class is bang-bang in lam.
+- change-loss: the stop-loss rule under its own label, valid only when
+  sup_k theta*_k <= L (the lowest risk level); then lam is bang-bang, every
+  served deductible is theta*_k and the cap never binds.
 """
 
 from __future__ import annotations
@@ -16,12 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property, partial
-from typing import ClassVar
 
 import numpy as np
 
-from .errors import AssumptionError
-from .menus import Contract, MenuEntry
+from .errors import AssumptionError, DomainError
+from .menus import Contract, MenuEntry, check_class
 from .risk_model import CostFunctional, KProfile
 from .search import maximize_over_points, maximize_over_tau
 from .type_space import DiscreteTypes, TypeDistribution
@@ -94,8 +97,12 @@ def objective(
     mass P(a > tau | k), plus exact atom terms tau - ref_k at a = tau; at
     tau = +inf both are empty.  A scalar tau gives a float; a 1-D array of
     kinks gives an array whose row i is the scalar call at tau[i], bit for bit.
+    Raises DomainError for an unknown class or a kink below 0.
     """
+    check_class(kind)
     t = np.atleast_1d(np.asarray(tau, dtype=float))
+    if (t < 0.0).any():
+        raise DomainError(f"kink tau must be >= 0, got {t.min():.17g}")
     prof = profile if profile is not None else KProfile(cost, dist.family)
     ref = reference(kind, prof)
     # The cap theta*_k ∧ tau binds only below sup theta*, where the capped
@@ -119,17 +126,17 @@ def tau_range(kind: str, dist: TypeDistribution) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class ThresholdMenu:
-    """Solved menu: kink tau_star plus the class's contract rule for every type.
-
-    Subclasses set contract_class to stop_loss, quota_share or change_loss.
-    """
+    """Solved menu: kink tau_star plus the contract rule of its class
+    (stop_loss, quota_share or change_loss) for every type."""
 
     tau_star: float
     objective_value: float
     cost: CostFunctional
     dist: TypeDistribution
+    contract_class: str
 
-    contract_class: ClassVar[str]
+    def __post_init__(self) -> None:
+        check_class(self.contract_class)
 
     @cached_property
     def profile(self) -> KProfile:
@@ -165,21 +172,21 @@ class ThresholdMenu:
 
 
 def solve(
-    menu_cls: type[ThresholdMenu],
+    kind: str,
     dist: TypeDistribution,
     cost: CostFunctional,
     grid_points: int = 10001,
     refine_tol: float = 1e-6,
 ) -> ThresholdMenu:
-    """Maximize J over the class's tau range (shut-down included), by a grid
-    scan and zoom rounds that each make one array call of J.
+    """The menu of class kind: maximize J over the class's tau range
+    (shut-down included), by a grid scan and zoom rounds that each make one
+    array call of J.
 
     On a discrete market J cannot decrease between consecutive atoms, so the
     best atom is the exact optimum and grid_points and refine_tol go unused.
     Raises AssumptionError for change-loss when sup_k theta*_k exceeds the
     lowest market risk level; the reduction is not valid then.
     """
-    kind = menu_cls.contract_class
     profile = KProfile(cost, dist.family)  # shared by the validity check and J
     require_assumption(kind, dist, cost, profile)
     j = partial(objective, kind, dist=dist, cost=cost, profile=profile)
@@ -187,4 +194,4 @@ def solve(
         tau, val = maximize_over_points(j, np.sort(dist.a_vals))
     else:
         tau, val = maximize_over_tau(j, *tau_range(kind, dist), grid_points, refine_tol)
-    return menu_cls(tau, val, cost, dist)
+    return ThresholdMenu(tau, val, cost, dist, kind)

@@ -19,15 +19,13 @@ from remenu import (
     GenericMenu,
     ProductUniform,
     bl_decompose,
-    change_loss,
     check_ic,
     check_ir,
     first_best_demo,
     indirect_utility,
     j_general,
     monte_carlo_profit,
-    quota_share,
-    stop_loss,
+    threshold,
 )
 from remenu.verification import random_utilities
 
@@ -61,17 +59,17 @@ def degenerate(cost):
 
 @pytest.fixture(scope="module")
 def sl_product(cost, product):
-    return stop_loss.solve(product, cost)
+    return threshold.solve("stop_loss", product, cost)
 
 
 @pytest.fixture(scope="module")
 def qs_product(cost, product):
-    return quota_share.solve(product, cost)
+    return threshold.solve("quota_share", product, cost)
 
 
 @pytest.fixture(scope="module")
 def cl_product(cost, product):
-    return change_loss.solve(product, cost)
+    return threshold.solve("change_loss", product, cost)
 
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -124,7 +122,7 @@ def _dense_oracle(objective, lo, hi, n=100_000):
 
 def test_criterion_01_analytic_stop_loss_optimum(cost, degenerate):
     t0 = time.time()
-    menu = stop_loss.solve(degenerate, cost)
+    menu = threshold.solve("stop_loss", degenerate, cost)
     elapsed = time.time() - t0
     expected_tau = 225000.0 / (5.0 - LN11)
     tau_ok = abs(menu.tau_star - expected_tau) <= 1e-6 * expected_tau
@@ -143,7 +141,7 @@ def test_criterion_01_analytic_stop_loss_optimum(cost, degenerate):
 
 def test_criterion_02_analytic_quota_share_optimum(cost, degenerate):
     t0 = time.time()
-    menu = quota_share.solve(degenerate, cost)
+    menu = threshold.solve("quota_share", degenerate, cost)
     expected_tau = 4500000.0 / 98.0
     tau_ok = abs(menu.tau_star - expected_tau) <= 1e-6 * expected_tau
 
@@ -154,7 +152,7 @@ def test_criterion_02_analytic_quota_share_optimum(cost, degenerate):
 
     ts = np.linspace(2000.0, 74000.0, 20)
     curve_ok = all(
-        abs(quota_share.j_phi(float(t), degenerate, cost) - closed(float(t)))
+        abs(threshold.objective("quota_share", float(t), degenerate, cost) - closed(float(t)))
         <= 1e-6 * max(1.0, abs(closed(float(t))))
         for t in ts
     )
@@ -172,7 +170,7 @@ def test_criterion_03_numeric_stop_loss_optimum(cost, product, sl_product):
     menu = sl_product
     near_ref = abs(menu.tau_star - 38861.6) <= 0.01 * 38861.6
     tau_oracle, _ = _dense_oracle(
-        lambda t: stop_loss.objective(t, product, cost),
+        lambda t: threshold.objective("stop_loss", t, product, cost),
         product.lower_support(),
         product.upper_support(),
     )
@@ -191,7 +189,7 @@ def test_criterion_04_numeric_quota_share_optimum(cost, product, qs_product):
     menu = qs_product
     near_ref = abs(menu.tau_star - 38912.1) <= 0.01 * 38912.1
     tau_oracle, _ = _dense_oracle(
-        lambda t: quota_share.j_phi(t, product, cost), 0.0, product.upper_support()
+        lambda t: threshold.objective("quota_share", t, product, cost), 0.0, product.upper_support()
     )
     oracle_ok = abs(menu.tau_star - tau_oracle) <= 1e-6 * max(1.0, abs(tau_oracle))
     elapsed = time.time() - t0
@@ -204,14 +202,14 @@ def test_criterion_04_numeric_quota_share_optimum(cost, product, qs_product):
 
 
 def test_criterion_05_change_loss_assumption_and_coincidence(cost, product, cl_product):
-    rep = change_loss.assumption_check(product, cost)
+    rep = threshold.assumption_check(product, cost)
     sup_ok = abs(rep.sup_theta_star - 25000.0 * LN11) <= 1e-9
     l_ok = rep.lower_support == 10000.0
     ts = np.linspace(2500.0, 75000.0, 52)[1:-1]
     coincide_ok = True
     for t in ts:
-        a = change_loss.j_phi_cl(float(t), product, cost)
-        b = stop_loss.objective(float(t), product, cost)
+        a = threshold.objective("change_loss", float(t), product, cost)
+        b = threshold.objective("stop_loss", float(t), product, cost)
         if abs(a - b) > 1e-8 * max(1.0, abs(b)):
             coincide_ok = False
             break
@@ -237,12 +235,9 @@ def test_criterion_06_breeden_litzenberger_identity(cost, product):
     worst = 0.0
     for v in vs:
         parts = bl_decompose(v)
-        for cls, jp in (
-            ("quota_share", quota_share.j_phi),
-            ("change_loss", change_loss.j_phi_cl),
-        ):
+        for cls in ("quota_share", "change_loss"):
             lhs = j_general(v, product, cost, cls)
-            rhs = sum(w * jp(t, product, cost) for t, w in parts)
+            rhs = sum(w * threshold.objective(cls, t, product, cost) for t, w in parts)
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     report(
         6,

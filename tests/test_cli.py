@@ -132,8 +132,20 @@ class TestSolve:
         raw["cost"]["theta"] = 10.0
         raw["solver"]["class"] = "change_loss"
         cfg.write_text(json.dumps(raw))
-        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 3
-        assert not (tmp_path / "curve.csv").exists()
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+        assert not (out / "curve.csv").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "curve", "simulate"])
+    def test_market_error_leaves_no_output_directory(self, tmp_path, capsys, command):
+        types = {"variant": "product_uniform", "k_dist": {"lo": 5000, "hi": 1},
+                 "alpha_dist": {"lo": ALPHA_LO, "hi": ALPHA_HI}}
+        cfg = write_config(tmp_path / "c.json", types=types)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "(5000.0, 1.0)" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_grid_exits_2(self, tmp_path):
         solver = {"class": "stop_loss", "grid_points": 0, "refine_tol": 1e-6}
@@ -304,6 +316,13 @@ class TestCurve:
             == 2
         )
 
+    def test_negative_kink_exits_2_naming_it(self, config, tmp_path, capsys):
+        # A kink below 0 would price a negative deductible: no curve.csv.
+        out = tmp_path / "out"
+        assert main(["curve", "--config", str(config), "--out", str(out), "--t-lo", "-1"]) == 2
+        assert "kink tau must be >= 0, got -1" in capsys.readouterr().err
+        assert not (out / "curve.csv").exists()
+
     @pytest.mark.parametrize("bound", ["--t-hi=inf", "--t-lo=-inf", "--t-hi=nan"])
     def test_non_finite_bound_exits_2(self, config, tmp_path, bound):
         out = tmp_path / "out"
@@ -443,6 +462,16 @@ class TestFirstBest:
         assert main([*args, "--pair", "nan,10000,30000,10000"]) == 2
         assert "--pair" in capsys.readouterr().err
         assert not (out / "report.json").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "pair", ["30000,15000,45000,15000", "1,2,3", "30000,15000,a,15000"],
+        ids=["bad-order", "three-numbers", "not-a-number"],
+    )
+    def test_bad_pair_leaves_no_output_directory(self, config, tmp_path, pair):
+        out = tmp_path / "out"
+        assert main(["first-best", "--config", str(config), "--out", str(out), "--pair", pair]) == 2
+        assert not out.exists()
 
     def test_missing_pair_exits_2(self, config, tmp_path):
         assert main(["first-best", "--config", str(config), "--out", str(tmp_path)]) == 2

@@ -18,8 +18,7 @@ from remenu import (
     KProfile,
     ScaleFamily,
     UnsupportedError,
-    change_loss,
-    quota_share,
+    threshold,
 )
 from remenu.quadrature import tail_gauss
 
@@ -372,13 +371,14 @@ class TestScaleFamily:
         assert fam.point_mass_zero == 0.1
         assert fam.base.scaled(3000.0) == ExponentialLoss(3000.0, 0.1)
 
-    @pytest.mark.parametrize("module", [quota_share, change_loss])
-    def test_generic_base_solves_like_closed_form(self, cost, module):
+    # The ids name the per-class modules these cases took before the class was a field.
+    @pytest.mark.parametrize("kind", ["quota_share", "change_loss"], ids="remenu.{}".format)
+    def test_generic_base_solves_like_closed_form(self, cost, kind):
         from remenu import DegenerateAlpha
 
         generic = DegenerateAlpha(5000.0, 25000.0, math.exp(-3), ScaleFamily(UNIT_EXP))
         closed = DegenerateAlpha(5000.0, 25000.0, math.exp(-3))
-        got, want = module.solve(generic, cost), module.solve(closed, cost)
+        got, want = threshold.solve(kind, generic, cost), threshold.solve(kind, closed, cost)
         assert got.tau_star == pytest.approx(want.tau_star, rel=1e-9)
         assert got.objective_value == pytest.approx(want.objective_value, rel=1e-9)
 

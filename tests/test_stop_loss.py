@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from remenu import DiscreteTypes, ExponentialLoss, check_ic, check_ir, monte_carlo_profit, stop_loss, threshold
+from remenu import DiscreteTypes, ExponentialLoss, check_ic, check_ir, monte_carlo_profit, threshold
 
 from reference_rules import optimal_deductible, phi
 
@@ -74,11 +74,11 @@ class TestPhi:
 
 class TestObjective:
     def test_infinite_tau_is_zero(self, cost, product_dist):
-        assert stop_loss.objective(math.inf, product_dist, cost) == 0.0
+        assert threshold.objective("stop_loss", math.inf, product_dist, cost) == 0.0
 
     def test_degenerate_closed_form(self, cost, degenerate_dist):
         for tau in (20000.0, 30000.0, 45874.46, 60000.0):
-            got = stop_loss.objective(tau, degenerate_dist, cost)
+            got = threshold.objective("stop_loss", tau, degenerate_dist, cost)
             assert got == pytest.approx(closed_form_objective_degenerate(tau), rel=1e-10)
 
     def test_matches_generic_integration_route(self, cost, product_dist):
@@ -97,32 +97,32 @@ class TestObjective:
                 ).reshape(np.shape(a)),
                 breakpoints=[tau],
             )
-            fast = stop_loss.objective(tau, product_dist, cost)
+            fast = threshold.objective("stop_loss", tau, product_dist, cost)
             assert fast == pytest.approx(brute, rel=1e-8)
 
     def test_nondecreasing_below_lower_support(self, cost, product_dist):
         taus = np.linspace(0.0, product_dist.lower_support() - 1e-6, 100)
-        vals = [stop_loss.objective(float(t), product_dist, cost) for t in taus]
+        vals = [threshold.objective("stop_loss", float(t), product_dist, cost) for t in taus]
         assert np.all(np.diff(vals) >= -1e-9)
 
 
 class TestSolve:
     def test_degenerate_optimum(self, cost, degenerate_dist):
-        menu = stop_loss.solve(degenerate_dist, cost)
+        menu = threshold.solve("stop_loss", degenerate_dist, cost)
         assert menu.tau_star == pytest.approx(225000.0 / (5.0 - LN11), rel=1e-6)
 
     def test_product_optimum_near_reference(self, cost, product_dist):
-        menu = stop_loss.solve(product_dist, cost)
+        menu = threshold.solve("stop_loss", product_dist, cost)
         assert menu.tau_star == pytest.approx(38861.6, rel=0.01)
         assert menu.tau_star >= product_dist.lower_support()
 
     def test_self_consistency(self, cost, product_dist):
-        menu = stop_loss.solve(product_dist, cost)
+        menu = threshold.solve("stop_loss", product_dist, cost)
         for tau in np.linspace(10000.0, 75000.0, 200):
-            assert menu.objective_value >= stop_loss.objective(float(tau), product_dist, cost) - 1e-9
+            assert menu.objective_value >= threshold.objective("stop_loss", float(tau), product_dist, cost) - 1e-9
 
     def test_menu_branches(self, cost, degenerate_dist):
-        menu = stop_loss.solve(degenerate_dist, cost)
+        menu = threshold.solve("stop_loss", degenerate_dist, cost)
         tau = menu.tau_star
         k = 20000.0
         served = menu.entry(3.0 * k, k)  # a = 60000 > tau
@@ -133,27 +133,27 @@ class TestSolve:
         assert idle.premium == 0.0
 
     def test_served_profit_matches_entries(self, cost, product_dist):
-        menu = stop_loss.solve(product_dist, cost)
+        menu = threshold.solve("stop_loss", product_dist, cost)
         a, k = product_dist.sample(200, np.random.default_rng(5))
         assert_served_profit_matches_entries(menu, cost, a, k)
 
     def test_capped_served_profit_matches_entries(self, cost, product_dist):
         # tau = 1500 lies between the smallest and largest theta*_k.
-        menu = stop_loss.StopLossMenu(1500.0, 0.0, cost, product_dist)
+        menu = threshold.ThresholdMenu(1500.0, 0.0, cost, product_dist, "stop_loss")
         a, k = product_dist.sample(200, np.random.default_rng(8))
         entries = assert_served_profit_matches_entries(menu, cost, a, k)
         capped = sum(e.contract.deductible == 1500.0 for e in entries)
         assert 0 < capped < 200
 
     def test_ic_ir(self, cost, product_dist):
-        menu = stop_loss.solve(product_dist, cost)
+        menu = threshold.solve("stop_loss", product_dist, cost)
         rng = np.random.default_rng(1)
         assert check_ic(menu, product_dist, 2000, rng).passed
         assert check_ir(menu, product_dist, 2000, rng).passed
 
     def test_single_atom_market_extracts_surplus(self, cost):
         dist = DiscreteTypes([(math.exp(-3), 10000.0, 1.0)])  # a0 = 30000
-        menu = stop_loss.solve(dist, cost)
+        menu = threshold.solve("stop_loss", dist, cost)
         xi = cost.xi(ExponentialLoss(10000.0))
         assert menu.tau_star == pytest.approx(30000.0, rel=1e-9)
         assert menu.objective_value == pytest.approx(30000.0 - xi, rel=1e-9)
@@ -162,7 +162,7 @@ class TestSolve:
         # A single type below its break-even level: the optimum earns zero
         # and the emitted menu leaves the type uninsured.
         dist = DiscreteTypes([(math.exp(-1), 10000.0, 1.0)])  # a0 = 10000 < xi ~ 10953
-        menu = stop_loss.solve(dist, cost)
+        menu = threshold.solve("stop_loss", dist, cost)
         assert menu.objective_value == 0.0
         assert monte_carlo_profit(menu, dist, cost, 10, seed=0) == (0.0, 0.0)
         entry = menu.entry(10000.0, 10000.0)

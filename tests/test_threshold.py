@@ -12,15 +12,13 @@ from remenu import (
     DegenerateAlpha,
     DiscreteTypes,
     Distortion,
+    DomainError,
     ExponentialFamily,
     ExponentialLoss,
     GenericFamily,
     GenericLoss,
     ProductUniform,
     ScaleFamily,
-    change_loss,
-    quota_share,
-    stop_loss,
     threshold,
     type_space,
 )
@@ -29,7 +27,7 @@ from remenu.search import maximize_over_tau
 from reference_rules import phi
 
 LN11 = math.log(1.1)
-MENUS = [stop_loss.StopLossMenu, quota_share.QuotaShareMenu, change_loss.ChangeLossMenu]
+MENUS = ("stop_loss", "quota_share", "change_loss")
 
 # Atoms (alpha, k, weight) with a = -k ln(alpha).  The atoms at a = 20000 and
 # a ~ 10 sit below their own break-even level (a < xi_k < H[X_k]); a kink at
@@ -61,15 +59,14 @@ def closed_form_terms(kind: str, tau: float, a: float, k: float) -> tuple[bool, 
     return served, d, tau - d if served else 0.0
 
 
-@pytest.mark.parametrize("menu_cls", MENUS, ids=lambda m: m.contract_class)
-def test_terms_follow_the_contract_rule(menu_cls, cost):
-    kind = menu_cls.contract_class
+@pytest.mark.parametrize("kind", MENUS)
+def test_terms_follow_the_contract_rule(kind, cost):
     # Change-loss menus exist only for kinks above sup theta*.
     sup_theta_star = MARKET.ks.max() * LN11
     taus = [float(t) for t in MARKET.a_vals if kind != "change_loss" or t >= sup_theta_star]
     kink_outcomes = set()
     for tau in [*taus, math.inf]:
-        menu = menu_cls(tau, 0.0, cost, MARKET)
+        menu = threshold.ThresholdMenu(tau, 0.0, cost, MARKET, kind)
         served, d, premium = menu.terms(MARKET.a_vals, MARKET.ks)
         for i, (a, k) in enumerate(zip(MARKET.a_vals.tolist(), MARKET.ks.tolist())):
             want_served, want_d, want_premium = closed_form_terms(kind, tau, a, k)
@@ -87,28 +84,44 @@ def test_terms_follow_the_contract_rule(menu_cls, cost):
     assert kink_outcomes == {True, False}
 
 
+@pytest.mark.parametrize("kind", ["stop-loss", "StopLossMenu", ""])
+def test_unknown_class_name_raises(kind, cost, product_dist):
+    # A class is a string: a typo must not act as stop-loss.
+    with pytest.raises(DomainError, match="unknown contract class"):
+        threshold.ThresholdMenu(30000.0, 0.0, cost, product_dist, kind)
+    with pytest.raises(DomainError, match="unknown contract class"):
+        threshold.objective(kind, 30000.0, product_dist, cost)
+    with pytest.raises(DomainError, match="unknown contract class"):
+        threshold.solve(kind, product_dist, cost, grid_points=11)
+
+
+@pytest.mark.parametrize("kind", MENUS)
+def test_negative_kink_raises(kind, cost, product_dist):
+    # A kink below 0 prices a negative deductible, which no contract has.
+    for tau in (-1.0, np.array([0.0, 30000.0, -1e-300])):
+        with pytest.raises(DomainError, match="kink tau must be >= 0"):
+            threshold.objective(kind, tau, product_dist, cost)
+
+
 # Three atoms at a = 10000, ~30700.37 and 50000.  The middle one, which a
 # 10,001-point grid on [10000, 50000] misses, is the optimum of every class.
 INTERIOR = DiscreteTypes(
     [(math.exp(-1), 10000.0, 0.2), (math.exp(-3), 10233.456, 0.5), (math.exp(-2), 25000.0, 0.3)]
 )
-OBJECTIVES = [stop_loss.objective, quota_share.j_phi, change_loss.j_phi_cl]
 
 
-@pytest.mark.parametrize(
-    "menu_cls, objective", zip(MENUS, OBJECTIVES), ids=[m.contract_class for m in MENUS]
-)
-def test_discrete_optimum_is_an_atom(menu_cls, objective, cost):
-    menu = threshold.solve(menu_cls, INTERIOR, cost)
+@pytest.mark.parametrize("kind", MENUS)
+def test_discrete_optimum_is_an_atom(kind, cost):
+    menu = threshold.solve(kind, INTERIOR, cost)
     atom = float(INTERIOR.a_vals[1])
     assert menu.tau_star == atom
-    assert menu.objective_value == objective(atom, INTERIOR, cost)
+    assert menu.objective_value == threshold.objective(kind, atom, INTERIOR, cost)
 
 
 # On the market a = c k, tau* = c^2 k_hi / (2c - 1 - e) maximizes J, with
 # e = ln(1 + theta) for stop-loss and theta for quota-share.
 @pytest.mark.parametrize(
-    "module, excess", [(stop_loss, math.log1p), (quota_share, lambda theta: theta)],
+    "kind, excess", [("stop_loss", math.log1p), ("quota_share", lambda theta: theta)],
     ids=["stop_loss", "quota_share"],
 )
 @settings(max_examples=40, deadline=None)
@@ -118,13 +131,13 @@ def test_discrete_optimum_is_an_atom(menu_cls, objective, cost):
     theta=st.floats(0.01, 0.5),
     alpha0=st.floats(math.exp(-8.0), math.exp(-2.0)),
 )
-def test_degenerate_closed_form_optimum(module, excess, k_lo, ratio, theta, alpha0):
+def test_degenerate_closed_form_optimum(kind, excess, k_lo, ratio, theta, alpha0):
     c, k_hi = -math.log(alpha0), k_lo * ratio
     tau = c * c * k_hi / (2.0 * c - 1.0 - excess(theta))
     # An interior optimum, and sup theta* <= L, so no deductible cap binds.
     assume(c * k_lo < tau < c * k_hi and k_hi * math.log1p(theta) <= c * k_lo)
     dist = DegenerateAlpha(k_lo, k_hi, alpha0)
-    menu = module.solve(dist, CostFunctional(theta), grid_points=2001)
+    menu = threshold.solve(kind, dist, CostFunctional(theta), grid_points=2001)
     assert menu.tau_star == pytest.approx(tau, rel=1e-6)
 
 
@@ -132,7 +145,7 @@ def test_nearly_coincident_atoms_count_once(cost):
     # Two atoms 1.2e-8 apart: at a kink on either one, the other is counted
     # once, as the menu serves it (through the tail, or not at all).
     dist = DiscreteTypes([(math.exp(-3), 10000.0, 0.5), (math.exp(-3), 10000.0 * (1 + 4e-13), 0.5)])
-    menu = quota_share.solve(dist, cost)
+    menu = threshold.solve("quota_share", dist, cost)
     assert menu.tau_star == float(dist.a_vals[0])
     assert menu.objective_value == pytest.approx(30000.0 - 1.1 * 10000.0, rel=1e-12)
 
@@ -157,7 +170,7 @@ def kink_batch(dist, n=301):
 # multiple of none. With 800 elements per block, a block holds 160 kinks of
 # the 5-atom discrete market (two blocks), or one kink of a uniform-k market.
 @pytest.mark.parametrize("chunk", [None, 800], ids=["default-chunk", "small-chunk"])
-@pytest.mark.parametrize("kind", [m.contract_class for m in MENUS])
+@pytest.mark.parametrize("kind", MENUS)
 @pytest.mark.parametrize("market", ["product", "degenerate", "discrete", "capped"])
 def test_batched_rows_equal_scalar_calls(
     market, kind, chunk, cost, product_dist, degenerate_dist, monkeypatch
@@ -186,7 +199,7 @@ def test_batched_capped_rows_match_brute_force():
     # The profit density kinks in k at theta*_k = k ln 2 = tau, so the brute
     # force integrates the sub-markets on either side of it, by k-share.
     taus = np.array([12000.0, 16000.0])
-    batch = stop_loss.objective(taus, CAPPED, CAPPED_COST)
+    batch = threshold.objective("stop_loss", taus, CAPPED, CAPPED_COST)
     alphas, k_lo, k_hi = (CAPPED.alpha_lo, CAPPED.alpha_hi), CAPPED.k_lo, CAPPED.k_hi
     for tau, fast in zip(taus.tolist(), batch.tolist()):
         profit = np.vectorize(lambda a, k: phi(tau, a, CAPPED_COST, ExponentialLoss(k)))
@@ -205,9 +218,9 @@ ZERO_THETA_STAR = ProductUniform(5000.0, 25000.0, 0.03, 0.1, ExponentialFamily(0
 
 def test_zero_theta_star_splits_nowhere(cost):
     # Below L ~ 10700 every type is served at profit tau - xi_k = tau - 0.935 k.
-    got = stop_loss.objective(np.array([0.0, 1000.0, 50000.0]), ZERO_THETA_STAR, cost)
+    got = threshold.objective("stop_loss", np.array([0.0, 1000.0, 50000.0]), ZERO_THETA_STAR, cost)
     assert got == pytest.approx([-14025.0, -13025.0, 8388.186408651098], rel=1e-12)
-    assert stop_loss.solve(ZERO_THETA_STAR, cost).tau_star == pytest.approx(39554.51937377825, rel=1e-12)
+    assert threshold.solve("stop_loss", ZERO_THETA_STAR, cost).tau_star == pytest.approx(39554.51937377825, rel=1e-12)
 
 
 def doubled(dist):
@@ -237,17 +250,16 @@ MARKETS = {
 
 # Change-loss has no menu on the capped market, where sup theta* > L.
 @pytest.mark.parametrize(
-    "market, menu_cls",
+    "market, kind",
     [(m, c) for m in ("product", "degenerate", "discrete", "capped", "lomax") for c in MENUS
-     if (m, c) != ("capped", change_loss.ChangeLossMenu)],
-    ids=lambda x: getattr(x, "contract_class", x),
+     if (m, c) != ("capped", "change_loss")],
 )
-def test_doubling_every_k_doubles_the_menu(market, menu_cls, cost):
+def test_doubling_every_k_doubles_the_menu(market, kind, cost):
     # H[2X] = 2 H[X]: doubling every k doubles every level and price, and
     # doubling is exact in floating point, so the menu doubles bit for bit.
     dist, c = (CAPPED, CAPPED_COST) if market == "capped" else (MARKETS[market], cost)
     big = doubled(dist)
-    menu, twice = (threshold.solve(menu_cls, d, c, grid_points=2001) for d in (dist, big))
+    menu, twice = (threshold.solve(kind, d, c, grid_points=2001) for d in (dist, big))
     assert (twice.tau_star, twice.objective_value) == (2.0 * menu.tau_star, 2.0 * menu.objective_value)
     a, k = dist.sample(500, np.random.default_rng(7))
     a2, k2 = big.sample(500, np.random.default_rng(7))
@@ -261,11 +273,11 @@ def test_doubling_every_k_doubles_the_menu(market, menu_cls, cost):
     assert (d2.tolist(), premium2.tolist()) == ((2.0 * d).tolist(), (2.0 * premium).tolist())
 
 
-SL_QS = (stop_loss.StopLossMenu, quota_share.QuotaShareMenu)
+SL_QS = ("stop_loss", "quota_share")
 
 
-def j_star(menu_cls, dist, cost):
-    return threshold.solve(menu_cls, dist, cost, grid_points=2001).objective_value
+def j_star(kind, dist, cost):
+    return threshold.solve(kind, dist, cost, grid_points=2001).objective_value
 
 
 def kinks(dist):
@@ -286,11 +298,11 @@ def test_stop_loss_dominates_quota_share(market, cost):
     # kink, and so is its optimum.
     dist, c = (CAPPED, CAPPED_COST) if market == "capped" else (MARKETS[market], cost)
     t = kinks(dist)
-    assert at_most(quota_share.j_phi(t, dist, c), stop_loss.objective(t, dist, c))
-    assert j_star(stop_loss.StopLossMenu, dist, c) >= j_star(quota_share.QuotaShareMenu, dist, c)
+    assert at_most(threshold.objective("quota_share", t, dist, c), threshold.objective("stop_loss", t, dist, c))
+    assert j_star("stop_loss", dist, c) >= j_star("quota_share", dist, c)
 
 
-@pytest.mark.parametrize("menu_cls", SL_QS, ids=lambda c: c.contract_class)
+@pytest.mark.parametrize("kind", SL_QS)
 @pytest.mark.parametrize("market", MARKETS)
 @pytest.mark.parametrize(
     "costs",
@@ -300,15 +312,15 @@ def test_stop_loss_dominates_quota_share(market, cost):
     ],
     ids=["theta", "power"],
 )
-def test_j_does_not_rise_with_the_cost(costs, market, menu_cls):
+def test_j_does_not_rise_with_the_cost(costs, market, kind):
     # H grows pointwise as theta rises and as a power distortion's c falls,
     # so no type's profit at a kink grows: J falls at every kink, and so
     # does J*.
-    dist, kind = MARKETS[market], menu_cls.contract_class
+    dist = MARKETS[market]
     t = kinks(dist)
     js = [threshold.objective(kind, t, dist, c) for c in costs]
     assert all(at_most(hi, lo) for lo, hi in zip(js, js[1:]))
-    stars = [j_star(menu_cls, dist, c) for c in costs]
+    stars = [j_star(kind, dist, c) for c in costs]
     assert stars[0] >= stars[1] >= stars[2]
 
 
@@ -330,19 +342,18 @@ def scalar_search(j, lo, hi, grid_points, refine_tol):
     return (best_tau, best_val) if best_val >= 0.0 else (math.inf, 0.0)
 
 
-@pytest.mark.parametrize("menu_cls", MENUS[:2], ids=lambda m: m.contract_class)
+@pytest.mark.parametrize("kind", MENUS[:2])
 @pytest.mark.parametrize("market", ["product", "capped"])
-def test_solve_keeps_the_scalar_search_rule(market, menu_cls, cost, product_dist):
+def test_solve_keeps_the_scalar_search_rule(market, kind, cost, product_dist):
     dist, c = (product_dist, cost) if market == "product" else (CAPPED, CAPPED_COST)
-    kind = menu_cls.contract_class
-    menu = threshold.solve(menu_cls, dist, c, grid_points=2001)
+    menu = threshold.solve(kind, dist, c, grid_points=2001)
     lo, hi = threshold.tau_range(kind, dist)
     want = scalar_search(lambda t: threshold.objective(kind, t, dist, c), lo, hi, 2001, 1e-6)
     assert (menu.tau_star, menu.objective_value) == want
 
 
-@pytest.mark.parametrize("menu_cls", MENUS, ids=lambda m: m.contract_class)
-def test_continuous_solve_makes_no_scalar_call(menu_cls, cost, product_dist, monkeypatch):
+@pytest.mark.parametrize("kind", MENUS)
+def test_continuous_solve_makes_no_scalar_call(kind, cost, product_dist, monkeypatch):
     sizes = []
     batched = threshold.objective
 
@@ -351,7 +362,7 @@ def test_continuous_solve_makes_no_scalar_call(menu_cls, cost, product_dist, mon
         return batched(kind, tau, *args, **kwargs)
 
     monkeypatch.setattr(threshold, "objective", counted)
-    threshold.solve(menu_cls, product_dist, cost)
+    threshold.solve(kind, product_dist, cost)
     assert sizes[0] == 10001 and len(sizes) > 1
     assert None not in sizes
 
@@ -359,7 +370,7 @@ def test_continuous_solve_makes_no_scalar_call(menu_cls, cost, product_dist, mon
 @pytest.mark.parametrize("refine_tol", [1e-15, 1e-300])
 def test_search_stops_at_float_resolution(refine_tol, cost, degenerate_dist):
     t0 = time.perf_counter()
-    menu = stop_loss.solve(degenerate_dist, cost, refine_tol=refine_tol)
+    menu = threshold.solve("stop_loss", degenerate_dist, cost, refine_tol=refine_tol)
     assert time.perf_counter() - t0 < 10.0
     tau = 225000.0 / (5.0 - LN11)
     assert menu.tau_star == pytest.approx(tau, rel=1e-6)
@@ -391,7 +402,7 @@ def test_menu_reuses_its_profile(monkeypatch):
     # Lomax losses S(y) = (1 + y / 2k)^-3: per-k costs come from bisection.
     family = GenericFamily(lambda k: GenericLoss(lambda y: (1.0 + y / (2.0 * k)) ** -3.0))
     dist = DiscreteTypes([(0.05, 5000.0, 0.5), (0.1, 12000.0, 0.5)], family)
-    menu = stop_loss.StopLossMenu(float(dist.a_vals.min()), 0.0, CostFunctional(0.2), dist)
+    menu = threshold.ThresholdMenu(float(dist.a_vals.min()), 0.0, CostFunctional(0.2), dist, "stop_loss")
     calls = []
     theta_star = CostFunctional.theta_star
 

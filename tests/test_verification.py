@@ -21,15 +21,13 @@ from remenu import (
     MenuEntry,
     PiecewiseLinearConvexUtility,
     bl_decompose,
-    change_loss,
     check_ic,
     check_ir,
     first_best_demo,
     indirect_utility,
     j_general,
     monte_carlo_profit,
-    quota_share,
-    stop_loss,
+    threshold,
 )
 from remenu import menus, type_space
 from remenu.cli import _read_menu_csv, main
@@ -197,16 +195,16 @@ class TestJGeneral:
         t = 32000.0
         v = PiecewiseLinearConvexUtility.single_kink(t)
         assert j_general(v, product_dist, cost, "quota_share") == pytest.approx(
-            quota_share.j_phi(t, product_dist, cost), rel=1e-9
+            threshold.objective("quota_share", t, product_dist, cost), rel=1e-9
         )
         assert j_general(v, product_dist, cost, "change_loss") == pytest.approx(
-            change_loss.j_phi_cl(t, product_dist, cost), rel=1e-9
+            threshold.objective("change_loss", t, product_dist, cost), rel=1e-9
         )
 
     def test_mixture_is_weighted_average(self, cost, product_dist):
         v = PiecewiseLinearConvexUtility((18000.0, 42000.0), (0.5, 0.5))
         lhs = j_general(v, product_dist, cost, "quota_share")
-        rhs = 0.5 * quota_share.j_phi(18000.0, product_dist, cost) + 0.5 * quota_share.j_phi(
+        rhs = 0.5 * threshold.objective("quota_share", 18000.0, product_dist, cost) + 0.5 * threshold.objective("quota_share", 
             42000.0, product_dist, cost
         )
         assert lhs == pytest.approx(rhs, rel=1e-8)
@@ -244,7 +242,7 @@ class TestIndirectUtility:
         assert indirect_utility(menu, np.array([100.0]))[0] == pytest.approx(10.0)
 
     def test_feasible_menu_utility_shape(self, cost, product_dist):
-        menu = stop_loss.solve(product_dist, cost)
+        menu = threshold.solve("stop_loss", product_dist, cost)
         rng = np.random.default_rng(9)
         pairs = list(zip(*product_dist.sample(300, rng)))
         gm = GenericMenu.from_entries([menu.entry(a, k) for a, k in pairs])
@@ -258,7 +256,7 @@ class TestIndirectUtility:
         assert np.all(np.diff(slopes) >= -1e-9)
 
     def test_value_independent_of_k_at_fixed_a(self, cost, product_dist):
-        menu = stop_loss.solve(product_dist, cost)
+        menu = threshold.solve("stop_loss", product_dist, cost)
         tau = menu.tau_star
         a = tau + 5000.0
         vals = [
@@ -270,7 +268,7 @@ class TestIndirectUtility:
 
 class TestICIRAudits:
     def test_solved_menu_passes(self, cost, product_dist):
-        menu = quota_share.solve(product_dist, cost)
+        menu = threshold.solve("quota_share", product_dist, cost)
         rng = np.random.default_rng(8)
         assert check_ic(menu, product_dist, 3000, rng).passed
         assert check_ir(menu, product_dist, 3000, rng).passed
@@ -301,7 +299,7 @@ class TestICIRAudits:
         assert record["violation"] == 25.0  # (100 - 10) - 60 against (100 - 50) - 45
 
     def test_report_serializes(self, cost, product_dist):
-        menu = stop_loss.solve(product_dist, cost)
+        menu = threshold.solve("stop_loss", product_dist, cost)
         rng = np.random.default_rng(10)
         json.dumps(check_ic(menu, product_dist, 100, rng).to_dict())
 
@@ -340,18 +338,18 @@ class TestFirstBest:
 
 class TestMonteCarlo:
     def test_deterministic_given_seed(self, cost, product_dist):
-        menu = stop_loss.solve(product_dist, cost)
+        menu = threshold.solve("stop_loss", product_dist, cost)
         one = monte_carlo_profit(menu, product_dist, cost, 5000, seed=77)
         two = monte_carlo_profit(menu, product_dist, cost, 5000, seed=77)
         assert one == two
 
     def test_within_three_sigma_of_objective(self, cost, product_dist):
-        menu = stop_loss.solve(product_dist, cost)
+        menu = threshold.solve("stop_loss", product_dist, cost)
         est, se = monte_carlo_profit(menu, product_dist, cost, 200000, seed=42)
         assert abs(est - menu.objective_value) <= 3.0 * se
 
     def test_generic_menu_matches_rule_menu_on_atoms(self, cost, discrete_dist):
-        menu = stop_loss.solve(discrete_dist, cost)
+        menu = threshold.solve("stop_loss", discrete_dist, cost)
         pairs = [(float(a), float(k)) for a, k in zip(discrete_dist.a_vals, discrete_dist.ks)]
         gm = GenericMenu.from_entries([menu.entry(a, k) for a, k in pairs])
         est_rule, _ = monte_carlo_profit(menu, discrete_dist, cost, 20000, seed=5)
@@ -362,19 +360,19 @@ class TestMonteCarlo:
         """A rule menu whose terms undercharge every served type by 500 earns
         about 500 P(served) (about 250 here) less than J, outside 5 standard errors."""
 
-        class Undercharged(stop_loss.StopLossMenu):
+        class Undercharged(threshold.ThresholdMenu):
             def terms(self, a, k):
                 served, d, premium = super().terms(a, k)
                 premium[served] -= 500.0
                 return served, d, premium
 
-        solved = stop_loss.solve(product_dist, cost)
-        menu = Undercharged(solved.tau_star, solved.objective_value, cost, product_dist)
+        solved = threshold.solve("stop_loss", product_dist, cost)
+        menu = Undercharged(solved.tau_star, solved.objective_value, cost, product_dist, "stop_loss")
         est, se = monte_carlo_profit(menu, product_dist, cost, 200000, seed=42)
         assert abs(est - menu.objective_value) > 5.0 * se
 
     def test_invalid_sample_size(self, cost, product_dist):
-        menu = stop_loss.solve(product_dist, cost)
+        menu = threshold.solve("stop_loss", product_dist, cost)
         with pytest.raises(DomainError):
             monte_carlo_profit(menu, product_dist, cost, 0, seed=1)
 
@@ -476,18 +474,19 @@ class TestSelfSelectionOracle:
         a = np.concatenate([gm.columns[0], np.linspace(0.0, 80000.0, 1001)])
         assert_same_bits(indirect_utility(gm, a), loop_indirect_utility(gm, a))
 
-    @pytest.mark.parametrize("module", [stop_loss, quota_share, change_loss])
-    def test_discrete_atoms_take_their_own_entries(self, module, cost):
+    # The ids name the per-class modules these cases took before the class was a field.
+    @pytest.mark.parametrize("kind", ["stop_loss", "quota_share", "change_loss"], ids="remenu.{}".format)
+    def test_discrete_atoms_take_their_own_entries(self, kind, cost):
         dist = DiscreteTypes([(E3 + i * (E2 - E3) / 4, 6000.0 + 4000.0 * i, 0.2) for i in range(5)])
-        menu = module.solve(dist, cost)
+        menu = threshold.solve(kind, dist, cost)
         gm = GenericMenu.from_entries([menu.entry(a, k) for a, k in zip(dist.a_vals, dist.ks)])
         got = monte_carlo_profit(gm, dist, cost, 20001, seed=3)
         assert got == loop_monte_carlo_profit(gm, dist, cost, 20001, 3)
         assert_same_bits(indirect_utility(gm, dist.a_vals), loop_indirect_utility(gm, dist.a_vals))
 
-    @pytest.mark.parametrize("module", [stop_loss, quota_share, change_loss])
-    def test_degenerate_menu(self, module, cost, degenerate_dist):
-        menu = module.solve(degenerate_dist, cost)
+    @pytest.mark.parametrize("kind", ["stop_loss", "quota_share", "change_loss"], ids="remenu.{}".format)
+    def test_degenerate_menu(self, kind, cost, degenerate_dist):
+        menu = threshold.solve(kind, degenerate_dist, cost)
         a, k = degenerate_dist.sample(300, np.random.default_rng(4))
         gm = GenericMenu.from_entries([menu.entry(ai, ki) for ai, ki in zip(a, k)])
         got = monte_carlo_profit(gm, degenerate_dist, cost, 30000, seed=5)
@@ -543,11 +542,11 @@ class TestBoundedMemory:
 
     def test_rule_menu_prices_in_blocks(self, cost, product_dist):
         # Pricing all 100,000 terms at once peaked at 6.6 MB.
-        assert _mc_peak(stop_loss.solve(product_dist, cost), product_dist, cost) < 4e6
+        assert _mc_peak(threshold.solve("stop_loss", product_dist, cost), product_dist, cost) < 4e6
 
     @pytest.mark.parametrize("n", [1, 64, 65, 997])
     def test_rule_menu_blocks_keep_bits(self, n, cost, product_dist, monkeypatch):
-        menu = stop_loss.solve(product_dist, cost)
+        menu = threshold.solve("stop_loss", product_dist, cost)
         a, k = product_dist.sample(n, np.random.default_rng(9))
         served, d, premium = menu.terms(a, k)
         premium[served] -= KProfile(cost, product_dist.family).stop_loss_cost(k[served], d[served])
