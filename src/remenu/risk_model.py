@@ -9,6 +9,11 @@ menu rule:
   distorted quantile where h(survival(d)) crosses 1 / (1 + theta);
 * ``xi``: the break-even risk level theta_star + H[(X - theta_star)_+].
 
+Without a closed form, every quantity is priced on arrays: a survival
+function maps an array of losses to an array, quantiles and theta* come from
+quadrature.first_true's exact search over the floats, and H[(X - d)_+] at a
+whole array of d from one quadrature.tail_gauss call.
+
 Everything here is immutable and side-effect free.
 """
 
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -24,6 +30,7 @@ from .errors import DomainError, UnsupportedError
 from .quadrature import first_true, tail_gauss
 
 _CONCAVITY_TOL = 1e-12
+_SEARCH_ROWS = 1024  # quantiles per first_true call; bounds its memory
 
 
 @dataclass(frozen=True)
@@ -82,7 +89,7 @@ class Distortion:
         return self.kind in ("identity", "power")
 
     def __call__(self, u):
-        u = np.clip(u, 0.0, 1.0)
+        u = np.minimum(np.maximum(u, 0.0), 1.0)
         if self.is_exponent_form:
             c = self.exponent
             return u if c == 1.0 else np.power(u, c)
@@ -103,6 +110,10 @@ class LossModel:
         """VaR_alpha(X), the smallest y with survival(y) <= alpha; alpha may be
         an array."""
         raise NotImplementedError
+
+    def _quantile(self, alpha):
+        """var without its checks, +inf where survival never falls to alpha."""
+        return self.var(alpha)
 
     def scaled(self, s: float) -> "LossModel":
         """The loss s * X for a scale s > 0."""
@@ -148,29 +159,48 @@ class ExponentialLoss(LossModel):
 class GenericLoss(LossModel):
     """Loss given by a survival-function handle.
 
-    The survival function must be nonincreasing and right-continuous; the
-    distribution must be strictly increasing and continuous on its support
-    above zero (quantiles are found by monotone bisection).
+    survival_fn maps a numpy array of losses y >= 0 to the array of their
+    survival probabilities (a constant return broadcasts); the loss is
+    checked on a small array when it is built.  The survival function must
+    be nonincreasing and right-continuous; the distribution must be strictly
+    increasing and continuous on its support above zero (quantiles are the
+    smallest floats where it falls to alpha, found by first_true).
     """
 
-    survival_fn: Callable[[float], float]
+    survival_fn: Callable[[np.ndarray], np.ndarray]
     support_hi: float = math.inf
     point_mass_zero: float = 0.0
 
+    def __post_init__(self) -> None:
+        probe = np.array([0.0, 0.5, 1.0]) * min(1.0, self.support_hi)
+        try:
+            np.broadcast_to(np.asarray(self.survival_fn(probe), dtype=float), probe.shape)
+        except (TypeError, ValueError) as exc:  # numpy's, on a scalar-only function or a wrong shape
+            raise DomainError(
+                "survival_fn must map a numpy array of losses to an array of the same shape "
+                f"(or a constant); on {probe!r} it raised {type(exc).__name__}: {exc}"
+            ) from exc
+
     def survival(self, y):
         y = np.asarray(y, dtype=float)
-        vals = np.vectorize(self.survival_fn, otypes=[float])(np.maximum(y, 0.0))
-        return np.where(y < 0.0, 1.0, np.clip(vals, 0.0, 1.0))
+        vals = np.asarray(self.survival_fn(np.maximum(y, 0.0)), dtype=float)
+        return np.where(y < 0.0, 1.0, np.minimum(np.maximum(vals, 0.0), 1.0))
 
     def var(self, alpha):
         self._check_alpha(alpha)
-        return np.vectorize(self._quantile, otypes=[float])(alpha)[()]
-
-    def _quantile(self, alpha: float) -> float:
-        y = first_true(lambda y: self.survival_fn(y) <= alpha, hi=self.support_hi)
-        if math.isinf(y):
+        y = self._quantile(alpha)
+        if np.isinf(y).any():
             raise DomainError("survival never falls below alpha; quantile undefined")
-        return y
+        return y[()]
+
+    def _quantile(self, alpha):
+        alpha = np.asarray(alpha, dtype=float)
+        flat, out = alpha.reshape(-1, 1), np.empty(alpha.size)
+        for s in range(0, len(flat), _SEARCH_ROWS):
+            col = flat[s : s + _SEARCH_ROWS]
+            hi = np.full(len(col), self.support_hi)
+            out[s : s + _SEARCH_ROWS] = first_true(lambda y: self.survival_fn(y) <= col, hi)
+        return out.reshape(alpha.shape)
 
     def scaled(self, s: float) -> "GenericLoss":
         fn = self.survival_fn
@@ -214,39 +244,38 @@ class CostFunctional:
 
     def tail(self, loss: LossModel) -> Callable:
         """Vectorized d -> H[(X - d)_+]: the closed form where one exists,
-        one tail_gauss integral at each d otherwise."""
+        one tail_gauss call over every d otherwise."""
         closed = self._closed_forms(loss)
-        if closed is not None:
-            return closed[1]
-        return np.vectorize(lambda d: self.stop_loss_cost(loss, float(d)), otypes=[float])
+        return closed[1] if closed is not None else partial(self._tail_costs, loss)
 
     def stop_loss_cost(self, loss: LossModel, d: float) -> float:
         """H[(X - d)_+] = (1+theta) * int_d^inf h(survival(y)) dy."""
         if d != d or d < 0.0:
             raise DomainError(f"deductible must be >= 0, got {d}")
-        if math.isinf(d):
-            return 0.0
-        closed = self._closed_forms(loss)
-        if closed is not None:
-            return float(closed[1](d))
-        return (1.0 + self.theta) * self._tail_integral(loss, d)
+        return float(self.tail(loss)(d))
 
-    def _tail_integral(self, loss: LossModel, d: float) -> float:
-        """int_d^hi h(survival(y)) dy by tail_gauss, scaled by the median excess
-        over d (by d - VaR_2top(X) where top = survival(d) is the smallest
-        subnormal and top / 2 is 0) and split at the kinks VaR_u(X) of a
-        tabulated h."""
-        top = float(loss.survival(d))
-        if top == 0.0 or d >= loss.support_hi:
-            return 0.0
-        half = 0.5 * top
-        try:
-            scale = float(loss.var(half)) - d if half > 0.0 else d - float(loss.var(2.0 * top))
-        except DomainError:  # survival stays above top / 2: halve toward hi, or diverge
-            scale = math.inf
-        h = self.distortion
-        kinks = loss.var(np.array([u for u in h.xs[1:-1] if u < top]))
-        return tail_gauss(lambda y: h(loss.survival(y)), d, loss.support_hi, scale, kinks)
+    def _tail_costs(self, loss: LossModel, d) -> np.ndarray:
+        """H[(X - d)_+] at every d of an array, by one tail_gauss call: each
+        row scaled by the median excess over its d (by d - VaR_2top(X) where
+        top = survival(d) is the smallest subnormal and top / 2 is 0; by inf
+        where that quantile is undefined, to halve toward hi or diverge) and
+        split at the kinks VaR_u(X), u < top, of a tabulated h."""
+        d = np.asarray(d, dtype=float)
+        if not np.all(d >= 0.0):
+            raise DomainError(f"deductible must be >= 0, got {np.min(d)}")
+        x = d.ravel()
+        top, out = loss.survival(x), np.zeros(x.shape)
+        live = (top > 0.0) & (x < loss.support_hi)
+        if live.any():
+            x, top = x[live], top[live]
+            half = 0.5 * top
+            scale = np.abs(loss._quantile(np.where(half > 0.0, half, 2.0 * top)) - x)
+            h = self.distortion
+            knots = np.array([u for u in h.xs[1:-1] if u < top.max()])
+            kinks = np.where(knots < top[:, None], loss.var(knots), math.nan) if len(knots) else ()
+            tail = tail_gauss(lambda y: h(loss.survival(y)), x, loss.support_hi, scale, kinks)
+            out[live] = (1.0 + self.theta) * tail
+        return out.reshape(d.shape)
 
     def full_cost(self, loss: LossModel) -> float:
         """H[X] = stop-loss cost at deductible 0."""
@@ -260,9 +289,7 @@ class CostFunctional:
         closed = self._closed_forms(loss)
         if closed is not None:
             return closed[0]
-        return first_true(
-            lambda d: float(self.distortion(loss.survival(d))) <= self.target, hi=loss.support_hi
-        )
+        return first_true(lambda d: self.distortion(loss.survival(d)) <= self.target, loss.support_hi)
 
     def xi(self, loss: LossModel) -> float:
         """Break-even risk level theta* + H[(X - theta*)_+]."""
@@ -333,7 +360,7 @@ class KProfile:
     computed once, and H[(X_k - d)_+] = k T(d / k) with T the base's
     vectorized tail cost.  Other families, on discrete markets only, go
     through the scalar CostFunctional one k at a time, each quantity
-    memoized on its own.
+    memoized on its own, and price tail costs in one call per distinct k.
     """
 
     def __init__(self, cost: CostFunctional, family: ScaleFamily | GenericFamily):
@@ -382,8 +409,8 @@ class KProfile:
         if self._tail is not None:
             return k * self._tail(d / k)
         d = np.broadcast_to(np.asarray(d, dtype=float), k.shape)
-        flat = [
-            self.cost.stop_loss_cost(self.family.model(float(ki)), float(di))
-            for ki, di in zip(k.ravel(), d.ravel())
-        ]
-        return np.array(flat).reshape(k.shape)
+        out = np.empty(k.shape)
+        for kv in np.unique(k):
+            at = k == kv
+            out[at] = self.cost.tail(self.family.model(float(kv)))(d[at])
+        return out

@@ -28,6 +28,7 @@ block prices all its live k-segments in one Gauss-Legendre call.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -110,13 +111,18 @@ class _UniformK(TypeDistribution):
         if not isinstance(self.family, ScaleFamily):
             raise DomainError(f"uniform-k markets need a ScaleFamily, got {type(family).__name__}")
 
+    @cached_property
+    def _edge_ratios(self) -> list[float]:
+        """VaR_1 of each edge alpha, computed once per market."""
+        return [float(self.family.base.var(al)) for al in self._edge_alphas]
+
     def _k_edges(self, points: np.ndarray, *ratios: float) -> np.ndarray:
         """(m, S + 2) k-segment edges for the m rows of points: k_lo, the
         sorted k where the level c k meets a point of the row, clipped to
         [k_lo, k_hi], then k_hi.  c runs over the VaR_1 of each edge alpha (a
         support edge) and then ratios; a ratio outside (0, inf) splits
         nowhere, and a split outside (k_lo, k_hi) gives a zero-width segment."""
-        c = np.array([float(self.family.base.var(al)) for al in self._edge_alphas] + list(ratios))
+        c = np.array(self._edge_ratios + list(ratios))
         cuts = (points[:, :, None] / c[(c > 0.0) & (c < math.inf)]).reshape(len(points), -1)
         edges = np.empty((len(points), cuts.shape[1] + 2))
         edges[:, 0], edges[:, -1] = self.k_lo, self.k_hi

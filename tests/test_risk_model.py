@@ -63,6 +63,41 @@ class TestDistortion:
         assert h(0.5) == pytest.approx(0.8)
 
 
+class TestGenericLossContract:
+    """survival_fn maps an array to an array; a scalar-only one fails when
+    the loss is built, naming the contract."""
+
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            lambda y: math.exp(-y),  # numpy: only 0-dimensional arrays convert to a float
+            lambda y: 1.0 if y < 1.0 else 0.5,  # the truth value of an array is ambiguous
+            lambda y: np.ones(len(y) + 1),  # the wrong shape
+        ],
+        ids=["math.exp", "branch", "shape"],
+    )
+    def test_scalar_only_survival_fails_fast(self, fn):
+        with pytest.raises(DomainError, match="survival_fn must map a numpy array"):
+            GenericLoss(fn)
+
+    def test_constant_survival_broadcasts(self):
+        half = GenericLoss(lambda y: 0.5, support_hi=2.0)
+        assert half.survival(np.array([[-1.0, 0.0], [1.0, 3.0]])).tolist() == [[1.0, 0.5], [0.5, 0.5]]
+        assert ZERO_LOSS.survival(np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+
+    def test_survival_is_one_call_per_array(self):
+        calls = []
+
+        def fn(y):
+            calls.append(np.shape(y))
+            return np.exp(-y)
+
+        loss = GenericLoss(fn)
+        calls.clear()  # the check on building
+        loss.survival(np.linspace(0.0, 5.0, 14).reshape(2, 7))
+        assert calls == [(2, 7)]
+
+
 class TestVar:
     def test_var_exponential_known_point(self):
         # alpha = e^-3 puts the quantile at three mean units.
@@ -83,14 +118,14 @@ class TestVar:
 
     def test_var_generic_matches_exponential(self):
         exp = ExponentialLoss(2000.0)
-        gen = GenericLoss(lambda y: math.exp(-y / 2000.0))
+        gen = GenericLoss(lambda y: np.exp(-y / 2000.0))
         for alpha in (0.05, 0.1353, 0.5):
             assert gen.var(alpha) == pytest.approx(exp.var(alpha), rel=1e-9)
 
     def test_var_accepts_arrays(self):
         alphas = np.array([0.05, 0.1353, 0.5])
         exp = ExponentialLoss(2000.0)
-        gen = GenericLoss(lambda y: math.exp(-y / 2000.0))
+        gen = GenericLoss(lambda y: np.exp(-y / 2000.0))
         assert exp.var(alphas) == pytest.approx([exp.var(float(x)) for x in alphas], rel=1e-15)
         assert gen.var(alphas) == pytest.approx(exp.var(alphas), rel=1e-12)
         with pytest.raises(DomainError):
@@ -110,7 +145,7 @@ class TestStopLossCost:
 
     def test_closed_form_matches_quadrature(self, cost):
         k = 7000.0
-        gen = GenericLoss(lambda y: math.exp(-y / k))
+        gen = GenericLoss(lambda y: np.exp(-y / k))
         for d in (0.0, 500.0, k, 3 * k):
             closed = cost.stop_loss_cost(ExponentialLoss(k), d)
             numeric = cost.stop_loss_cost(gen, d)
@@ -215,7 +250,7 @@ class TestTailDivergence:
             (GenericLoss(lambda y: 1.0 / (1.0 + y)), 1.0),
             (lomax(2.0), 1.0 / 3.0),  # (1 + y/2)^-1: every doubling segment adds 2 ln 2
             (lomax(2.0), 0.3),  # the survival underflows to zero long before the tail settles
-            (GenericLoss(lambda y: 0.95 + 0.05 * math.exp(-y)), 1.0),  # survival never halves
+            (GenericLoss(lambda y: 0.95 + 0.05 * np.exp(-y)), 1.0),  # survival never halves
         ],
     )
     def test_raises_in_bounded_time(self, loss, c):
@@ -253,13 +288,13 @@ class TestThetaStar:
 
     def test_bisection_matches_closed_form(self, cost):
         k = 12000.0
-        gen = GenericLoss(lambda y: math.exp(-y / k))
+        gen = GenericLoss(lambda y: np.exp(-y / k))
         assert cost.theta_star(gen) == pytest.approx(k * LN11, abs=1e-8)
 
     def test_infinite_when_survival_never_crosses(self, cost):
         # Survival bounded below 0.95 > 1/1.1: the distorted survival never
         # reaches the target, so the optimal deductible is pushed to +inf.
-        gen = GenericLoss(lambda y: 0.95 + 0.05 * math.exp(-y))
+        gen = GenericLoss(lambda y: 0.95 + 0.05 * np.exp(-y))
         assert cost.theta_star(gen) == math.inf
 
     def test_point_mass_shrinks_theta_star(self, cost):
@@ -283,7 +318,7 @@ class TestXi:
         assert cost.xi(ZERO_LOSS) == 0.0
 
     def test_infinite_theta_star_unsupported(self, cost):
-        gen = GenericLoss(lambda y: 0.95 + 0.05 * math.exp(-y))
+        gen = GenericLoss(lambda y: 0.95 + 0.05 * np.exp(-y))
         with pytest.raises(UnsupportedError):
             cost.xi(gen)
 
@@ -353,7 +388,7 @@ class TestKProfile:
         assert out[0] == 0.0
 
 
-UNIT_EXP = GenericLoss(lambda y: math.exp(-y))  # the base X_1 ~ Exp(1), as a generic loss
+UNIT_EXP = GenericLoss(lambda y: np.exp(-y))  # the base X_1 ~ Exp(1), as a generic loss
 TABULATED = Distortion.tabulated(TABULATED_KNOTS)
 
 

@@ -248,6 +248,15 @@ MARKETS = {
 }
 
 
+def test_capped_lomax_market_keeps_its_menu():
+    # theta = 1 puts sup theta* above L, so every kink below it prices a tail
+    # cost at each capped Gauss node: batched tails make this a one-second
+    # solve.  tau* and J as the per-node scalar tails gave them.
+    menu = threshold.solve("stop_loss", LOMAX, CAPPED_COST, grid_points=1001)
+    assert menu.tau_star == pytest.approx(49033.48152435394, rel=1e-12)
+    assert menu.objective_value == pytest.approx(2616.9294911249212, rel=1e-12)
+
+
 # Change-loss has no menu on the capped market, where sup theta* > L.
 @pytest.mark.parametrize(
     "market, kind",
@@ -399,7 +408,7 @@ def test_search_shuts_down_when_every_kink_loses():
 
 
 def test_menu_reuses_its_profile(monkeypatch):
-    # Lomax losses S(y) = (1 + y / 2k)^-3: per-k costs come from bisection.
+    # Lomax losses S(y) = (1 + y / 2k)^-3: per-k costs come from quadrature.first_true.
     family = GenericFamily(lambda k: GenericLoss(lambda y: (1.0 + y / (2.0 * k)) ** -3.0))
     dist = DiscreteTypes([(0.05, 5000.0, 0.5), (0.1, 12000.0, 0.5)], family)
     menu = threshold.ThresholdMenu(float(dist.a_vals.min()), 0.0, CostFunctional(0.2), dist, "stop_loss")

@@ -99,7 +99,7 @@ class TestIntegrate:
     def test_alpha_coordinates_with_generic_base(self):
         from remenu import GenericLoss, ScaleFamily
 
-        family = ScaleFamily(GenericLoss(lambda y: math.exp(-y)))
+        family = ScaleFamily(GenericLoss(lambda y: np.exp(-y)))
         generic = ProductUniform(5000.0, 25000.0, ALPHA_LO, ALPHA_HI, family)
         closed = ProductUniform(5000.0, 25000.0, ALPHA_LO, ALPHA_HI)
 
