@@ -35,13 +35,16 @@ def _take(section: dict, name: str, allowed: set[str], required: set[str]) -> di
     return section
 
 
-def _num(section: dict, name: str, key: str, default=None) -> float:
-    val = section.get(key, default)
+def _number(val, name: str) -> float:
     if val is None:
-        raise ConfigError(f"{name}.{key} is required")
+        raise ConfigError(f"{name} is required")
     if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{name}.{key} must be a number, got {val!r}")
+        raise ConfigError(f"{name} must be a number, got {val!r}")
     return float(val)
+
+
+def _num(section: dict, name: str, key: str, default=None) -> float:
+    return _number(section.get(key, default), f"{name}.{key}")
 
 
 def _int(section: dict, name: str, key: str, default: int) -> int:
@@ -142,10 +145,9 @@ class ScenarioConfig:
         if len(atoms) != len(alphas):
             raise ConfigError("k atoms and alpha atoms must align")
         triples = []
-        for ka, aa in zip(atoms, alphas):
+        for i, (ka, aa) in enumerate(zip(atoms, alphas)):
             if not (isinstance(ka, list) and len(ka) == 2):
-                raise ConfigError("each k atom must be [k, weight]")
-            if not isinstance(aa, (int, float)) or isinstance(aa, bool):
-                raise ConfigError("each alpha atom must be a number")
-            triples.append((float(aa), float(ka[0]), float(ka[1])))
+                raise ConfigError(f"types.k_dist.atoms[{i}] must be [k, weight]")
+            k, w = (_number(v, f"types.k_dist.atoms[{i}][{j}]") for j, v in enumerate(ka))
+            triples.append((_number(aa, f"types.alpha_dist.atoms[{i}]"), k, w))
         return DiscreteTypes(triples, family)

@@ -4,9 +4,10 @@ tail_gauss prices distorted tails, a batch of lower limits at a time, on
 doubling segments that stop on a geometric remainder estimate;
 adaptive_gauss_batched raises the node count of a batch of finite integrals;
 first_true finds, for a batch of rows at once, the smallest float at which a
-monotone predicate holds.  All routines are pure and use fixed node sets, and
-a row of a batch is its own call bit for bit, so repeated runs are bitwise
-identical.
+monotone predicate holds.  All routines are pure and use fixed node sets, so
+repeated runs are bitwise identical.  A tail_gauss or first_true row is its own
+call bit for bit; adaptive_gauss_batched stops on the whole batch, so its rows
+can differ from their own calls by rounding.
 """
 
 from __future__ import annotations

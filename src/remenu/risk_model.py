@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -331,86 +331,56 @@ class ExponentialFamily(ScaleFamily):
         super().__init__(ExponentialLoss(1.0, point_mass_zero))
 
 
-@dataclass(frozen=True)
-class GenericFamily:
-    """k -> LossModel through an arbitrary builder callable, one k at a time.
-
-    Discrete markets take it; the uniform-k markets take only a ScaleFamily,
-    whose quantiles and theta*_k are k times the base's.
-    """
-
-    builder: Callable[[float], LossModel]
-
-    def model(self, k: float) -> LossModel:
-        return self.builder(k)
-
-    def var(self, alpha, k):
-        alpha, k = np.broadcast_arrays(np.asarray(alpha, float), np.asarray(k, float))
-        out = np.empty(k.shape)
-        for i in np.ndindex(k.shape):
-            out[i] = self.model(float(k[i])).var(float(alpha[i]))
-        return out
+def GenericFamily(builder: Callable[[float], LossModel]) -> ScaleFamily:
+    """The ScaleFamily of builder(1.0), for a builder k -> X_k that is one:
+    DomainError unless builder(2.0) survives 2y where builder(1.0) survives y."""
+    base, y = builder(1.0), np.array([1e-2, 1.0, 1e2, 1e4, 1e6])  # probe losses
+    if not np.allclose(builder(2.0).survival(2.0 * y), base.survival(y), rtol=1e-12, atol=0.0):
+        raise DomainError("GenericFamily needs a scale family X_k = k X_1: builder(2.0) is not 2 * builder(1.0)")
+    return ScaleFamily(base)
 
 
 class KProfile:
     """Vectorized theta*_k, xi_k, H[X_k] and H[(X_k - d)_+] across k.
 
-    On a ScaleFamily, positive homogeneity H[cY] = c H[Y] prices X_k = k X_1
-    from the base: theta*_k, xi_k and H[X_k] are k times their base values,
-    computed once, and H[(X_k - d)_+] = k T(d / k) with T the base's
-    vectorized tail cost.  Other families, on discrete markets only, go
-    through the scalar CostFunctional one k at a time, each quantity
-    memoized on its own, and price tail costs in one call per distinct k.
+    Positive homogeneity H[cY] = c H[Y] prices X_k = k X_1 from the base:
+    theta*_k, xi_k and H[X_k] are k times their base values, each computed
+    once on first use, and H[(X_k - d)_+] = k T(d / k) with T the base's
+    vectorized tail cost.
     """
 
-    def __init__(self, cost: CostFunctional, family: ScaleFamily | GenericFamily):
+    def __init__(self, cost: CostFunctional, family: ScaleFamily):
         self.cost = cost
         self.family = family
-        self._base = family.base if isinstance(family, ScaleFamily) else None
-        self._tail = None if self._base is None else cost.tail(self._base)
-        self._memo: dict[str, dict] = {"theta_star": {}, "xi": {}, "full_cost": {}}
+        self._tail = cost.tail(family.base)
 
-    def _scalar(self, name: str, k: float | None) -> float:
-        """theta_star, xi or full_cost of X_k (of the base for k None), memoized."""
-        memo = self._memo[name]
-        got = memo.get(k)
-        if got is None:
-            loss = self._base if k is None else self.family.model(k)
-            if name == "xi":
-                ts = self._scalar("theta_star", k)
-                got = ts + self.cost.stop_loss_cost(loss, ts) if math.isfinite(ts) else math.inf
-            else:
-                got = getattr(self.cost, name)(loss)
-            memo[k] = got
-        return got
+    @cached_property
+    def _theta_star_1(self) -> float:
+        return self.cost.theta_star(self.family.base)
 
-    def _across(self, name: str, k) -> np.ndarray:
-        k = np.asarray(k, dtype=float)
-        if self._base is not None:
-            return k * self._scalar(name, None)
-        return np.array([self._scalar(name, float(ki)) for ki in k.ravel()]).reshape(k.shape)
+    @cached_property
+    def _xi_1(self) -> float:
+        ts = self._theta_star_1
+        return ts + float(self._tail(ts)) if math.isfinite(ts) else math.inf
+
+    @cached_property
+    def _full_cost_1(self) -> float:
+        return float(self._tail(0.0))
 
     def theta_star(self, k):
-        return self._across("theta_star", k)
+        return np.asarray(k, dtype=float) * self._theta_star_1
 
     def sup_theta_star(self, ks) -> float:
         """max theta*_k over the k values ks, such as a market's k_ends."""
         return float(np.max(self.theta_star(ks)))
 
     def xi(self, k):
-        return self._across("xi", k)
+        return np.asarray(k, dtype=float) * self._xi_1
 
     def full_cost(self, k):
-        return self._across("full_cost", k)
+        return np.asarray(k, dtype=float) * self._full_cost_1
 
     def stop_loss_cost(self, k, d):
         """H[(X_k - d)_+]; d may be scalar or an array matching k."""
         k = np.asarray(k, dtype=float)
-        if self._tail is not None:
-            return k * self._tail(d / k)
-        d = np.broadcast_to(np.asarray(d, dtype=float), k.shape)
-        out = np.empty(k.shape)
-        for kv in np.unique(k):
-            at = k == kv
-            out[at] = self.cost.tail(self.family.model(float(kv)))(d[at])
-        return out
+        return k * self._tail(d / k)

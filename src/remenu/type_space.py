@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DomainError
 from .quadrature import adaptive_gauss_batched, gauss_legendre
-from .risk_model import ExponentialFamily, GenericFamily, ScaleFamily
+from .risk_model import ExponentialFamily, ScaleFamily
 
 _WEIGHT_TOL = 1e-12
 _CHUNK_ELEMS = 1 << 15  # array elements per block of thresholds; bounds its memory
@@ -45,15 +45,18 @@ _TAIL_NODES = 256  # Gauss-Legendre nodes per k-segment of tail_integral
 class TypeDistribution:
     """Common interface: support bounds, quadrature, sampling.
 
-    ``k_ends`` holds the k values over which sup_k theta*_k is taken: the
-    ends of a uniform k-range, where a scale family's quantiles and
-    theta*_k = k theta*_1 take their extremes, or every distinct atom k.
+    ``k_ends`` holds the smallest and the largest k, where the scale
+    family's quantiles and theta*_k = k theta*_1 take their extremes.
     Subclasses price a block of thresholds in ``_tail_block(g, t, kink, at)``,
     each threshold taking ``_row_elems`` array elements.
     """
 
-    family: ScaleFamily | GenericFamily
-    k_ends: tuple[float, ...]
+    k_ends: tuple[float, float]
+
+    def __init__(self, family: ScaleFamily | None):
+        self.family = ExponentialFamily() if family is None else family
+        if not isinstance(self.family, ScaleFamily):
+            raise DomainError(f"type distributions need a ScaleFamily, got {type(family).__name__}")
 
     def lower_support(self) -> float:
         """Infimum of the transformed risk level a over the support."""
@@ -107,9 +110,7 @@ class _UniformK(TypeDistribution):
         self.k_lo = float(k_lo)
         self.k_hi = float(k_hi)
         self.k_ends = (self.k_lo, self.k_hi)
-        self.family = family if family is not None else ExponentialFamily()
-        if not isinstance(self.family, ScaleFamily):
-            raise DomainError(f"uniform-k markets need a ScaleFamily, got {type(family).__name__}")
+        super().__init__(family)
 
     @cached_property
     def _edge_ratios(self) -> list[float]:
@@ -257,11 +258,11 @@ class DiscreteTypes(TypeDistribution):
     def __init__(
         self,
         atoms: Sequence[tuple[float, float, float]],
-        family: ScaleFamily | GenericFamily | None = None,
+        family: ScaleFamily | None = None,
     ):
         if not atoms:
             raise DomainError("discrete type distribution needs at least one atom")
-        self.family = family if family is not None else ExponentialFamily()
+        super().__init__(family)
         self.alphas = np.array([x[0] for x in atoms], dtype=float)
         self.ks = np.array([x[1] for x in atoms], dtype=float)
         self.weights = np.array([x[2] for x in atoms], dtype=float)
@@ -269,7 +270,7 @@ class DiscreteTypes(TypeDistribution):
             raise DomainError(f"atom k values must be finite and positive, got {self.ks.tolist()}")
         if not np.all((self.weights >= 0.0) & (self.weights < math.inf)):
             raise DomainError(f"atom weights must be finite and >= 0, got {self.weights.tolist()}")
-        self.k_ends = tuple(sorted(set(self.ks.tolist())))
+        self.k_ends = (float(self.ks.min()), float(self.ks.max()))
         if abs(self.weights.sum() - 1.0) > _WEIGHT_TOL:
             raise DomainError(f"atom weights must sum to 1, got {self.weights.sum()}")
         self.a_vals = np.asarray(self.family.var(self.alphas, self.ks), dtype=float)

@@ -252,6 +252,9 @@ def first_best_demo(
     KProfile; an infinite theta*_k gives xi_k = inf, so the type is unserved
     (d = inf, no premium, no profit, nothing to mimic).
     """
+    for name, x, lo in (("a1", a1, -math.inf), ("a2", a2, -math.inf), ("k1", k1, 0.0), ("k2", k2, 0.0)):
+        if not lo < x < math.inf:
+            raise DomainError(f"{name} must lie in ({lo}, inf), got {x}")
     if a2 >= a1:
         raise DomainError(f"need a2 < a1, got a1={a1}, a2={a2}")
     prof = KProfile(cost, dist.family)

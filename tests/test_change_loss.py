@@ -9,9 +9,9 @@ from remenu import (
     DiscreteTypes,
     Distortion,
     ExponentialLoss,
-    GenericFamily,
     GenericLoss,
     KProfile,
+    ScaleFamily,
     check_ic,
     check_ir,
     threshold,
@@ -49,17 +49,16 @@ class TestAssumptionCheck:
 
 
 class TestSupThetaStarOverEveryAtom:
-    # The atom at k = 2000 has mean 20000, so theta*_k peaks between the
-    # smallest and the largest k: sup theta* = 20000 ln 1.1 ~ 1906 > L = 1500.
-    MEANS = {1000.0: 1000.0, 2000.0: 20000.0, 3000.0: 1000.0}
+    # The middle atom has the largest k, 20000, but a low risk level a = 4000:
+    # sup theta* = 20000 ln 1.1 ~ 1906 > L = 1500, set by the first atom.
     ATOMS = [
         (math.exp(-1.5), 1000.0, 0.3),
-        (math.exp(-0.2), 2000.0, 0.4),
+        (math.exp(-0.2), 20000.0, 0.4),
         (math.exp(-2.5), 3000.0, 0.3),
     ]
 
     def market(self):
-        return DiscreteTypes(self.ATOMS, GenericFamily(lambda k: ExponentialLoss(self.MEANS[k])))
+        return DiscreteTypes(self.ATOMS)
 
     def test_assumption_check_sees_the_middle_atom(self, cost):
         report = threshold.assumption_check(self.market(), cost)
@@ -72,7 +71,7 @@ class TestSupThetaStarOverEveryAtom:
     def test_objective_caps_the_middle_atom(self, cost):
         dist = self.market()
         brute = sum(
-            w * phi(1500.0, float(a), cost, dist.family.model(k))
+            w * phi(1500.0, float(a), cost, dist.family.base.scaled(k))
             for a, k, w in zip(dist.a_vals, dist.ks, dist.weights)
         )
         assert threshold.objective("stop_loss", 1500.0, dist, cost) == pytest.approx(brute, rel=1e-12)
@@ -190,7 +189,7 @@ class TestIsStopLoss:
         cost = CostFunctional(0.1, Distortion.power(0.9))
         dist = DiscreteTypes(
             [(0.02, 5000.0, 0.3), (0.05, 10000.0, 0.4), (0.1, 20000.0, 0.3)],
-            GenericFamily(lomax_loss),
+            ScaleFamily(lomax_loss(1.0)),
         )
         profile = KProfile(cost, dist.family)
         sup = profile.sup_theta_star(dist.k_ends)

@@ -1,16 +1,22 @@
-"""The per-class modules ``remenu.stop_loss``, ``remenu.quota_share`` and
-``remenu.change_loss`` are aliases of the one threshold menu, kept for the
-benchmark harness: each alias is a ``partial`` of its ``threshold`` function,
-and nothing else in the project imports or names the modules."""
+"""Names kept only for the benchmark harness, which nothing else in the
+project imports or names:
+
+* the per-class modules ``remenu.stop_loss``, ``remenu.quota_share`` and
+  ``remenu.change_loss``, aliases of the one threshold menu: each alias is a
+  ``partial`` of its ``threshold`` function;
+* ``GenericFamily(builder)``, a checked constructor of the ScaleFamily of
+  ``builder(1.0)``."""
 
 import ast
 import importlib
+import re
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from remenu import threshold
+from remenu import DomainError, ExponentialLoss, GenericFamily, GenericLoss, ScaleFamily, threshold
 
 ROOT = Path(__file__).resolve().parents[1]
 # Class -> (menu alias, objective alias); each module also has `solve`.
@@ -68,17 +74,44 @@ def names_of_alias_modules(tree: ast.AST, in_package: bool) -> list[str]:
     return found
 
 
-def test_nothing_else_uses_the_alias_modules():
+def names_of_generic_family(tree: ast.AST) -> list[str]:
+    """Every name, attribute, import or string in tree that names GenericFamily."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "GenericFamily":
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr == "GenericFamily":
+            found.append(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found += [a.name for a in node.names if a.name == "GenericFamily"]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found += re.findall(r"\bGenericFamily\b", node.value)
+    return found
+
+
+def uses_outside(allowed: set[Path], scan) -> dict[str, list[str]]:
+    """What scan finds in each file of src/, tests/ and scripts/ but allowed."""
     paths = [p for d in ("src", "tests", "scripts") for p in sorted((ROOT / d).rglob("*.py"))]
     assert ROOT / "src" / "remenu" / "cli.py" in paths
     uses = {}
     for path in paths:
-        if path.resolve() in ALLOWED:
+        if path.resolve() in allowed:
             continue
-        found = names_of_alias_modules(ast.parse(path.read_text("utf-8")), "remenu" in path.parts)
+        found = scan(ast.parse(path.read_text("utf-8")), "remenu" in path.parts)
         if found:
             uses[str(path.relative_to(ROOT))] = found
-    assert uses == {}
+    return uses
+
+
+def test_nothing_else_uses_the_alias_modules():
+    assert uses_outside(ALLOWED, names_of_alias_modules) == {}
+
+
+def test_nothing_else_names_generic_family():
+    # Its definition, its export and its own tests.
+    src = ROOT / "src" / "remenu"
+    allowed = {src / "risk_model.py", src / "__init__.py", Path(__file__).resolve()}
+    assert uses_outside(allowed, lambda tree, _in_package: names_of_generic_family(tree)) == {}
 
 
 @pytest.mark.parametrize(
@@ -95,3 +128,41 @@ def test_nothing_else_uses_the_alias_modules():
 )
 def test_the_scan_finds_each_way_of_naming_a_module(source, in_package):
     assert names_of_alias_modules(ast.parse(source), in_package)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from remenu import GenericFamily",
+        "from remenu.risk_model import GenericFamily as Family",
+        "from .risk_model import GenericFamily",
+        "import remenu\nremenu.GenericFamily(f)",
+        "GenericFamily(f)",
+        "getattr(remenu, 'GenericFamily')",
+        '"""Markets built with GenericFamily(builder)."""',
+    ],
+)
+def test_the_scan_finds_each_way_of_naming_generic_family(source):
+    assert names_of_generic_family(ast.parse(source))
+
+
+def lomax(k):
+    """S_k(y) = (1 + y / 2k)^-3, a scale family."""
+    return GenericLoss(lambda y: (1.0 + y / (2.0 * k)) ** -3.0)
+
+
+@pytest.mark.parametrize("builder", [ExponentialLoss, lambda k: ExponentialLoss(k, 0.1)], ids=["exp", "exp-atom"])
+def test_generic_family_is_the_scale_family_of_its_unit_loss(builder):
+    assert GenericFamily(builder) == ScaleFamily(builder(1.0))
+
+
+def test_generic_family_prices_from_builder_one():
+    family, y = GenericFamily(lomax), np.array([0.0, 0.5, 3.0, 1e5])
+    assert type(family) is ScaleFamily
+    np.testing.assert_array_equal(family.base.survival(y), lomax(1.0).survival(y))
+    np.testing.assert_array_equal(family.survival(y, 4.0), lomax(4.0).survival(y))
+
+
+def test_generic_family_rejects_a_builder_that_is_no_scale_family():
+    with pytest.raises(DomainError, match="scale family"):
+        GenericFamily(lambda k: ExponentialLoss(k + 1000.0))

@@ -210,6 +210,25 @@ class TestSolve:
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "k_atom, alpha_atom, named",
+        [
+            (["abc", 0.5], 0.05, "types.k_dist.atoms[0][0] must be a number, got 'abc'"),
+            ([None, 0.5], 0.05, "types.k_dist.atoms[0][0] is required"),
+            (["5000", 0.5], 0.05, "types.k_dist.atoms[0][0] must be a number, got '5000'"),
+            ([True, 0.5], 0.05, "types.k_dist.atoms[0][0] must be a number, got True"),
+            ([5000, "0.5"], 0.05, "types.k_dist.atoms[0][1] must be a number, got '0.5'"),
+            ([5000, 0.5], True, "types.alpha_dist.atoms[0] must be a number, got True"),
+        ],
+        ids=["text-k", "null-k", "numeric-text-k", "bool-k", "text-weight", "bool-alpha"],
+    )
+    def test_non_number_atom_exits_2_naming_it(self, tmp_path, capsys, k_atom, alpha_atom, named):
+        k_dist, alpha_dist = {"atoms": [k_atom, [10000, 0.5]]}, {"atoms": [alpha_atom, 0.1]}
+        types = {"variant": "discrete", "k_dist": k_dist, "alpha_dist": alpha_dist}
+        cfg = write_config(tmp_path / "c.json", types=types)
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert named in capsys.readouterr().err
+
     @pytest.mark.parametrize("config_seed, named", [(-5, "-5")], ids=["config"])
     def test_negative_seed_exits_2_naming_seed(self, tmp_path, capsys, config_seed, named):
         cfg = write_config(tmp_path / "c.json", seed=config_seed)
@@ -475,6 +494,20 @@ class TestFirstBest:
 
     def test_missing_pair_exits_2(self, config, tmp_path):
         assert main(["first-best", "--config", str(config), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "pair, named",
+        [("30000,-5000,20000,5000", "k1 must lie in (0.0, inf), got -5000.0"),
+         ("30000,0,20000,5000", "k1 must lie in (0.0, inf), got 0.0"),
+         ("30000,5000,20000,-0", "k2 must lie in (0.0, inf), got -0.0")],
+        ids=["negative-k1", "zero-k1", "zero-k2"],
+    )
+    def test_non_positive_k_exits_2_naming_it(self, tmp_path, capsys, pair, named):
+        out = tmp_path / "out"
+        config = SCRIPTS / "fixed_alpha_stop_loss.json"
+        assert main(["first-best", "--config", str(config), "--out", str(out), "--pair", pair]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_order_exits_2(self, config, tmp_path):
         assert (

@@ -13,7 +13,6 @@ from remenu import (
     DomainError,
     ExponentialFamily,
     ExponentialLoss,
-    GenericFamily,
     GenericLoss,
     KProfile,
     ScaleFamily,
@@ -374,13 +373,12 @@ class TestKProfile:
             )
 
     def test_slow_path_consistent_with_fast(self, cost):
-        from remenu import GenericFamily
-
-        slow = KProfile(cost, GenericFamily(lambda k: ExponentialLoss(k)))
+        # The slow path prices each X_k = base.scaled(k) on its own.
         fast = KProfile(cost, ExponentialFamily())
         ks = np.array([6000.0, 18000.0])
-        assert slow.theta_star(ks) == pytest.approx(fast.theta_star(ks), abs=1e-7)
-        assert slow.xi(ks) == pytest.approx(fast.xi(ks), rel=1e-9)
+        slow = [fast.family.base.scaled(float(k)) for k in ks]
+        assert [cost.theta_star(x) for x in slow] == pytest.approx(fast.theta_star(ks), abs=1e-7)
+        assert [cost.xi(x) for x in slow] == pytest.approx(fast.xi(ks), rel=1e-9)
 
     def test_infinite_deductible_array(self, cost):
         fast = KProfile(cost, ExponentialFamily())
@@ -420,11 +418,12 @@ class TestScaleFamily:
     def test_scale_route_matches_per_k_route(self):
         cost = CostFunctional(0.1, TABULATED)
         scale = KProfile(cost, ExponentialFamily(0.1))
-        per_k = KProfile(cost, GenericFamily(lambda k: ExponentialLoss(k, 0.1)))
         ks = np.array([5000.0, 12000.0, 25000.0])
-        assert scale.theta_star(ks) == pytest.approx(per_k.theta_star(ks), rel=1e-12)
-        assert scale.xi(ks) == pytest.approx(per_k.xi(ks), rel=1e-10)
-        assert scale.full_cost(ks) == pytest.approx(per_k.full_cost(ks), rel=1e-10)
+        per_k = [scale.family.base.scaled(float(k)) for k in ks]  # each X_k priced on its own
+        assert scale.theta_star(ks) == pytest.approx([cost.theta_star(x) for x in per_k], rel=1e-12)
+        assert scale.xi(ks) == pytest.approx([cost.xi(x) for x in per_k], rel=1e-10)
+        assert scale.full_cost(ks) == pytest.approx([cost.full_cost(x) for x in per_k], rel=1e-10)
         d = np.array([0.0, 3000.0, 40000.0])
-        assert scale.stop_loss_cost(ks, d) == pytest.approx(per_k.stop_loss_cost(ks, d), rel=1e-10)
+        per_k_d = [cost.stop_loss_cost(x, float(di)) for x, di in zip(per_k, d)]
+        assert scale.stop_loss_cost(ks, d) == pytest.approx(per_k_d, rel=1e-10)
         assert scale.stop_loss_cost(ks, math.inf) == pytest.approx([0.0, 0.0, 0.0])

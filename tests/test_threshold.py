@@ -15,7 +15,6 @@ from remenu import (
     DomainError,
     ExponentialFamily,
     ExponentialLoss,
-    GenericFamily,
     GenericLoss,
     ProductUniform,
     ScaleFamily,
@@ -158,11 +157,16 @@ CAPPED = ProductUniform(5000.0, 25000.0, math.exp(-3), math.exp(-2))
 CAPPED_COST = CostFunctional(1.0)
 
 
+def every_k_end(dist):
+    """The ends of a uniform k-range, or every distinct atom k."""
+    return np.unique(getattr(dist, "ks", dist.k_ends))
+
+
 def kink_batch(dist, n=301):
     """Kinks across and beyond the support, plus +inf, in one unsorted array."""
     lo, hi = dist.lower_support(), dist.upper_support()
     taus = np.linspace(0.5 * lo, 1.2 * hi, n)
-    return np.concatenate([taus[::2], [math.inf], taus[1::2], [lo, hi], dist.k_ends])
+    return np.concatenate([taus[::2], [math.inf], taus[1::2], [lo, hi], every_k_end(dist)])
 
 
 # By default a block holds about 2^15 Gauss nodes: 32 kinks (product, capped)
@@ -274,7 +278,7 @@ def test_doubling_every_k_doubles_the_menu(market, kind, cost):
     a2, k2 = big.sample(500, np.random.default_rng(7))
     assert (a2.tolist(), k2.tolist()) == ((2.0 * a).tolist(), (2.0 * k).tolist())
     # Types at the kink too, where the break-even rule decides who is served.
-    ends = np.array(dist.k_ends)
+    ends = every_k_end(dist)
     a, k = np.append(a, np.full(len(ends), menu.tau_star)), np.append(k, ends)
     served, d, premium = menu.terms(a, k)
     served2, d2, premium2 = twice.terms(2.0 * a, 2.0 * k)
@@ -408,8 +412,8 @@ def test_search_shuts_down_when_every_kink_loses():
 
 
 def test_menu_reuses_its_profile(monkeypatch):
-    # Lomax losses S(y) = (1 + y / 2k)^-3: per-k costs come from quadrature.first_true.
-    family = GenericFamily(lambda k: GenericLoss(lambda y: (1.0 + y / (2.0 * k)) ** -3.0))
+    # Lomax losses S(y) = (1 + y / 2k)^-3: the base's costs come from quadrature.first_true.
+    family = ScaleFamily(GenericLoss(lambda y: (1.0 + y / 2.0) ** -3.0))
     dist = DiscreteTypes([(0.05, 5000.0, 0.5), (0.1, 12000.0, 0.5)], family)
     menu = threshold.ThresholdMenu(float(dist.a_vals.min()), 0.0, CostFunctional(0.2), dist, "stop_loss")
     calls = []

@@ -10,7 +10,6 @@ from remenu import (
     DiscreteTypes,
     DomainError,
     ExponentialLoss,
-    GenericFamily,
     ProductUniform,
 )
 from remenu.quadrature import gauss_legendre
@@ -214,9 +213,11 @@ class TestValidation:
         [
             lambda fam: ProductUniform(5000.0, 25000.0, ALPHA_LO, ALPHA_HI, fam),
             lambda fam: DegenerateAlpha(5000.0, 25000.0, ALPHA_LO, fam),
+            lambda fam: DiscreteTypes([(ALPHA_LO, 5000.0, 1.0)], fam),
         ],
-        ids=["product", "degenerate"],
+        ids=["product", "degenerate", "discrete"],
     )
     def test_uniform_k_needs_a_scale_family(self, build):
+        # A loss, not a family k -> X_k.
         with pytest.raises(DomainError, match="ScaleFamily"):
-            build(GenericFamily(lambda k: ExponentialLoss(k)))
+            build(ExponentialLoss(5000.0))

@@ -322,6 +322,16 @@ class TestFirstBest:
         with pytest.raises(DomainError):
             first_best_demo(30000.0, 15000.0, 30000.0, 15000.0, product_dist, cost)
 
+    @pytest.mark.parametrize(
+        "pair, named",
+        [((45000.0, 0.0, 30000.0, 15000.0), "k1"), ((45000.0, 15000.0, 30000.0, -5000.0), "k2"),
+         ((45000.0, math.inf, 30000.0, 15000.0), "k1"), ((45000.0, 15000.0, 30000.0, math.nan), "k2"),
+         ((math.inf, 15000.0, 30000.0, 15000.0), "a1"), ((45000.0, 15000.0, math.nan, 15000.0), "a2")],
+    )
+    def test_non_finite_or_non_positive_type_rejected(self, cost, product_dist, pair, named):
+        with pytest.raises(DomainError, match=f"^{named} must lie in "):
+            first_best_demo(*pair, product_dist, cost)
+
     def test_signs_hold_for_random_pairs(self, cost, product_dist):
         rng = np.random.default_rng(12)
         a, k = product_dist.sample(40, rng)
