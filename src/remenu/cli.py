@@ -22,7 +22,7 @@ import numpy as np
 from . import threshold
 from .config import ScenarioConfig
 from .errors import AssumptionError, ConfigError, DomainError, UnsupportedError
-from .menus import Contract, GenericMenu, MenuEntry, risk_reduction
+from .menus import GenericMenu, risk_reduction
 from .type_space import DegenerateAlpha, DiscreteTypes, ProductUniform
 from .verification import check_ic, check_ir, first_best_demo, monte_carlo_profit
 
@@ -94,28 +94,60 @@ def _write_menu_csv(path: Path, menu, dist) -> None:
     _write_csv(path, header, ([*r[:2], menu.contract_class, *r[2:]] for r in rows))
 
 
+# The numeric columns of menu.csv, in the order of GenericMenu.columns.
+MENU_NUMBERS = ("a", "k", "lambda", "deductible", "premium")
+
+
 def _read_menu_csv(path: Path) -> GenericMenu:
+    """The menu in a menu.csv file, read in one csv pass, column by column.
+
+    The header must name the columns a, k, contract_class, lambda,
+    deductible and premium; others (risk_reduction) are not read.  Blank
+    lines are skipped, and every other row must have as many fields as the
+    header.  Errors name the missing column or the first malformed row
+    (counted from 1 after the header, blank lines not counted).
+    """
     try:
         with path.open(newline="", encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
-    except OSError as exc:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            rows = list(filter(None, reader))  # blank lines read as []
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"cannot read menu file: {exc}") from exc
     if not rows:
         raise ConfigError("menu file contains no entries")
-    entries = []
+    where = {name: i for i, name in enumerate(header)}
+    missing = [name for name in ("contract_class", *MENU_NUMBERS) if name not in where]
+    if missing:
+        named = ", ".join(map(repr, missing))
+        raise ConfigError(f"menu file has no column {named} (header: {','.join(header)})")
+    return GenericMenu(*_menu_columns(rows, where, len(header)))
+
+
+def _menu_columns(rows: list[list[str]], where: dict, width: int) -> tuple[np.ndarray, tuple]:
+    """GenericMenu.columns and classes of menu.csv rows, each numeric column
+    converted by float() at once.  At the first row with the wrong field
+    count or a field float() rejects, the rows above it are checked as a
+    menu first (so that a rule they break is named first), then that row
+    is named."""
+    if set(map(len, rows)) == {width}:
+        fields = list(zip(*rows))
+        try:
+            numbers = [np.fromiter(map(float, fields[where[c]]), float, len(rows)) for c in MENU_NUMBERS]
+            return np.array(numbers), fields[where["contract_class"]]
+        except ValueError:
+            pass
     for i, row in enumerate(rows):
         try:
-            contract = Contract(
-                row["contract_class"],
-                lam=float(row["lambda"]),
-                deductible=float(row["deductible"]),
-            )
-            entries.append(
-                MenuEntry(float(row["a"]), float(row["k"]), contract, float(row["premium"]))
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            if len(row) != width:
+                raise ValueError(f"expected {width} fields as in the header, got {len(row)}")
+            for c in MENU_NUMBERS:
+                float(row[where[c]])
+        except ValueError as exc:
+            if i:
+                GenericMenu(*_menu_columns(rows[:i], where, width))
             raise ConfigError(f"malformed menu row {i + 1}: {exc}") from exc
-    return GenericMenu.from_entries(entries)
+    raise AssertionError("unreachable: some row has a bad field count or a non-number")
 
 
 def _solve(config: ScenarioConfig):

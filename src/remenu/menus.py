@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -71,26 +71,59 @@ class MenuEntry:
         return risk_reduction((self.contract.lam, self.contract.deductible, self.premium), a)
 
 
-@dataclass(frozen=True)
-class GenericMenu:
-    """A finite menu of entries, the object the audit operations consume."""
+def _entry(row: list[float], kind: str) -> MenuEntry:
+    """The MenuEntry of one (a, k, lam, deductible, premium) row of class kind."""
+    a, k, lam, d, premium = row
+    return MenuEntry(a, k, Contract(kind, lam, d), premium)
 
-    entries: tuple[MenuEntry, ...]
+
+@dataclass(frozen=True, eq=False)
+class GenericMenu:
+    """A finite menu, the object the audit operations consume.
+
+    Its state is one row per entry: columns holds (a, k, lam, deductible,
+    premium) as a read-only (5, rows) array and classes the contract class of
+    each row.  Every row must satisfy the Contract and MenuEntry rules; they
+    are checked on all rows at once, and a DomainError names the first row
+    (from 1) that breaks one, with that rule's message.
+    """
+
+    columns: np.ndarray
+    classes: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        columns, classes = np.array(self.columns, dtype=float, order="C"), tuple(self.classes)
+        if not classes:
+            raise DomainError("cannot audit an empty menu")
+        if columns.shape != (5, len(classes)):
+            raise DomainError(f"need (5, {len(classes)}) menu columns, got shape {columns.shape}")
+        columns.flags.writeable = False
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "classes", classes)
+        a, k, lam, d, premium = columns
+        ok = np.fromiter(map(CONTRACT_CLASSES.__contains__, classes), bool, len(classes))
+        ok &= (0.0 <= lam) & (lam <= 1.0) & (d >= 0.0) & (0.0 <= premium) & (premium < math.inf)
+        ok &= np.isfinite(a) & np.isfinite(k)
+        if not ok.all():
+            i = int(ok.argmin())
+            try:
+                _entry(columns[:, i].tolist(), classes[i])  # words the broken rule
+            except DomainError as exc:
+                raise DomainError(f"malformed menu row {i + 1}: {exc}") from exc
 
     @classmethod
-    def from_entries(cls, entries: Sequence[MenuEntry]) -> "GenericMenu":
-        return cls(tuple(entries))
+    def from_entries(cls, entries: Iterable[MenuEntry]) -> "GenericMenu":
+        entries = tuple(entries)
+        rows = [(e.a, e.k, e.contract.lam, e.contract.deductible, e.premium) for e in entries]
+        return cls(np.array(rows, dtype=float).T, tuple(e.contract.kind for e in entries))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.classes)
 
     @cached_property
-    def columns(self) -> np.ndarray:
-        """(a, k, lam, deductible, premium) rows, one column per entry."""
-        if not self.entries:
-            raise DomainError("cannot audit an empty menu")
-        rows = [(e.a, e.k, e.contract.lam, e.contract.deductible, e.premium) for e in self.entries]
-        return np.array(rows, dtype=float).T
+    def entries(self) -> tuple[MenuEntry, ...]:
+        """The rows as MenuEntry objects, built on first use."""
+        return tuple(map(_entry, self.columns.T.tolist(), self.classes))
 
     @cached_property
     def _contracts(self) -> tuple[np.ndarray, np.ndarray]:
@@ -100,12 +133,12 @@ class GenericMenu:
         lam, d, premium = self.columns[2:]
         null = (lam == 0.0) | np.isinf(d)
         terms = np.array([np.where(null, 0.0, lam), np.where(null, NULL_DEDUCTIBLE, d), premium])
-        raw, ids = terms.T.tobytes(), {}  # 24 bytes per entry; equal bits, same contract
-        first_of = [ids.setdefault(raw[i : i + 24], i // 24) for i in range(0, len(raw), 24)]
-        first = np.array(list(ids.values()), int)
+        raw = np.ascontiguousarray(terms.T).view(np.dtype((np.void, 24))).ravel()  # equal bits, same contract
+        _, first, of = np.unique(raw, return_index=True, return_inverse=True)
+        order = np.argsort(first)  # the distinct contracts by first appearance
         distinct = np.empty((3, len(first) + 1))
-        distinct[:, :-1], distinct[:, -1] = terms[:, first], (0.0, NULL_DEDUCTIBLE, 0.0)
-        return distinct, np.searchsorted(first, first_of)
+        distinct[:, :-1], distinct[:, -1] = terms[:, first[order]], (0.0, NULL_DEDUCTIBLE, 0.0)
+        return distinct, np.argsort(order)[of]
 
     def self_select(self, a, k=None) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
         """Self-selection at risk levels a (types (a, k)), block by block.

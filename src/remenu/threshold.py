@@ -97,12 +97,13 @@ def objective(
     mass P(a > tau | k), plus exact atom terms tau - ref_k at a = tau; at
     tau = +inf both are empty.  A scalar tau gives a float; a 1-D array of
     kinks gives an array whose row i is the scalar call at tau[i], bit for bit.
-    Raises DomainError for an unknown class or a kink below 0.
+    Raises DomainError for an unknown class or a kink that is not >= 0 (NaN too).
     """
     check_class(kind)
     t = np.atleast_1d(np.asarray(tau, dtype=float))
-    if (t < 0.0).any():
-        raise DomainError(f"kink tau must be >= 0, got {t.min():.17g}")
+    bad = ~(t >= 0.0)  # a NaN kink is not >= 0 either
+    if bad.any():
+        raise DomainError(f"kink tau must be >= 0, got {t[bad].min():.17g}")
     prof = profile if profile is not None else KProfile(cost, dist.family)
     ref = reference(kind, prof)
     # The cap theta*_k ∧ tau binds only below sup theta*, where the capped

@@ -455,6 +455,34 @@ class TestVerify:
             == 2
         )
 
+    # These read "malformed menu row 1: 'premium'" and "malformed menu row 1:
+    # float() argument must be a string or a real number, not 'NoneType'".
+    @pytest.mark.parametrize(
+        "text, named",
+        [("a,k,contract_class,lambda,deductible,risk_reduction\n30000,10000,stop_loss,1,12000,0\n",
+          "menu file has no column 'premium' (header: a,k,contract_class,lambda,deductible,risk_reduction)"),
+         ("a,k,contract_class,lambda,deductible,premium,risk_reduction\n30000,10000\n",
+          "malformed menu row 1: expected 7 fields as in the header, got 2")],
+        ids=["no-premium-column", "two-field-row"],
+    )
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    def test_menu_error_names_the_problem(self, command, text, named, config, tmp_path, capsys):
+        menu, out = tmp_path / "menu.csv", tmp_path / "out"
+        menu.write_text(text)
+        argv = [command, "--config", str(config), "--out", str(out), "--menu", str(menu)]
+        capsys.readouterr()
+        assert main(argv + (["--n", "10"] if command == "simulate" else [])) == 2
+        assert f"error: {named}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_undecodable_menu_exits_2(self, config, tmp_path, capsys):
+        # Not UTF-8: a UnicodeDecodeError traceback and exit 1 before.
+        menu, out = tmp_path / "menu.csv", tmp_path / "out"
+        menu.write_bytes(b"a,k,contract_class,lambda,deductible,premium\n\xff,1,stop_loss,1,0,0\n")
+        assert main(["verify", "--config", str(config), "--out", str(out), "--menu", str(menu)]) == 2
+        assert "cannot read menu file" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFirstBest:
     def test_report_written(self, config, tmp_path):

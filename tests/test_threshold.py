@@ -1,5 +1,6 @@
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from remenu import (
     GenericLoss,
     ProductUniform,
     ScaleFamily,
+    ScenarioConfig,
     threshold,
     type_space,
 )
@@ -25,6 +27,7 @@ from remenu.search import maximize_over_tau
 
 from reference_rules import phi
 
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 LN11 = math.log(1.1)
 MENUS = ("stop_loss", "quota_share", "change_loss")
 
@@ -100,6 +103,16 @@ def test_negative_kink_raises(kind, cost, product_dist):
     for tau in (-1.0, np.array([0.0, 30000.0, -1e-300])):
         with pytest.raises(DomainError, match="kink tau must be >= 0"):
             threshold.objective(kind, tau, product_dist, cost)
+
+
+@pytest.mark.parametrize("kind", MENUS)
+def test_nan_kink_raises(kind):
+    # NaN < 0 is false too: a NaN kink priced J = 0.0 on this market.
+    config = ScenarioConfig.from_file(str(SCRIPTS / "uniform_alpha_stop_loss.json"))
+    dist, cost = config.build_dist(), config.build_cost()
+    for tau in (math.nan, np.array([30000.0, math.nan, 40000.0]), np.array([-1.0, math.nan])):
+        with pytest.raises(DomainError, match="kink tau must be >= 0, got nan"):
+            threshold.objective(kind, tau, dist, cost)
 
 
 # Three atoms at a = 10000, ~30700.37 and 50000.  The middle one, which a
