@@ -6,12 +6,15 @@ flags give only a command's own inputs and its output directory.
 Exit codes: 0 ok, 2 input error, 3 assumption violated.
 All artifacts are deterministic given the config and seed; floats print
 with 17 significant digits and +inf serializes as the string "inf".
+The size flags are capped (MAX_CURVE_POINTS, MAX_SAMPLES) before any allocation.
+The parser is built once per process, at the first ``main`` call, not at import.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -29,12 +32,8 @@ from .verification import check_ic, check_ir, first_best_demo, monte_carlo_profi
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_ASSUMPTION = 3
-
-
-def _fmt(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return "%.17g" % x
+MAX_CURVE_POINTS = 10**6
+MAX_SAMPLES = 10**7
 
 
 def _jsonable(obj):
@@ -67,9 +66,13 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: str, row_format: str, columns) -> None:
+    """A CSV file (csv.writer's excel dialect): the header, then one
+    ``row_format % row`` line per row of the float columns."""
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
     with _open(path) as fh:
-        csv.writer(fh).writerows([header, *rows])
+        fh.write(header + "\r\n")
+        fh.writelines(map(row_format.__mod__, rows))
 
 
 def _menu_grid(dist) -> tuple[np.ndarray, np.ndarray]:
@@ -89,9 +92,9 @@ def _menu_grid(dist) -> tuple[np.ndarray, np.ndarray]:
 def _write_menu_csv(path: Path, menu, dist) -> None:
     a, k = _menu_grid(dist)
     terms = menu.terms(a, k)
-    rows = ([_fmt(float(x)) for x in row] for row in zip(a, k, *terms, risk_reduction(terms, a)))
-    header = ["a", "k", "contract_class", "lambda", "deductible", "premium", "risk_reduction"]
-    _write_csv(path, header, ([*r[:2], menu.contract_class, *r[2:]] for r in rows))
+    header = "a,k,contract_class,lambda,deductible,premium,risk_reduction"
+    row_format = "%.17g,%.17g," + menu.contract_class + ",%.17g,%.17g,%.17g,%.17g\r\n"
+    _write_csv(path, header, row_format, (a, k, *terms, risk_reduction(terms, a)))
 
 
 # The numeric columns of menu.csv, in the order of GenericMenu.columns.
@@ -172,11 +175,13 @@ def cmd_solve(config: ScenarioConfig, out: Path, args) -> int:
             "assumption_holds": report.holds,
         },
     )
-    print(f"tau_star = {_fmt(menu.tau_star)}  objective = {_fmt(menu.objective_value)}")
+    print("tau_star = %.17g  objective = %.17g" % (menu.tau_star, menu.objective_value))
     return EXIT_OK
 
 
 def cmd_curve(config: ScenarioConfig, out: Path, args) -> int:
+    if not 2 <= args.n <= MAX_CURVE_POINTS:
+        raise ConfigError(f"--n must lie in [2, {MAX_CURVE_POINTS}] curve points, got {args.n}")
     kind = config.solver.solver_class
     cost, dist = config.build_cost(), config.build_dist()
     threshold.require_assumption(kind, dist, cost)
@@ -185,11 +190,8 @@ def cmd_curve(config: ScenarioConfig, out: Path, args) -> int:
     t_hi = hi if args.t_hi is None else args.t_hi
     if not -math.inf < t_lo < t_hi < math.inf:
         raise ConfigError(f"need finite t_lo < t_hi, got ({t_lo}, {t_hi})")
-    if args.n < 2:
-        raise ConfigError(f"need n >= 2 curve points, got {args.n}")
     ts = np.linspace(t_lo, t_hi, args.n)
-    js = threshold.objective(kind, ts, dist, cost)
-    _write_csv(out / "curve.csv", ["t", "J"], ([_fmt(t), _fmt(j)] for t, j in zip(ts.tolist(), js.tolist())))
+    _write_csv(out / "curve.csv", "t,J", "%.17g,%.17g\r\n", (ts, threshold.objective(kind, ts, dist, cost)))
     return EXIT_OK
 
 
@@ -230,8 +232,8 @@ def cmd_first_best(config: ScenarioConfig, out: Path, args) -> int:
 
 def cmd_simulate(config: ScenarioConfig, out: Path, args) -> int:
     n = args.n
-    if n < 1:
-        raise ConfigError(f"need n >= 1 samples, got {n}")
+    if not 1 <= n <= MAX_SAMPLES:
+        raise ConfigError(f"--n must lie in [1, {MAX_SAMPLES}] samples, got {n}")
     cost, dist, solved = _solve(config)
     menu = _read_menu_csv(Path(args.menu)) if args.menu else solved
     est, se = monte_carlo_profit(menu, dist, cost, n, config.seed)
@@ -247,11 +249,13 @@ def cmd_simulate(config: ScenarioConfig, out: Path, args) -> int:
             "seed": config.seed,
         },
     )
-    print(f"estimate = {_fmt(est)} +/- {_fmt(se)}  (analytic {_fmt(solved.objective_value)})")
+    print("estimate = %.17g +/- %.17g  (analytic %.17g)" % (est, se, solved.objective_value))
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built at the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="remenu", description="Optimal reinsurance menu solver and auditors."
     )

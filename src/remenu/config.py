@@ -15,6 +15,7 @@ from .menus import CONTRACT_CLASSES
 from .risk_model import CostFunctional, Distortion, ExponentialFamily
 from .type_space import DegenerateAlpha, DiscreteTypes, ProductUniform, TypeDistribution
 
+MAX_GRID_POINTS = 10**6  # the cap on solver.grid_points, checked before any grid is built
 _DISTORTION_KINDS = {"identity": "identity", "power": "power", "proportional_hazard": "power"}
 # The uniform-k variants and their alpha_dist keys, in constructor order.
 _UNIFORM_K = {
@@ -40,7 +41,10 @@ def _number(val, name: str) -> float:
         raise ConfigError(f"{name} is required")
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{name} must be a number, got {val!r}")
-    return float(val)
+    try:
+        return float(val)
+    except OverflowError:
+        raise ConfigError(f"{name} must be a finite number, got an integer too large for a float") from None
 
 
 def _num(section: dict, name: str, key: str, default=None) -> float:
@@ -79,8 +83,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.solver_class not in CONTRACT_CLASSES:
             raise ConfigError(f"solver.class must be one of {CONTRACT_CLASSES}")
-        if self.grid_points < 2:
-            raise ConfigError("solver.grid_points must be >= 2")
+        if not 2 <= self.grid_points <= MAX_GRID_POINTS:
+            raise ConfigError(f"solver.grid_points must lie in [2, {MAX_GRID_POINTS}], got {self.grid_points:.17g}")
         if not 0.0 < self.refine_tol < 1.0:
             raise ConfigError("solver.refine_tol must lie in (0, 1)")
 
@@ -102,7 +106,7 @@ class ScenarioConfig:
         with open(path, encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # a JSONDecodeError, or an integer literal past int's digit limit
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")

@@ -1,9 +1,11 @@
 """Per-row references for remenu's tabulated menus, kept as independent
 oracles for the column-by-column code: the menu.csv reader that builds
-csv.DictReader rows, one Contract and one MenuEntry each, and the dict-based
-search for a menu's distinct contracts."""
+csv.DictReader rows, one Contract and one MenuEntry each, the dict-based
+search for a menu's distinct contracts, and the menu.csv and curve.csv
+writers that format one cell at a time through csv.writer."""
 
 import csv
+import math
 
 import numpy as np
 
@@ -54,3 +56,30 @@ def distinct_contracts(entries) -> tuple[np.ndarray, np.ndarray]:
             distinct.append(terms)
         of.append(first[key])
     return np.array([*distinct, (0.0, NULL_DEDUCTIBLE, 0.0)]).T, np.array(of)
+
+
+MENU_HEADER = ["a", "k", "contract_class", "lambda", "deductible", "premium", "risk_reduction"]
+
+
+def _fmt(x: float) -> str:
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return "%.17g" % x
+
+
+def write_csv_rows(path, header: list[str], rows) -> None:
+    """header, then each row of cells, through csv.writer's excel dialect."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *rows])
+
+
+def write_menu_csv(path, contract_class: str, columns) -> None:
+    """menu.csv of the columns (a, k, lam, deductible, premium,
+    risk_reduction), one _fmt per cell, the class after k."""
+    rows = ([_fmt(float(x)) for x in row] for row in zip(*columns))
+    write_csv_rows(path, MENU_HEADER, ([*r[:2], contract_class, *r[2:]] for r in rows))
+
+
+def write_curve_csv(path, ts, js) -> None:
+    """curve.csv of the kinks ts and their objectives js, one _fmt per cell."""
+    write_csv_rows(path, ["t", "J"], ([_fmt(t), _fmt(j)] for t, j in zip(ts.tolist(), js.tolist())))

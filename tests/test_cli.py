@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 from pathlib import Path
@@ -12,7 +13,9 @@ from remenu import (
     ScenarioConfig,
     monte_carlo_profit,
 )
+from remenu import cli
 from remenu.cli import _read_menu_csv, main
+from remenu.config import MAX_GRID_POINTS, SolverConfig
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -616,3 +619,200 @@ def test_unread_flag_is_a_usage_error(command, flag, config, tmp_path, capsys):
     assert exc.value.code == 2
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# Hostile sizes and numbers: each is an input error (exit 2) that names its
+# key or flag, is caught before the market is built or anything of that size
+# is allocated, and leaves no --out directory.
+@pytest.fixture()
+def no_market(monkeypatch):
+    """Fail the test if a command builds a market or solves one."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a hostile size reached the solver")
+
+    monkeypatch.setattr(ScenarioConfig, "build_dist", refuse)
+    monkeypatch.setattr(cli.threshold, "solve", refuse)
+
+
+def test_size_caps_are_stated():
+    assert (MAX_GRID_POINTS, cli.MAX_CURVE_POINTS, cli.MAX_SAMPLES) == (10**6, 10**6, 10**7)
+    assert SolverConfig(grid_points=MAX_GRID_POINTS).grid_points == MAX_GRID_POINTS
+    with pytest.raises(ValueError, match=r"solver.grid_points must lie in \[2, 1000000\], got 1000001"):
+        SolverConfig(grid_points=MAX_GRID_POINTS + 1)
+
+
+@pytest.mark.parametrize("grid", [1e308, 10**6 + 1, 1e7], ids=["1e308", "cap+1", "1e7"])
+def test_oversized_grid_exits_2_naming_it(grid, tmp_path, capsys, no_market):
+    # 1e308 raised ValueError from np.linspace before the cap.
+    cfg = write_config(tmp_path / "c.json", solver={"class": "stop_loss", "grid_points": grid})
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "solver.grid_points must lie in [2, 1000000]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, n, named",
+    [("curve", 10**12, "--n must lie in [2, 1000000] curve points, got 1000000000000"),
+     ("curve", 10**6 + 1, "--n must lie in [2, 1000000] curve points, got 1000001"),
+     ("curve", 1, "--n must lie in [2, 1000000] curve points, got 1"),
+     ("simulate", 10**12, "--n must lie in [1, 10000000] samples, got 1000000000000"),
+     ("simulate", 10**7 + 1, "--n must lie in [1, 10000000] samples, got 10000001")],
+    ids=["curve-1e12", "curve-cap+1", "curve-1", "simulate-1e12", "simulate-cap+1"],
+)
+def test_oversized_n_exits_2_naming_it(command, n, named, config, tmp_path, capsys, no_market):
+    # --n 10**12 ended in MemoryError before the cap.
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out), "--n", str(n)]) == 2
+    assert f"error: {named}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "path, named",
+    [(("cost", "theta"), "cost.theta"),
+     (("cost", "distortion", "param"), "cost.distortion.param"),
+     (("loss", "point_mass_zero"), "loss.point_mass_zero"),
+     (("types", "k_dist", "hi"), "types.k_dist.hi"),
+     (("types", "alpha_dist", "lo"), "types.alpha_dist.lo"),
+     (("solver", "grid_points"), "solver.grid_points"),
+     (("solver", "refine_tol"), "solver.refine_tol")],
+    ids=lambda x: x if isinstance(x, str) else ".".join(x),
+)
+def test_integer_too_large_for_a_float_exits_2_naming_key(path, named, config, tmp_path, capsys):
+    # float(10**400) raised OverflowError: a traceback and exit 1.
+    raw = json.loads(config.read_text())
+    raw["cost"]["distortion"] = {"kind": "power", "param": 0.8}
+    section = raw
+    for key in path[:-1]:
+        section = section.setdefault(key, {})
+    section[path[-1]] = 10**400
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {named} must be a finite number, got an integer too large for a float\n" in err
+    assert not out.exists()
+
+
+def test_integer_too_large_for_a_float_in_an_atom_exits_2_naming_it(tmp_path, capsys):
+    types = {"variant": "discrete", "k_dist": {"atoms": [[10**400, 0.5], [10000, 0.5]]},
+             "alpha_dist": {"atoms": [0.05, 0.1]}}
+    cfg = write_config(tmp_path / "c.json", types=types)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "types.k_dist.atoms[0][0] must be a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_integer_past_the_digit_limit_exits_2(config, tmp_path, capsys):
+    # json.load raises a plain ValueError (not a JSONDecodeError) on an
+    # integer literal past Python's int-to-str digit limit (4300 digits).
+    config.write_text(config.read_text().replace('"theta": 0.1', '"theta": 1' + "0" * 5000))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(config), "--out", str(out)]) == 2
+    assert "error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+# The parser is built once per process and reused: no call may see state
+# left by an earlier one.
+@pytest.fixture()
+def fresh_parser():
+    cli.build_parser.cache_clear()
+    yield cli.build_parser
+    cli.build_parser.cache_clear()
+
+
+@pytest.fixture()
+def small_config(tmp_path):
+    return write_config(tmp_path / "small.json", solver={"class": "stop_loss", "grid_points": 11})
+
+
+def test_parser_is_built_once_over_mixed_calls(fresh_parser, small_config, tmp_path, monkeypatch, capsys):
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    common = ["--config", str(small_config), "--out", str(tmp_path / "out")]
+    menu = ["--menu", str(tmp_path / "out" / "menu.csv")]
+    calls = [
+        ["solve", *common], ["verify", *common, *menu], ["curve", *common, "--n", "5"],
+        ["first-best", *common, "--pair", "45000,15000,30000,15000"], ["simulate", *common, "--n", "100"],
+        ["simulate", *common, *menu, "--n", "100"], ["solve", *common, "--grid", "3"], ["verify", *common],
+        ["curve", *common, "--n", "3"], ["solve", *common],
+    ]
+    codes = []
+    for argv in calls:
+        try:
+            codes.append(main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+    assert codes == [0, 0, 0, 0, 0, 0, 2, 2, 0, 0]
+    info = fresh_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 9)
+    assert len(built) == 6  # the root parser and one per command
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    help_text = capsys.readouterr().out
+    assert help_text.startswith("usage: remenu verify [-h] --config CONFIG [--out OUT] --menu MENU\n")
+    assert "menu.csv to audit" in help_text
+    assert len(built) == 6
+
+
+def test_first_best_pairs_do_not_accumulate(fresh_parser, config, tmp_path):
+    pairs = ["45000,15000,30000,15000", "60000,20000,30000,10000"]
+    reports = []
+    for i, pair in enumerate(pairs):
+        out = tmp_path / str(i)
+        assert main(["first-best", "--config", str(config), "--out", str(out), "--pair", pair]) == 0
+        reports.append(json.loads((out / "report.json").read_text())["pairs"])
+    assert [len(r) for r in reports] == [1, 1]
+    assert reports[1][0]["mimic_gain"] != reports[0][0]["mimic_gain"]
+    fresh_parser.cache_clear()
+    assert main(["first-best", "--config", str(config), "--out", str(tmp_path / "cold"), "--pair", pairs[1]]) == 0
+    assert (tmp_path / "1" / "report.json").read_bytes() == (tmp_path / "cold" / "report.json").read_bytes()
+    assert fresh_parser().parse_args(["first-best", "--config", "c"]).pair == []
+
+
+def test_simulate_without_menu_after_simulate_with_one(fresh_parser, small_config, tmp_path):
+    menu = tmp_path / "menu.csv"
+    menu.write_text("a,k,contract_class,lambda,deductible,premium\n30000,10000,stop_loss,1,12000,18000\n")
+    common = ["--config", str(small_config), "--n", "1000"]
+    assert main(["simulate", *common, "--out", str(tmp_path / "menu"), "--menu", str(menu)]) == 0
+    assert main(["simulate", *common, "--out", str(tmp_path / "rule")]) == 0
+    fresh_parser.cache_clear()
+    assert main(["simulate", *common, "--out", str(tmp_path / "cold")]) == 0
+    rule, cold, with_menu = (tmp_path / d / "estimate.json" for d in ("rule", "cold", "menu"))
+    assert rule.read_bytes() == cold.read_bytes() != with_menu.read_bytes()
+
+
+def test_usage_error_between_calls_changes_nothing(fresh_parser, small_config, tmp_path, capsys):
+    def curve(out, *extra):
+        return main(["curve", "--config", str(small_config), "--out", str(tmp_path / out), *extra])
+
+    assert curve("before") == 0
+    with pytest.raises(SystemExit) as exc:
+        curve("bad", "--t-lo", "20000", "--t-hi", "30000", "--n", "abc")
+    assert exc.value.code == 2 and "invalid int value: 'abc'" in capsys.readouterr().err
+    assert curve("after") == 0
+    assert not (tmp_path / "bad").exists()
+    assert (tmp_path / "after" / "curve.csv").read_bytes() == (tmp_path / "before" / "curve.csv").read_bytes()
+
+
+def test_bundled_artifacts_do_not_depend_on_call_order(fresh_parser, tmp_path):
+    names = sorted(p.stem for p in SCRIPTS.glob("*.json"))
+    artifacts = {}
+    for order, run in (("forward", names), ("reverse", names[::-1])):
+        for name in run:
+            out = tmp_path / order / name
+            common = ["--config", str(SCRIPTS / f"{name}.json"), "--out", str(out)]
+            assert main(["solve", *common]) == 0
+            assert main(["verify", *common, "--menu", str(out / "menu.csv")]) == 0
+            artifacts[order, name] = [(out / f).read_bytes() for f in ("menu.csv", "summary.json", "report.json")]
+    assert len(names) == 5
+    for name in names:
+        assert artifacts["forward", name] == artifacts["reverse", name]

@@ -1,17 +1,31 @@
 """The column-by-column menu.csv reader against the per-row oracles in
 menu_oracle: the same columns bit for bit, the same verify and simulate
---menu outputs, and the same message for the first malformed row."""
+--menu outputs, and the same message for the first malformed row.  The
+one-format-per-row menu.csv and curve.csv writers against the per-cell
+csv.writer oracles: the same bytes."""
 
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from remenu import DomainError, GenericMenu, ScenarioConfig, check_ic, check_ir, monte_carlo_profit
+from remenu import (
+    DomainError,
+    GenericMenu,
+    ScenarioConfig,
+    check_ic,
+    check_ir,
+    monte_carlo_profit,
+    threshold,
+)
+from remenu import cli
 from remenu.cli import _read_menu_csv, _write_json, main
+from remenu.menus import CONTRACT_CLASSES, risk_reduction
 
+import menu_oracle
 from menu_oracle import distinct_contracts, entry_columns, read_menu_rows
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -190,3 +204,63 @@ def test_columns_are_the_state():
         GenericMenu(given, ["stop_loss"])
     with pytest.raises(DomainError, match="cannot audit an empty menu"):
         GenericMenu(np.empty((5, 0)), [])
+
+
+def solved_menu_csv(config: Path, tmp_path: Path) -> bytes:
+    """menu.csv of the solved config as cli writes it, after checking it
+    against the per-cell oracle's bytes."""
+    cost, dist, menu = cli._solve(ScenarioConfig.from_file(str(config)))
+    cli._write_menu_csv(tmp_path / "got" / "menu.csv", menu, dist)
+    a, k = cli._menu_grid(dist)
+    terms = menu.terms(a, k)
+    menu_oracle.write_menu_csv(tmp_path / "want.csv", menu.contract_class, (a, k, *terms, risk_reduction(terms, a)))
+    got = (tmp_path / "got" / "menu.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    return got
+
+
+@pytest.mark.parametrize("scale", [1, 1000])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_menu_writer_matches_oracle_on_bundled_menus(name, scale, tmp_path):
+    raw = json.loads((SCRIPTS / f"{name}.json").read_text())
+    raw["types"]["k_dist"] = {key: scale * v for key, v in raw["types"]["k_dist"].items()}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    solved_menu_csv(config, tmp_path)
+
+
+def test_menu_writer_matches_oracle_on_unserved_discrete_rows(tmp_path):
+    got = solved_menu_csv(discrete_config(tmp_path / "config.json"), tmp_path)
+    deductibles = [line.split(b",")[4] for line in got.splitlines()[1:]]
+    assert b"inf" in deductibles and any(d != b"inf" for d in deductibles)
+
+
+# Every float that formats specially: signed zeros, infinities, NaN, the
+# smallest subnormal, the largest finite float, and integers beyond 2^53.
+SPECIAL = [-math.inf, math.inf, math.nan, -0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+           -1.7976931348623157e308, 2.2250738585072014e-308, 1 / 3, 1e16, 2.0**53 + 2, 1e-5, 123456.789]
+
+
+@pytest.mark.parametrize("kind", CONTRACT_CLASSES)
+def test_menu_writer_matches_oracle_on_special_floats(kind, monkeypatch, tmp_path):
+    columns = [np.roll(SPECIAL, -shift) for shift in range(6)]
+    a, k, lam, d, premium, reduction = columns
+    menu = SimpleNamespace(contract_class=kind, terms=lambda a_, k_: (lam, d, premium))
+    monkeypatch.setattr(cli, "_menu_grid", lambda dist: (a, k))
+    monkeypatch.setattr(cli, "risk_reduction", lambda terms, a_: reduction)
+    cli._write_menu_csv(tmp_path / "got" / "menu.csv", menu, None)
+    menu_oracle.write_menu_csv(tmp_path / "want.csv", kind, columns)
+    got = (tmp_path / "got" / "menu.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    assert got.splitlines()[1] == b"-inf,inf,%s,nan,-0,0,4.9406564584124654e-324" % kind.encode()
+
+
+def test_curve_writer_matches_oracle(tmp_path):
+    config = SCRIPTS / "uniform_alpha_stop_loss.json"
+    out = tmp_path / "out"
+    assert main(["curve", "--config", str(config), "--out", str(out), "--t-lo", "1000.1", "--n", "301"]) == 0
+    cfg = ScenarioConfig.from_file(str(config))
+    kind, dist = cfg.solver.solver_class, cfg.build_dist()
+    ts = np.linspace(1000.1, threshold.tau_range(kind, dist)[1], 301)
+    menu_oracle.write_curve_csv(tmp_path / "want.csv", ts, threshold.objective(kind, ts, dist, cfg.build_cost()))
+    assert (out / "curve.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
