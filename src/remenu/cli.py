@@ -234,9 +234,9 @@ def cmd_simulate(config: ScenarioConfig, out: Path, args) -> int:
     n = args.n
     if not 1 <= n <= MAX_SAMPLES:
         raise ConfigError(f"--n must lie in [1, {MAX_SAMPLES}] samples, got {n}")
+    menu = _read_menu_csv(Path(args.menu)) if args.menu else None  # a bad menu fails before the solve
     cost, dist, solved = _solve(config)
-    menu = _read_menu_csv(Path(args.menu)) if args.menu else solved
-    est, se = monte_carlo_profit(menu, dist, cost, n, config.seed)
+    est, se = monte_carlo_profit(solved if menu is None else menu, dist, cost, n, config.seed)
     z = (est - solved.objective_value) / se if se > 0 else 0.0
     _write_json(
         out / "estimate.json",

@@ -148,31 +148,38 @@ class GenericMenu:
         that of the type's own entry (the first with equal (a, k)) if within
         tie of best, else of the first entry within tie of best (so rounding
         does not pick among tied rows); (0, inf, 0), staying out, when best < -tie.
-        Each distinct contract is valued once per block of about _BLOCK_ELEMS
-        values, so memory does not grow with the menu's length.
+        Own entries are found once per call, with one sort of a: only samples
+        whose a equals some entry's a are matched on (a, k).  Each distinct
+        contract is valued once per block of about _BLOCK_ELEMS values, so
+        memory does not grow with the menu's length.
         """
         a, k = np.ravel(np.asarray(a, dtype=float)), None if k is None else np.ravel(k)
         terms, of = self._contracts
         offers = terms[:, :-1, None]  # values are (contract, sample): cheap column reductions
-        step, last = max(1, _BLOCK_ELEMS // offers.shape[1]), len(of) - 1
-        if k is not None:  # the entries' types a + ik, sorted stably
-            keys = self.columns[0] + 1j * self.columns[1]
-            order = np.argsort(keys, kind="stable")
-            keys = keys[order]
-        for start in range(0, len(a), step):
+        step = max(1, _BLOCK_ELEMS // offers.shape[1])
+        i = c = np.empty(0, dtype=np.intp)  # own entries: sample indices (ascending), contracts
+        if k is not None:
+            ea = self.columns[0]
+            sa = np.sort(a)
+            shared = np.sort(ea[np.searchsorted(sa, ea, "right") > np.searchsorted(sa, ea)])
+            del sa  # not kept through the blocks: peak memory stays that of the samples
+            if len(shared):  # match a, then the entries' types a + ik, sorted stably
+                i = np.flatnonzero(shared[np.minimum(np.searchsorted(shared, a), len(shared) - 1)] == a)
+                keys = ea + 1j * self.columns[1]
+                order = np.argsort(keys, kind="stable")
+                own = order[np.minimum(np.searchsorted(keys[order], a[i] + 1j * k[i]), len(of) - 1)]
+                hit = (ea[own] == a[i]) & (self.columns[1, own] == k[i])
+                i, c = i[hit], of[own[hit]]
+        cuts = np.searchsorted(i, np.arange(0, len(a) + step, step)).tolist()  # own entries per block
+        for start, lo, hi in zip(range(0, len(a), step), cuts, cuts[1:]):
             block = slice(start, start + step)
             values = risk_reduction(offers, a[block])
             best = values.max(axis=0)
             tie = 1e-12 * np.maximum(1.0, np.abs(best))
             u = (values >= best - tie).argmax(axis=0)
-            if k is not None:  # own entries: match a, then a + ik
-                ab, kb = a[block], k[block]
-                near = keys.real[np.minimum(np.searchsorted(keys.real, ab), last)]
-                i = np.flatnonzero(near == ab)
-                own = order[np.minimum(np.searchsorted(keys, ab[i] + 1j * kb[i]), last)]
-                hit = (self.columns[0, own] == ab[i]) & (self.columns[1, own] == kb[i])
-                i, c = i[hit], of[own[hit]]
-                ok = values[c, i] >= best[i] - tie[i]
-                u[i[ok]] = c[ok]
+            if lo < hi:
+                ib, cb = i[lo:hi] - start, c[lo:hi]
+                ok = values[cb, ib] >= best[ib] - tie[ib]
+                u[ib[ok]] = cb[ok]
             u[best < -tie] = -1
             yield block, best, terms[:, u]

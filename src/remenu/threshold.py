@@ -160,11 +160,9 @@ class ThresholdMenu:
         if kind == "quota_share":
             d = np.zeros(a.shape)
         else:
-            d = np.full(a.shape, math.inf)
-            d[served] = prof.theta_star(k[served])
+            d = np.where(served, prof.theta_star(k), math.inf)
             d = np.where(a > tau, np.minimum(d, tau), d)
-        premium = np.zeros(a.shape)
-        premium[served] = tau - d[served]
+        premium = np.subtract(tau, d, out=np.zeros(a.shape), where=served)  # no inf - inf at tau = inf
         return served, d, premium
 
     def entry(self, a: float, k: float) -> MenuEntry:

@@ -669,6 +669,24 @@ def test_oversized_n_exits_2_naming_it(command, n, named, config, tmp_path, caps
 
 
 @pytest.mark.parametrize(
+    "menu_bytes, named",
+    [(b"a,k,contract_class,lambda,deductible,risk_reduction\r\n1,2,stop_loss,1,0,0\r\n",
+      "menu file has no column 'premium'"),
+     (b"a,k,contract_class,lambda,deductible,premium\r\n1,2\r\n",
+      "malformed menu row 1: expected 6 fields as in the header, got 2"),
+     (b"a,k,contract_class,lambda,deductible,premium\r\n\xff,2,stop_loss,1,0,0\r\n", "cannot read menu file")],
+    ids=["no-premium", "two-fields", "not-utf8"],
+)
+def test_simulate_reads_the_menu_before_solving(menu_bytes, named, config, tmp_path, capsys, no_market):
+    # simulate --menu solved the whole config grid before it read the menu.
+    menu, out = tmp_path / "menu.csv", tmp_path / "out"
+    menu.write_bytes(menu_bytes)
+    assert main(["simulate", "--config", str(config), "--out", str(out), "--menu", str(menu)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "path, named",
     [(("cost", "theta"), "cost.theta"),
      (("cost", "distortion", "param"), "cost.distortion.param"),

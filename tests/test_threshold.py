@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from remenu import (
+    AssumptionError,
     Contract,
     CostFunctional,
     DegenerateAlpha,
@@ -25,7 +26,7 @@ from remenu import (
 )
 from remenu.search import maximize_over_tau
 
-from reference_rules import phi
+from reference_rules import masked_terms, phi
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 LN11 = math.log(1.1)
@@ -180,6 +181,38 @@ def kink_batch(dist, n=301):
     lo, hi = dist.lower_support(), dist.upper_support()
     taus = np.linspace(0.5 * lo, 1.2 * hi, n)
     return np.concatenate([taus[::2], [math.inf], taus[1::2], [lo, hi], every_k_end(dist)])
+
+
+@pytest.mark.parametrize("kind", MENUS)
+@pytest.mark.parametrize("market", ["product", "degenerate", "discrete", "capped"])
+def test_terms_equal_the_masked_oracle(market, kind, cost, product_dist, degenerate_dist):
+    # Kinks at L, at tau* (stop-loss's where the class has no menu), at the
+    # first sample's a (an atom's on the discrete market), so a == tau for
+    # some types, and at +inf.  On the capped market sup theta* ~ 17329
+    # exceeds L, so theta*_k > tau for part of the k-range at the kink L.
+    dist, c = {
+        "product": (product_dist, cost),
+        "degenerate": (degenerate_dist, cost),
+        "discrete": (MARKET, cost),
+        "capped": (CAPPED, CAPPED_COST),
+    }[market]
+    try:
+        tau_star = threshold.solve(kind, dist, c, grid_points=501).tau_star
+    except AssumptionError:
+        tau_star = threshold.solve("stop_loss", dist, c, grid_points=501).tau_star
+    lo, hi = dist.lower_support(), dist.upper_support()
+    a, k = dist.sample(2000, np.random.default_rng(3))
+    ends = every_k_end(dist)
+    for tau in (lo, tau_star, float(a[0]), math.inf):
+        menu = threshold.ThresholdMenu(tau, 0.0, c, dist, kind)
+        at_kink = [] if math.isinf(tau) else np.full(len(ends), tau)
+        types_a = np.concatenate([a, np.linspace(0.5 * lo, 1.2 * hi, 101), at_kink])
+        types_k = np.concatenate([k, np.full(101, float(np.median(k))), ends[: len(at_kink)]])
+        got, want = menu.terms(types_a, types_k), masked_terms(menu, types_a, types_k)
+        for x, y in zip(got, want):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+    if market == "capped":
+        assert menu.profile.sup_theta_star(dist.k_ends) > lo
 
 
 # By default a block holds about 2^15 Gauss nodes: 32 kinks (product, capped)

@@ -527,6 +527,33 @@ class TestSelfSelectionOracle:
             a = np.linspace(0.0, 90000.0, 997)
             assert_same_bits(indirect_utility(gm, a), loop_indirect_utility(gm, a))
 
+    @pytest.mark.parametrize("block_elems", [None, 64], ids=["default-block", "block-64"])
+    def test_every_sample_has_own_entries(self, block_elems, cost, monkeypatch):
+        # 240 atoms, each with its own rule-menu row; before them, a row per
+        # atom with its a, another k and a contract tied with its own at that
+        # a; after them, the first 80 atoms again with a tied contract and the
+        # next 40 as exact duplicates.  Only the own-entry rule (the first row
+        # with equal (a, k)) keeps a sample off the tied rows.
+        if block_elems is not None:
+            monkeypatch.setattr(menus, "_BLOCK_ELEMS", block_elems)
+        rng = np.random.default_rng(11)
+        alphas, ks = rng.uniform(E3, E2, 240), rng.uniform(5000.0, 25000.0, 240)
+        dist = DiscreteTypes([(al, k, 1.0 / 240) for al, k in zip(alphas.tolist(), ks.tolist())])
+        a, k = dist.a_vals, dist.ks
+        served, d, premium = threshold.solve("stop_loss", dist, cost).terms(a, k)
+        assert 0 < served.sum() < 240
+        own = np.array([a, k, served, d, premium])
+        half = np.where(served, d / 2, d)
+        tied = np.array([a, k, served, half, np.where(served, premium + half, premium)])
+        tied_other_k = tied.copy()
+        tied_other_k[1] += 1.0
+        cols = np.hstack([tied_other_k, own, tied[:, :80], own[:, 80:120]])
+        gm = GenericMenu(cols, ("stop_loss",) * cols.shape[1])
+        n = 20001 if block_elems is None else 2001
+        got = monte_carlo_profit(gm, dist, cost, n, seed=12)
+        assert got == loop_monte_carlo_profit(gm, dist, cost, n, 12)
+        assert got != monte_carlo_profit(GenericMenu(cols[:, :240], gm.classes[:240]), dist, cost, n, seed=12)
+
     def test_scalar_risk_level(self, bundled_tables):
         gm = bundled_tables[PRODUCT_CONFIGS[0]]
         for a in (0.0, 38000.0, 45000.5):
@@ -549,6 +576,16 @@ class TestBoundedMemory:
         # The per-entry loop peaked at 8.6 MB here: 100,000 samples times
         # (a, k, best, choice, own, own value, profit) plus masks.
         assert _mc_peak(bundled_tables[PRODUCT_CONFIGS[0]], product_dist, cost) < 6e6
+
+    def test_tabulated_menu_keeps_no_sorted_copy(self, bundled_tables, cost, product_dist):
+        # a, k and the profits take 2.4 MB of the 3.22 MB peak; the sorted
+        # copy of a that finds own entries is 0.8 MB more, so keeping it
+        # through the block loop read 3.73 MB.  The first call also pays
+        # one-time costs (the menu's distinct contracts, numpy's lazy
+        # imports), so the traced call is the second.
+        table = bundled_tables[PRODUCT_CONFIGS[0]]
+        monte_carlo_profit(table, product_dist, cost, 100_000, seed=1)
+        assert _mc_peak(table, product_dist, cost) < 3.5e6
 
     def test_rule_menu_prices_in_blocks(self, cost, product_dist):
         # Pricing all 100,000 terms at once peaked at 6.6 MB.
