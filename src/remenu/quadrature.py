@@ -4,8 +4,9 @@ tail_gauss prices distorted tails, a batch of lower limits at a time, on
 doubling segments that stop on a geometric remainder estimate;
 adaptive_gauss_batched raises the node count of a batch of finite integrals;
 first_true finds, for a batch of rows at once, the smallest float at which a
-monotone predicate holds.  All routines are pure and use fixed node sets, so
-repeated runs are bitwise identical.  A tail_gauss or first_true row is its own
+monotone predicate holds.  Their Gauss-Legendre rules come from Newton's
+method on the Legendre recurrence, without LAPACK.  All routines are pure and
+use fixed node sets, so repeated runs are bitwise identical.  A tail_gauss or first_true row is its own
 call bit for bit; adaptive_gauss_batched stops on the whole batch, so its rows
 can differ from their own calls by rounding.
 """
@@ -33,9 +34,32 @@ _SEGS = 32  # tail_gauss's segments per row and call of f
 _PROBES = np.arange(1, 64) / 64.0  # first_true's probes per row and round, as parts of the gap
 
 
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and (x^2 - 1) P_n'(x) = n (x P_n - P_{n-1}), by the three-term
+    recurrence (j + 1) P_{j+1} = (2j + 1) x P_j - j P_{j-1}."""
+    p, q = x, np.ones_like(x)
+    for j in range(1, n):
+        p, q = ((2 * j + 1) * x * p - j * q) / (j + 1), p
+    return p, n * (x * p - q)
+
+
 @lru_cache(maxsize=32)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
+    """n-node Gauss-Legendre rule on [-1, 1], nodes ascending: Newton on P_n
+    from cos(pi (i - 1/4) / (n + 1/2)) to a rounding-level step, nodes made
+    antisymmetric, weights 2 / ((1 - x^2) P_n'^2) (1 - x^2 as (1 - x)(1 + x),
+    exact near the ends) scaled to sum to 2."""
+    x = -np.cos(math.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
+    for _ in range(100):
+        p, d = _legendre(n, x)
+        step = p * ((x - 1.0) * (x + 1.0)) / d
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    x = 0.5 * (x - x[::-1])
+    d = _legendre(n, x)[1]
+    w = 2.0 * ((1.0 - x) * (1.0 + x)) / (d * d)
+    return x, w * (2.0 / w.sum())
 
 
 def gauss_legendre(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:

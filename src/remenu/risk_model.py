@@ -255,15 +255,15 @@ class CostFunctional:
         return float(self.tail(loss)(d))
 
     def _tail_costs(self, loss: LossModel, d) -> np.ndarray:
-        """H[(X - d)_+] at every d of an array, by one tail_gauss call: each
-        row scaled by the median excess over its d (by d - VaR_2top(X) where
-        top = survival(d) is the smallest subnormal and top / 2 is 0; by inf
-        where that quantile is undefined, to halve toward hi or diverge) and
-        split at the kinks VaR_u(X), u < top, of a tabulated h."""
+        """H[(X - d)_+] at every d of an array, by one tail_gauss call over its
+        distinct d: each row scaled by the median excess over its d (by
+        d - VaR_2top(X) where top = survival(d) is the smallest subnormal and
+        top / 2 is 0; by inf where that quantile is undefined, to halve toward
+        hi or diverge) and split at the kinks VaR_u(X), u < top, of a tabulated h."""
         d = np.asarray(d, dtype=float)
         if not np.all(d >= 0.0):
             raise DomainError(f"deductible must be >= 0, got {np.min(d)}")
-        x = d.ravel()
+        x = np.unique(d)
         top, out = loss.survival(x), np.zeros(x.shape)
         live = (top > 0.0) & (x < loss.support_hi)
         if live.any():
@@ -275,7 +275,7 @@ class CostFunctional:
             kinks = np.where(knots < top[:, None], loss.var(knots), math.nan) if len(knots) else ()
             tail = tail_gauss(lambda y: h(loss.survival(y)), x, loss.support_hi, scale, kinks)
             out[live] = (1.0 + self.theta) * tail
-        return out.reshape(d.shape)
+        return out[np.searchsorted(x, d)].reshape(d.shape)
 
     def full_cost(self, loss: LossModel) -> float:
         """H[X] = stop-loss cost at deductible 0."""

@@ -115,6 +115,7 @@ def objective(
         t,
         kink,
         at=lambda k, tk: np.maximum(tk - ref(k), 0.0),
+        slope=float(ref(1.0)),  # ref_k = k ref_1 by positive homogeneity
     )
     return float(out[0]) if np.ndim(tau) == 0 else out
 

@@ -18,11 +18,13 @@ adaptive Gauss-Legendre call in k over every segment, and at each of its node
 sets one in alpha over the (alpha-segment, k node) rows of nonzero width.
 Integrands must accept numpy arrays broadcast over (a, k).
 
-``tail_integral(g, t, kink, at)`` takes a 1-D array of thresholds and calls
-``g(k, t)`` (and ``at(k, t)`` on atoms) with t broadcast to k's shape; row i
-is the call on t[i] alone, bit for bit.  The thresholds are cut once,
-into blocks of about _CHUNK_ELEMS Gauss nodes (or atoms) each; a uniform-k
-block prices all its live k-segments in one Gauss-Legendre call.
+``tail_integral(g, t, kink, at, slope)`` takes a 1-D array of thresholds and
+calls ``g(k, t)`` (and ``at(k, t)`` on atoms) with t broadcast to k's shape;
+row i is the call on t[i] alone, bit for bit.  The thresholds are cut into
+blocks of about _CHUNK_ELEMS elements of k-segment geometry or atoms.  On a
+uniform-k market g = t - slope k on a fully served segment below the kink,
+integrated exactly; only the other live segments take Gauss nodes, in
+sub-blocks of _CHUNK_ELEMS / 4 nodes.
 """
 
 from __future__ import annotations
@@ -47,8 +49,10 @@ class TypeDistribution:
 
     ``k_ends`` holds the smallest and the largest k, where the scale
     family's quantiles and theta*_k = k theta*_1 take their extremes.
-    Subclasses price a block of thresholds in ``_tail_block(g, t, kink, at)``,
-    each threshold taking ``_row_elems`` array elements.
+    Subclasses price a block of thresholds in
+    ``_tail_block(g, t, kink, at, slope)``, each threshold taking
+    ``_row_elems`` array elements: about 8 working arrays of its atoms or
+    k-segment edges.
     """
 
     k_ends: tuple[float, float]
@@ -69,18 +73,22 @@ class TypeDistribution:
         """Deterministic quadrature of int f(a, k) dQ."""
         raise NotImplementedError
 
-    def tail_integral(self, g, t: np.ndarray, kink=None, at=None) -> np.ndarray:
+    def tail_integral(self, g, t: np.ndarray, kink=None, at=None, slope=None) -> np.ndarray:
         """int g(k, t) 1{a > t} dQ with the indicator handled exactly, plus
         int at(k, t) 1{a = t} dQ over atoms, at each threshold of the 1-D t.
 
         g(k, t) gets t broadcast to k's shape.  g may have a kink in k where
         kink(k) = t, for a kink proportional to k (such as theta*_k); the
-        k-quadrature splits there.  Markets without atoms ignore at.
+        k-quadrature splits there.  A slope states that g(k, t) = t - slope k
+        wherever kink(k) <= t (everywhere without a kink): a uniform-k market
+        then integrates the k-segments where every type is served and
+        kink(k) <= t in closed form, and gives nodes only to the rest.
+        Markets without atoms ignore at.
         """
         out, step = np.zeros(len(t)), max(1, _CHUNK_ELEMS // self._row_elems)
         for s in range(0, len(t), step):
             b = slice(s, s + step)
-            out[b] = self._tail_block(g, t[b], kink, at)
+            out[b] = self._tail_block(g, t[b], kink, at, slope)
         return out
 
     def sample(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -93,16 +101,16 @@ class _UniformK(TypeDistribution):
     Subclasses set ``_edge_alphas``, the alphas bounding the support, and
     supply ``conditional_tail(k, t)``, P(a > t | k) vectorized in k, and
     ``_inner(f, k, bps)``, E[f(a, k) | k] at each Gauss node k.
-    tail_integral takes _TAIL_NODES Gauss-Legendre nodes per k-segment, at
-    most len(_edge_alphas) + 2 segments per threshold (``_row_elems`` nodes),
-    all of a block in one call; integrate adapts, all k-segments in one call.
+    A threshold has len(_edge_alphas) + 3 k-segment edges, its node
+    segments _TAIL_NODES nodes each; integrate adapts, all k-segments in one
+    call.
     """
 
     _edge_alphas: tuple[float, ...]
 
     @property
     def _row_elems(self) -> int:
-        return _TAIL_NODES * (len(self._edge_alphas) + 2)
+        return 8 * (len(self._edge_alphas) + 3)
 
     def __init__(self, k_lo: float, k_hi: float, family: ScaleFamily | None):
         if not 0.0 < k_lo < k_hi < math.inf:
@@ -137,24 +145,42 @@ class _UniformK(TypeDistribution):
     def upper_support(self) -> float:
         return float(np.max(self.family.var(min(self._edge_alphas), self.k_ends)))
 
-    def _tail_block(self, g, t: np.ndarray, kink, at) -> np.ndarray:
+    def _tail_block(self, g, t: np.ndarray, kink, at, slope) -> np.ndarray:
         edges = self._k_edges(t[:, None], *(() if kink is None else (float(kink(1.0)),)))
-        lo, hi = edges[:, :-1], edges[:, 1:]
+        lo, hi, tc = edges[:, :-1], edges[:, 1:], t[:, None]
         # No edge crossing of t falls inside a segment, so the tail is 0, 1 or
-        # strictly between throughout it: its middle tells which.  Only live
-        # segments get nodes, and only partial ones the conditional tail.
-        tail = self.conditional_tail(0.5 * (lo + hi), t[:, None])
+        # strictly between throughout it: its middle tells which.
+        mid = 0.5 * (lo + hi)
+        tail = self.conditional_tail(mid, tc)
         live = (hi > lo) & (tail > 0.0)
+        dens, closed = 1.0 / (self.k_hi - self.k_lo), np.zeros(len(t))
+        if slope is not None:
+            # A fully served segment below the kink has the affine density
+            # t - slope k: its integral is exact, each row's in order from 0.0.
+            exact = live & (tail >= 1.0)
+            if kink is not None:
+                exact &= kink(hi) <= tc
+            r, c = np.nonzero(exact)
+            closed = np.bincount(r, (hi[r, c] - lo[r, c]) * (t[r] - slope * mid[r, c]) * dens, len(t))
+            live &= ~exact
+        # Only the other live segments get nodes, and only partial ones the
+        # conditional tail.
         row = np.nonzero(live)[0]
         lo, hi, tail, t = lo[live], hi[live], tail[live], t[row]
-        k, w = gauss_legendre(lo[:, None], hi[:, None], _TAIL_NODES)
-        tk = np.repeat(t[:, None], _TAIL_NODES, axis=1)
-        vals = np.asarray(g(k, tk), dtype=float) * w
-        p = tail < 1.0
-        if p.any():
-            vals[p] *= self.conditional_tail(k[p], tk[p])
-        # Each row adds up its segments in order from 0.0.
-        return np.bincount(row, vals.sum(axis=-1) * (1.0 / (self.k_hi - self.k_lo)), len(live))
+        sums, step = np.empty(len(row)), max(1, _CHUNK_ELEMS // (4 * _TAIL_NODES))  # k, w, t, g
+        for s in range(0, len(row), step):
+            b = slice(s, s + step)
+            k, w = gauss_legendre(lo[b, None], hi[b, None], _TAIL_NODES)
+            tk = np.repeat(t[b, None], _TAIL_NODES, axis=1)
+            vals = np.asarray(g(k, tk), dtype=float) * w
+            p = tail[b] < 1.0
+            if p.any():
+                part = slice(None) if p.all() else p  # views, not copies, where all are
+                vals[part] *= self.conditional_tail(k[part], tk[part])
+            sums[b] = vals.sum(axis=-1)
+        # Each row adds up its node segments in order from 0.0, then its
+        # exact ones.
+        return np.bincount(row, sums * dens, len(closed)) + closed
 
     def integrate(self, f, breakpoints: Sequence[float] = ()) -> float:
         bps = sorted({float(b) for b in breakpoints if math.isfinite(b)})
@@ -274,7 +300,7 @@ class DiscreteTypes(TypeDistribution):
         if abs(self.weights.sum() - 1.0) > _WEIGHT_TOL:
             raise DomainError(f"atom weights must sum to 1, got {self.weights.sum()}")
         self.a_vals = np.asarray(self.family.var(self.alphas, self.ks), dtype=float)
-        self._row_elems = len(self.ks)
+        self._row_elems = 8 * len(self.ks)
 
     def lower_support(self) -> float:
         return float(self.a_vals.min())
@@ -286,7 +312,7 @@ class DiscreteTypes(TypeDistribution):
         vals = np.asarray(f(self.a_vals, self.ks), dtype=float)
         return float(np.dot(self.weights, vals))
 
-    def _tail_block(self, g, t: np.ndarray, kink, at) -> np.ndarray:
+    def _tail_block(self, g, t: np.ndarray, kink, at, slope) -> np.ndarray:
         out = self._atom_sum(g, t, self.a_vals > t[:, None])
         # The atoms at a == t exactly, as the menu's kink rule.
         return out if at is None else out + self._atom_sum(at, t, self.a_vals == t[:, None])

@@ -17,6 +17,7 @@ from remenu import (
     KProfile,
     ScaleFamily,
     UnsupportedError,
+    risk_model,
     threshold,
 )
 from remenu.quadrature import tail_gauss
@@ -238,6 +239,30 @@ class TestTailOracles:
             want = (1.0 + theta) * b / (c + 1.0) * (1.0 - d / b) ** (c + 1.0)
             assert cost.stop_loss_cost(loss, d) == pytest.approx(want, rel=1e-10)
         assert cost.stop_loss_cost(loss, b) == 0.0
+
+
+def test_repeated_deductibles_price_once(monkeypatch):
+    # A rule menu's Monte Carlo prices one base deductible d / k per sample,
+    # mostly repeats (theta*_1 for every type with theta*_k < tau): each
+    # distinct d is one tail_gauss row, and a repeat gets the bits of its
+    # own call.
+    cost = CostFunctional(0.1, Distortion.power(0.9))
+    loss = lomax(2.0)
+    distinct = np.array([0.0, 0.5, 3.0, 12.0, 40.0])
+    d = distinct[np.random.default_rng(4).integers(0, len(distinct), (40, 3))]
+    rows = []
+
+    def counted(f, lo, *args):
+        rows.append(np.size(lo))
+        return tail_gauss(f, lo, *args)
+
+    monkeypatch.setattr(risk_model, "tail_gauss", counted)
+    got = cost.tail(loss)(d)
+    assert rows == [len(distinct)]
+    assert got.shape == d.shape
+    each = {x: cost.tail(loss)(np.array([x]))[0] for x in distinct.tolist()}
+    assert got.tobytes() == np.vectorize(each.get)(d).tobytes()
+    assert cost.tail(loss)(3.0).shape == ()
 
 
 class TestTailDivergence:

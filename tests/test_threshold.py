@@ -24,9 +24,12 @@ from remenu import (
     threshold,
     type_space,
 )
+from remenu.quadrature import gauss_legendre
+from remenu.risk_model import KProfile
 from remenu.search import maximize_over_tau
 
 from reference_rules import masked_terms, phi
+from tail_oracle import all_node_tail_block
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 LN11 = math.log(1.1)
@@ -215,11 +218,14 @@ def test_terms_equal_the_masked_oracle(market, kind, cost, product_dist, degener
         assert menu.profile.sup_theta_star(dist.k_ends) > lo
 
 
-# By default a block holds about 2^15 Gauss nodes: 32 kinks (product, capped)
-# or 42 (degenerate), so a batch of ~310 kinks spans several blocks and is a
-# multiple of none. With 800 elements per block, a block holds 160 kinks of
-# the 5-atom discrete market (two blocks), or one kink of a uniform-k market.
-@pytest.mark.parametrize("chunk", [None, 800], ids=["default-chunk", "small-chunk"])
+# By default a block holds 2^15 elements, 8 per edge or atom of a kink: 819
+# kinks (product, capped), 1024 (degenerate) or 819 (the 5-atom discrete
+# market), and Gauss segments take nodes 32 at a time; so a batch of ~310
+# kinks is one block. With 800 elements, a block holds 20, 25 or 20 kinks,
+# and Gauss segments go one at a time. With 3072, 76, 96 or 76 kinks and 3
+# segments at a time, so a kink's segments split between sub-blocks at
+# varying offsets.
+@pytest.mark.parametrize("chunk", [None, 800, 3072], ids=["default-chunk", "small-chunk", "split-rows"])
 @pytest.mark.parametrize("kind", MENUS)
 @pytest.mark.parametrize("market", ["product", "degenerate", "discrete", "capped"])
 def test_batched_rows_equal_scalar_calls(
@@ -296,6 +302,61 @@ MARKETS = {
     "discrete": INTERIOR,
     "lomax": LOMAX,
 }
+
+
+# -- closed-form k-segments against the all-node oracle --------------------
+
+ORACLE_MARKETS = {
+    "product": (ProductUniform(5000.0, 25000.0, math.exp(-3), math.exp(-2)), CostFunctional(0.1)),
+    "fixed_alpha": (MARKETS["degenerate"], CostFunctional(0.1)),
+    "capped": (CAPPED, CAPPED_COST),
+    "zero_theta_star": (ZERO_THETA_STAR, CostFunctional(0.1)),
+    "lomax": (LOMAX, CostFunctional(0.1)),
+}
+
+
+def oracle_kinks(dist, cost):
+    """Kinks inside the cap region (below sup theta*), below L, at L, at
+    sup theta*, between sup theta* and the top of the support, and +inf."""
+    lo, hi = dist.lower_support(), dist.upper_support()
+    sup_ts = KProfile(cost, dist.family).sup_theta_star(dist.k_ends)
+    return np.array([0.5 * sup_ts, 0.5 * lo, lo, sup_ts, 0.5 * (max(lo, sup_ts) + hi), math.inf])
+
+
+# Change-loss prices as stop-loss does.
+@pytest.mark.parametrize("kind", ["stop_loss", "quota_share"])
+@pytest.mark.parametrize("market", ORACLE_MARKETS)
+def test_closed_form_segments_match_the_all_node_oracle(market, kind, monkeypatch):
+    dist, c = ORACLE_MARKETS[market]
+    taus = oracle_kinks(dist, c)
+    fast = threshold.objective(kind, taus, dist, c)
+    monkeypatch.setattr(type_space._UniformK, "_tail_block", all_node_tail_block)
+    want = threshold.objective(kind, taus, dist, c)
+    assert np.all(np.abs(fast - want) <= 1e-14 * np.abs(want))
+    assert fast[-1] == want[-1] == 0.0
+    if market == "capped":
+        assert taus[2] < taus[3]  # L < sup theta*: the cap binds between them
+
+
+def test_uncapped_fixed_alpha_kinks_price_no_node(monkeypatch):
+    # a = 3k: every segment's tail is 0 or 1, and above sup theta* ~ 2383
+    # no cap binds, so every live segment is served and exact.
+    dist, c = ORACLE_MARKETS["fixed_alpha"]
+    nodes = []
+
+    def counted(lo, hi, n):
+        nodes.append(np.size(lo) * n)
+        return gauss_legendre(lo, hi, n)
+
+    monkeypatch.setattr(type_space, "gauss_legendre", counted)
+    taus = np.linspace(*threshold.tau_range("stop_loss", dist), 1001)
+    for kind in MENUS:
+        j = threshold.objective(kind, taus, dist, c)
+        assert np.all(j[:-1] != 0.0) and j[-1] == 0.0  # types above every kink but the top
+    assert nodes == []
+    # Inside the cap region the capped segments still take nodes.
+    threshold.objective("stop_loss", np.array([1000.0]), dist, c)
+    assert sum(nodes) > 0
 
 
 def test_capped_lomax_market_keeps_its_menu():

@@ -20,6 +20,7 @@ from remenu import (
     KProfile,
     MenuEntry,
     PiecewiseLinearConvexUtility,
+    ScenarioConfig,
     bl_decompose,
     check_ic,
     check_ir,
@@ -571,7 +572,31 @@ def _mc_peak(menu, dist, cost) -> int:
         tracemalloc.stop()
 
 
+def _solve_peak(name: str) -> int:
+    """The traced peak of the second solve of a bundled config; the first
+    pays one-time costs (KProfile's constants, Gauss rules, lazy imports)."""
+    config = ScenarioConfig.from_file(str(SCRIPTS / f"{name}.json"))
+    args = (config.solver.solver_class, config.build_dist(), config.build_cost())
+    threshold.solve(*args)
+    tracemalloc.start()
+    try:
+        threshold.solve(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestBoundedMemory:
+    def test_product_solve(self):
+        # Blocks of 32 kinks that gave every live k-segment 256 Gauss nodes
+        # at once peaked at 1.11 MB; sub-blocks of 32 node segments, with
+        # fully served ones exact, at 0.83 MB.
+        assert _solve_peak(PRODUCT_CONFIGS[0]) < 1.0e6
+
+    def test_fixed_alpha_solve(self):
+        # Uncapped fixed-alpha kinks take no node: 0.61 MB with nodes, 0.30 MB without.
+        assert _solve_peak("fixed_alpha_stop_loss") < 0.5e6
+
     def test_tabulated_menu_below_per_entry_loop(self, bundled_tables, cost, product_dist):
         # The per-entry loop peaked at 8.6 MB here: 100,000 samples times
         # (a, k, best, choice, own, own value, profit) plus masks.
