@@ -15,6 +15,7 @@ from .menus import CONTRACT_CLASSES
 from .risk_model import CostFunctional, Distortion, ExponentialFamily
 from .type_space import DegenerateAlpha, DiscreteTypes, ProductUniform, TypeDistribution
 
+_JSON_NUMBERS = (int, float)  # the types json.load gives numbers; bool is neither
 MAX_GRID_POINTS = 10**6  # the cap on solver.grid_points, checked before any grid is built
 _DISTORTION_KINDS = {"identity": "identity", "power": "power", "proportional_hazard": "power"}
 # The uniform-k variants and their alpha_dist keys, in constructor order.
@@ -152,6 +153,14 @@ class ScenarioConfig:
         for i, (ka, aa) in enumerate(zip(atoms, alphas)):
             if not (isinstance(ka, list) and len(ka) == 2):
                 raise ConfigError(f"types.k_dist.atoms[{i}] must be [k, weight]")
+            k, w = ka
+            if type(aa) in _JSON_NUMBERS and type(k) in _JSON_NUMBERS and type(w) in _JSON_NUMBERS:
+                try:
+                    triples.append((float(aa), float(k), float(w)))
+                    continue
+                except OverflowError:  # an int too large for a float: _number says so
+                    pass
+            # Only a value that is not a plain JSON number gets its label built.
             k, w = (_number(v, f"types.k_dist.atoms[{i}][{j}]") for j, v in enumerate(ka))
             triples.append((_number(aa, f"types.alpha_dist.atoms[{i}]"), k, w))
         return DiscreteTypes(triples, family)

@@ -28,7 +28,9 @@ def _or_shut_down(tau: float, val: float) -> tuple[float, float]:
 def maximize_over_points(objective: Callable, taus) -> tuple[float, float]:
     """(tau_star, value) over the ascending candidates taus, evaluated in one
     array call of objective; tau_star is +inf when shutting everyone down
-    dominates."""
+    dominates.  The first maximum wins, so any subset of taus holding every
+    maximizer gives the same result; a discrete solve passes only such a
+    subset of its atoms."""
     i, val = _best(objective, taus)
     return _or_shut_down(float(taus[i]), val)
 

@@ -71,6 +71,12 @@ def reference(kind: str, profile: KProfile):
     return profile.full_cost if kind == "quota_share" else profile.xi
 
 
+def cap_below(kind: str, profile: KProfile, dist: TypeDistribution) -> float:
+    """The kinks below which the stop-loss cap theta*_k ∧ tau can bind:
+    sup theta* over the market, or -inf for quota-share, which has no cap."""
+    return -math.inf if kind == "quota_share" else profile.sup_theta_star(dist.k_ends)
+
+
 def served_profit(kind: str, profile: KProfile, t: np.ndarray, k: np.ndarray, cap_below: float):
     """Profit P - H[I(X_k)] of served types at kinks t (shaped like k):
     t - ref_k.  Where t < cap_below (sup theta*; -inf for quota-share) and
@@ -109,15 +115,71 @@ def objective(
     # The cap theta*_k ∧ tau binds only below sup theta*, where the capped
     # density has a kink at the k with theta*_k = tau.
     kink = None if kind == "quota_share" else prof.theta_star
-    cap_below = -math.inf if kink is None else prof.sup_theta_star(dist.k_ends)
+    below = cap_below(kind, prof, dist)
     out = dist.tail_integral(
-        lambda k, tk: served_profit(kind, prof, tk, k, cap_below),
+        lambda k, tk: served_profit(kind, prof, tk, k, below),
         t,
         kink,
         at=lambda k, tk: np.maximum(tk - ref(k), 0.0),
         slope=float(ref(1.0)),  # ref_k = k ref_1 by positive homogeneity
     )
     return float(out[0]) if np.ndim(tau) == 0 else out
+
+
+def level_bounds(kind: str, dist: DiscreteTypes, profile: KProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t, value, margin) at the distinct atom levels t of the discrete
+    market dist: the objective J of class kind at t lies within margin of
+    value where t >= cap_below, and at most value + margin below it.
+
+    J(t) = t W - ref_1 Wk plus the atom terms at a = t (see
+    DiscreteTypes.level_sums), since ref_k = k ref_1 by positive
+    homogeneity.  objective and this sum each round an atom's term at most
+    three times and add at most n + 3 numbers (n atoms), so each is within
+    gamma_(n+6) (t W + |ref_1| Wk) of the exact sum, summing over the atoms
+    with a >= t (gamma_m = m u / (1 - m u), u = 2^-53), plus (n + 6) eta
+    where a product underflows (eta = 2^-1075).  The margin is twice the two
+    bounds together, for its own rounding and that of comparisons.
+
+    Below cap_below a capped type's profit -H[(X_k - t)_+] is at most
+    t - xi_k, since theta*_k maximizes (t - d) - H[(X_k - d)_+] over d: the
+    sum only bounds J from above there; the computed costs keep that
+    inequality to about 3 rounding units of xi_k (closed forms and
+    quadrature tails alike), inside the margin.  Where xi_k = inf nothing is
+    bounded and the margin is inf.
+    """
+    ref_1 = float(reference(kind, profile)(1.0))
+    t, w, wk, at = dist.level_sums(lambda k, tk: np.maximum(tk - ref_1 * k, 0.0))
+    if not math.isfinite(ref_1):
+        return t, np.zeros(len(t)), np.full(len(t), math.inf)
+    value = t * w[1:] - ref_1 * wk[1:] + at
+    return t, value, 4.0 * (len(dist.ks) + 6) * (2.0**-53 * (t * w[:-1] + abs(ref_1) * wk[:-1]) + 2.0**-1074)
+
+
+def discrete_candidates(kind: str, j, dist: DiscreteTypes, profile: KProfile) -> np.ndarray:
+    """The atom levels, ascending, that can hold the first maximum of j, the
+    objective J of class kind on the discrete market dist.
+
+    Levels where the cap can bind have only an upper bound (level_bounds):
+    they are priced with j, best bound first, while their bound can still
+    reach the best value known.  The others are returned unpriced where
+    their upper bound reaches the best lower bound.
+    """
+    t, value, margin = level_bounds(kind, dist, profile)
+    if math.isinf(margin[0]):  # no bound: every level
+        return t
+    upper = value + margin
+    cut = int(np.searchsorted(t, cap_below(kind, profile, dist)))  # t[:cut] may be capped
+    best = (value[cut:] - margin[cut:]).max(initial=-math.inf)
+    keep = upper >= best
+    if cut:
+        exact = np.full(cut, -math.inf)
+        for i in np.argsort(-upper[:cut], kind="stable"):
+            if upper[i] < best:
+                break
+            exact[i] = j(float(t[i]))
+            best = max(best, exact[i])
+        keep[:cut] = exact >= best
+    return t[keep]
 
 
 def tau_range(kind: str, dist: TypeDistribution) -> tuple[float, float]:
@@ -183,7 +245,10 @@ def solve(
     array call of J.
 
     On a discrete market J cannot decrease between consecutive atoms, so the
-    best atom is the exact optimum and grid_points and refine_tol go unused.
+    best atom is the exact optimum and grid_points and refine_tol go unused:
+    discrete_candidates keeps the atoms that can hold the first maximum, in
+    O(n log n), and objective prices only those, so tau_star and J are those
+    of pricing every atom, bit for bit.
     Raises AssumptionError for change-loss when sup_k theta*_k exceeds the
     lowest market risk level; the reduction is not valid then.
     """
@@ -191,7 +256,7 @@ def solve(
     require_assumption(kind, dist, cost, profile)
     j = partial(objective, kind, dist=dist, cost=cost, profile=profile)
     if isinstance(dist, DiscreteTypes):
-        tau, val = maximize_over_points(j, np.sort(dist.a_vals))
+        tau, val = maximize_over_points(j, discrete_candidates(kind, j, dist, profile))
     else:
         tau, val = maximize_over_tau(j, *tau_range(kind, dist), grid_points, refine_tol)
     return ThresholdMenu(tau, val, cost, dist, kind)
