@@ -15,7 +15,6 @@ from .menus import CONTRACT_CLASSES
 from .risk_model import CostFunctional, Distortion, ExponentialFamily
 from .type_space import DegenerateAlpha, DiscreteTypes, ProductUniform, TypeDistribution
 
-_JSON_NUMBERS = (int, float)  # the types json.load gives numbers; bool is neither
 MAX_GRID_POINTS = 10**6  # the cap on solver.grid_points, checked before any grid is built
 _DISTORTION_KINDS = {"identity": "identity", "power": "power", "proportional_hazard": "power"}
 # The uniform-k variants and their alpha_dist keys, in constructor order.
@@ -37,19 +36,20 @@ def _take(section: dict, name: str, allowed: set[str], required: set[str]) -> di
     return section
 
 
-def _number(val, name: str) -> float:
+def _number(val, name: str, *args) -> float:
+    """val as a float; the label is name % args, formatted only for an error."""
+    if not isinstance(val, bool) and isinstance(val, (int, float)):
+        try:
+            return float(val)
+        except OverflowError:
+            raise ConfigError(f"{name % args} must be a finite number, got an integer too large for a float") from None
     if val is None:
-        raise ConfigError(f"{name} is required")
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {val!r}")
-    try:
-        return float(val)
-    except OverflowError:
-        raise ConfigError(f"{name} must be a finite number, got an integer too large for a float") from None
+        raise ConfigError(f"{name % args} is required")
+    raise ConfigError(f"{name % args} must be a number, got {val!r}")
 
 
 def _num(section: dict, name: str, key: str, default=None) -> float:
-    return _number(section.get(key, default), f"{name}.{key}")
+    return _number(section.get(key, default), "%s.%s", name, key)
 
 
 def _int(section: dict, name: str, key: str, default: int) -> int:
@@ -153,14 +153,7 @@ class ScenarioConfig:
         for i, (ka, aa) in enumerate(zip(atoms, alphas)):
             if not (isinstance(ka, list) and len(ka) == 2):
                 raise ConfigError(f"types.k_dist.atoms[{i}] must be [k, weight]")
-            k, w = ka
-            if type(aa) in _JSON_NUMBERS and type(k) in _JSON_NUMBERS and type(w) in _JSON_NUMBERS:
-                try:
-                    triples.append((float(aa), float(k), float(w)))
-                    continue
-                except OverflowError:  # an int too large for a float: _number says so
-                    pass
-            # Only a value that is not a plain JSON number gets its label built.
-            k, w = (_number(v, f"types.k_dist.atoms[{i}][{j}]") for j, v in enumerate(ka))
-            triples.append((_number(aa, f"types.alpha_dist.atoms[{i}]"), k, w))
+            k = _number(ka[0], "types.k_dist.atoms[%d][0]", i)
+            w = _number(ka[1], "types.k_dist.atoms[%d][1]", i)
+            triples.append((_number(aa, "types.alpha_dist.atoms[%d]", i), k, w))
         return DiscreteTypes(triples, family)

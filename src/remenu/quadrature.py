@@ -28,6 +28,7 @@ _BATCH_TOL = 1e-10  # adaptive_gauss_batched's relative change to stop at
 # (j_general's is even constant in a there), so even a batch of every k-segment
 # of a market, or of every live (alpha-segment, k node) row, mostly stops at 16.
 _BATCH_SIZES = (8, 16, 32, 64, 128, 256, 512)
+TAIL_RTOL = 1e-13  # tail_gauss stops once its estimated rest is at most this part of the total
 _TAIL_ELEMS = 1 << 16  # Gauss nodes per block of tail_gauss rows; bounds its memory
 _POW2 = 2.0 ** np.arange(1024)  # tail_gauss's segment j spans scale 2^j
 _SEGS = 32  # tail_gauss's segments per row and call of f
@@ -82,8 +83,9 @@ def tail_gauss(f: Callable, lo, hi: float, scale, splits=()):
     (rows in blocks of about _TAIL_ELEMS nodes).  With r the larger of the
     last two segment ratios, the rest after segment j is about
     seg_{j-1} r^2 / (1 - r); a row stops once r < 1 and that is at most
-    1e-13 |total|.  A subnormal total cannot meet that test, so it stops at
-    its first zero segment instead: f is nonincreasing, so the rest is 0.
+    TAIL_RTOL |total| (1e-13).  A subnormal total cannot meet that test, so
+    it stops at its first zero segment instead: f is nonincreasing, so the
+    rest is 0.
     (After a normal total a zero may be a survival that underflowed under a
     steep h, and proves nothing.)  DivergenceError when a row has not stopped
     within 1024 segments, or when its next edge overflows.
@@ -163,7 +165,7 @@ def _tail_rows(f: Callable, lo: np.ndarray, hi: float, scale: np.ndarray, kinks:
         rr = np.maximum(ratios[:, 1:], ratios[:, :-1])
         q = np.where(rr < 1.0, rr, 0.0)  # the remainder estimate, where it counts
         size = np.abs(tot)
-        done = ((segs == 0.0) & (size < _TINY)) | ((rr < 1.0) & (before * q * q / (1.0 - q) <= 1e-13 * size))
+        done = ((segs == 0.0) & (size < _TINY)) | ((rr < 1.0) & (before * q * q / (1.0 - q) <= TAIL_RTOL * size))
         done &= np.arange(_SEGS) < nseg[:, None]
         hit = done.any(axis=1)
         out[rows[hit]] = tot[hit, done[hit].argmax(axis=1)]

@@ -263,7 +263,7 @@ class CostFunctional:
         d = np.asarray(d, dtype=float)
         if not np.all(d >= 0.0):
             raise DomainError(f"deductible must be >= 0, got {np.min(d)}")
-        x = np.unique(d) if d.size > 1 else d.reshape(1)  # one d, the usual call, needs no dedup
+        x = np.unique(d) if d.size != 1 else d.reshape(1)  # one d, the usual call, needs no dedup
         top, out = loss.survival(x), np.zeros(x.shape)
         live = (top > 0.0) & (x < loss.support_hi)
         if live.any():
@@ -275,7 +275,7 @@ class CostFunctional:
             kinks = np.where(knots < top[:, None], loss.var(knots), math.nan) if len(knots) else ()
             tail = tail_gauss(lambda y: h(loss.survival(y)), x, loss.support_hi, scale, kinks)
             out[live] = (1.0 + self.theta) * tail
-        return (out[np.searchsorted(x, d)] if d.size > 1 else out).reshape(d.shape)
+        return (out[np.searchsorted(x, d)] if d.size != 1 else out).reshape(d.shape)
 
     def full_cost(self, loss: LossModel) -> float:
         """H[X] = stop-loss cost at deductible 0."""

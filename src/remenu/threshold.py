@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import AssumptionError, DomainError
 from .menus import Contract, MenuEntry, check_class
+from .quadrature import TAIL_RTOL
 from .risk_model import CostFunctional, KProfile
 from .search import maximize_over_points, maximize_over_tau
 from .type_space import DiscreteTypes, TypeDistribution
@@ -142,17 +143,24 @@ def level_bounds(kind: str, dist: DiscreteTypes, profile: KProfile) -> tuple[np.
 
     Below cap_below a capped type's profit -H[(X_k - t)_+] is at most
     t - xi_k, since theta*_k maximizes (t - d) - H[(X_k - d)_+] over d: the
-    sum only bounds J from above there; the computed costs keep that
-    inequality to about 3 rounding units of xi_k (closed forms and
-    quadrature tails alike), inside the margin.  Where xi_k = inf nothing is
-    bounded and the margin is inf.
+    sum only bounds J from above there.  With the costs H and xi_k each
+    within a relative eps of exact, the computed profit exceeds t - xi_k by
+    at most 3 eps xi_k: where H[(X_k - t)_+] > 2 xi_k its error is smaller
+    than the gap H[(X_k - t)_+] + t - xi_k.  A quadrature tail takes eps =
+    TAIL_RTOL, the part of the total its stop rule leaves to the estimated
+    rest, so the margin below cap_below adds 4 TAIL_RTOL |ref_1| Wk (the
+    closed forms are within a few rounding units).  Where xi_k = inf
+    nothing is bounded and the margin is inf.
     """
     ref_1 = float(reference(kind, profile)(1.0))
     t, w, wk, at = dist.level_sums(lambda k, tk: np.maximum(tk - ref_1 * k, 0.0))
     if not math.isfinite(ref_1):
         return t, np.zeros(len(t)), np.full(len(t), math.inf)
     value = t * w[1:] - ref_1 * wk[1:] + at
-    return t, value, 4.0 * (len(dist.ks) + 6) * (2.0**-53 * (t * w[:-1] + abs(ref_1) * wk[:-1]) + 2.0**-1074)
+    margin = 4.0 * (len(dist.ks) + 6) * (2.0**-53 * (t * w[:-1] + abs(ref_1) * wk[:-1]) + 2.0**-1074)
+    capped = t < cap_below(kind, profile, dist)
+    margin[capped] += 4.0 * TAIL_RTOL * abs(ref_1) * wk[:-1][capped]
+    return t, value, margin
 
 
 def discrete_candidates(kind: str, j, dist: DiscreteTypes, profile: KProfile) -> np.ndarray:
@@ -162,7 +170,9 @@ def discrete_candidates(kind: str, j, dist: DiscreteTypes, profile: KProfile) ->
     Levels where the cap can bind have only an upper bound (level_bounds):
     they are priced with j, best bound first, while their bound can still
     reach the best value known.  The others are returned unpriced where
-    their upper bound reaches the best lower bound.
+    their upper bound reaches the best lower bound.  The bounds take
+    O(n log n) for n atoms and each priced capped level O(n), so a J that
+    is nearly flat below sup theta* can make the call quadratic.
     """
     t, value, margin = level_bounds(kind, dist, profile)
     if math.isinf(margin[0]):  # no bound: every level
@@ -246,9 +256,10 @@ def solve(
 
     On a discrete market J cannot decrease between consecutive atoms, so the
     best atom is the exact optimum and grid_points and refine_tol go unused:
-    discrete_candidates keeps the atoms that can hold the first maximum, in
-    O(n log n), and objective prices only those, so tau_star and J are those
-    of pricing every atom, bit for bit.
+    discrete_candidates keeps the atoms that can hold the first maximum (in
+    O(n log n), plus O(n) per capped level it prices), and objective prices
+    only those, so tau_star and J are those of pricing every atom, bit for
+    bit.
     Raises AssumptionError for change-loss when sup_k theta*_k exceeds the
     lowest market risk level; the reduction is not valid then.
     """

@@ -9,7 +9,17 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from remenu import AssumptionError, CostFunctional, DiscreteTypes, Distortion, threshold, type_space
+from remenu import (
+    AssumptionError,
+    CostFunctional,
+    DiscreteTypes,
+    Distortion,
+    ExponentialFamily,
+    GenericLoss,
+    ScaleFamily,
+    threshold,
+    type_space,
+)
 from remenu.risk_model import KProfile
 from remenu.search import maximize_over_points
 
@@ -35,8 +45,19 @@ def assert_matches_full_enumeration(dist, cost):
         assert (menu.tau_star.hex(), menu.objective_value.hex()) == (tau.hex(), val.hex()), kind
 
 
+EXPONENT_FORM = st.tuples(
+    st.just(None), st.sampled_from([0.1, 1.0]), st.sampled_from([Distortion.identity(), Distortion.power(0.8)])
+)
+LOMAX = ScaleFamily(GenericLoss(lambda y: (1.0 + y / 2.0) ** -3.0))  # mean 1
+TABULATED = Distortion.tabulated([(0.0, 0.0), (0.2, 0.2**0.75), (0.55, 0.55**0.75), (1.0, 1.0)])
+# Families and distortions without closed forms: every cost is a quadrature tail.
+QUADRATURE = st.sampled_from(
+    [(LOMAX, 1.0, Distortion.identity()), (LOMAX, 1.0, TABULATED), (ExponentialFamily(), 1.0, TABULATED)]
+)
+
+
 @st.composite
-def markets(draw):
+def markets(draw, costs=EXPONENT_FORM):
     """Up to 13 atoms with alpha in one of three ranges and k in (1000, 30000)
     or (1000, 6000), some repeated exactly or moved 1 ulp (in alpha or k),
     some of zero weight.
@@ -47,7 +68,10 @@ def markets(draw):
     above 0.3 at theta = 1, every type sits below its break-even level
     xi_k = 1.69 k, so no kink pays: J* = 0, the first kink to reach it wins
     and shut-down, which pays no more, loses (J at the top atom is its atom
-    term, never negative, so a discrete market never shuts down)."""
+    term, never negative, so a discrete market never shuts down).
+
+    costs draws (family, theta, distortion), the family None for the
+    exponential default."""
     alpha_lo, alpha_hi = draw(st.sampled_from([(0.05, 0.15), (0.05, 0.5), (0.3, 0.5)]))
     k_hi = draw(st.sampled_from([30000.0, 6000.0]))
     base = draw(
@@ -72,9 +96,8 @@ def markets(draw):
     if weights.sum() == 0.0:
         weights[0] = 1.0
     weights = weights / weights.sum()
-    theta = draw(st.sampled_from([0.1, 1.0]))
-    distortion = draw(st.sampled_from([Distortion.identity(), Distortion.power(0.8)]))
-    dist = DiscreteTypes([(al, k, float(w)) for (al, k, _w), w in zip(atoms, weights)])
+    family, theta, distortion = draw(costs)
+    dist = DiscreteTypes([(al, k, float(w)) for (al, k, _w), w in zip(atoms, weights)], family)
     return dist, CostFunctional(theta, distortion)
 
 
@@ -82,6 +105,25 @@ def markets(draw):
 @given(markets())
 def test_candidates_give_the_full_enumeration_bits(market):
     assert_matches_full_enumeration(*market)
+
+
+@settings(max_examples=100, deadline=None)
+@given(markets(QUADRATURE))
+def test_quadrature_costs_give_the_full_enumeration_bits(market):
+    # Lomax and tabulated-distortion costs are quadrature tails, each within
+    # about TAIL_RTOL of exact: the capped levels' margin has to cover that.
+    assert_level_bounds_hold(*market)
+    assert_matches_full_enumeration(*market)
+
+
+def test_levels_below_sup_theta_star_where_no_cap_binds():
+    # At the lower kink t ~ 3160 < sup theta* the only type above it has
+    # theta*_k ~ 900 <= t: no deductible is capped, and the quadrature tail
+    # costs are asked for an empty array of deductibles.
+    dist = DiscreteTypes([(0.001, 1000.0, 0.5), (0.9, 30000.0, 0.5)])
+    cost = CostFunctional(1.0, TABULATED)
+    assert_level_bounds_hold(dist, cost)
+    assert_matches_full_enumeration(dist, cost)
 
 
 def assert_level_bounds_hold(dist, cost):
