@@ -25,9 +25,8 @@ import numpy as np
 
 from .errors import AssumptionError, DomainError
 from .menus import Contract, MenuEntry, check_class
-from .quadrature import TAIL_RTOL
 from .risk_model import CostFunctional, KProfile
-from .search import maximize_over_points, maximize_over_tau
+from .search import first_maximum, maximize_over_tau
 from .type_space import DiscreteTypes, TypeDistribution
 
 
@@ -79,14 +78,15 @@ def cap_below(kind: str, profile: KProfile, dist: TypeDistribution) -> float:
 
 
 def served_profit(kind: str, profile: KProfile, t: np.ndarray, k: np.ndarray, cap_below: float):
-    """Profit P - H[I(X_k)] of served types at kinks t (shaped like k):
-    t - ref_k.  Where t < cap_below (sup theta*; -inf for quota-share) and
-    theta*_k > t, the type takes the deductible t and yields -H[(X_k - t)_+]."""
+    """Profit P - H[I(X_k)] of served types at kinks t (shaped like k): t - ref_k.
+    Where t < cap_below (sup theta*; -inf for quota-share) and theta*_k > t,
+    the type takes the deductible t and yields -H[(X_k - t)_+], at most t - xi_k
+    as theta*_k maximizes (t - d) - H[(X_k - d)_+]: the min keeps it so in floats."""
     out = t - reference(kind, profile)(k)
     cap = t < cap_below
     if cap.any():
         cap &= profile.theta_star(k) > t
-        out[cap] = -profile.stop_loss_cost(k[cap], t[cap])
+        out[cap] = np.minimum(out[cap], -profile.stop_loss_cost(k[cap], t[cap]))
     return out
 
 
@@ -112,84 +112,43 @@ def objective(
     if bad.any():
         raise DomainError(f"kink tau must be >= 0, got {t[bad].min():.17g}")
     prof = profile if profile is not None else KProfile(cost, dist.family)
-    ref = reference(kind, prof)
-    # The cap theta*_k ∧ tau binds only below sup theta*, where the capped
-    # density has a kink at the k with theta*_k = tau.
-    kink = None if kind == "quota_share" else prof.theta_star
-    below = cap_below(kind, prof, dist)
-    out = dist.tail_integral(
-        lambda k, tk: served_profit(kind, prof, tk, k, below),
-        t,
-        kink,
-        at=lambda k, tk: np.maximum(tk - ref(k), 0.0),
-        slope=float(ref(1.0)),  # ref_k = k ref_1 by positive homogeneity
-    )
+    out = _tail_objective(kind, t, dist, prof, cap_below(kind, prof, dist))
     return float(out[0]) if np.ndim(tau) == 0 else out
 
 
-def level_bounds(kind: str, dist: DiscreteTypes, profile: KProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(t, value, margin) at the distinct atom levels t of the discrete
-    market dist: the objective J of class kind at t lies within margin of
-    value where t >= cap_below, and at most value + margin below it.
-
-    J(t) = t W - ref_1 Wk plus the atom terms at a = t (see
-    DiscreteTypes.level_sums), since ref_k = k ref_1 by positive
-    homogeneity.  objective and this sum each round an atom's term at most
-    three times and add at most n + 3 numbers (n atoms), so each is within
-    gamma_(n+6) (t W + |ref_1| Wk) of the exact sum, summing over the atoms
-    with a >= t (gamma_m = m u / (1 - m u), u = 2^-53), plus (n + 6) eta
-    where a product underflows (eta = 2^-1075).  The margin is twice the two
-    bounds together, for its own rounding and that of comparisons.
-
-    Below cap_below a capped type's profit -H[(X_k - t)_+] is at most
-    t - xi_k, since theta*_k maximizes (t - d) - H[(X_k - d)_+] over d: the
-    sum only bounds J from above there.  With the costs H and xi_k each
-    within a relative eps of exact, the computed profit exceeds t - xi_k by
-    at most 3 eps xi_k: where H[(X_k - t)_+] > 2 xi_k its error is smaller
-    than the gap H[(X_k - t)_+] + t - xi_k.  A quadrature tail takes eps =
-    TAIL_RTOL, the part of the total its stop rule leaves to the estimated
-    rest, so the margin below cap_below adds 4 TAIL_RTOL |ref_1| Wk (the
-    closed forms are within a few rounding units).  Where xi_k = inf
-    nothing is bounded and the margin is inf.
-    """
-    ref_1 = float(reference(kind, profile)(1.0))
-    t, w, wk, at = dist.level_sums(lambda k, tk: np.maximum(tk - ref_1 * k, 0.0))
-    if not math.isfinite(ref_1):
-        return t, np.zeros(len(t)), np.full(len(t), math.inf)
-    value = t * w[1:] - ref_1 * wk[1:] + at
-    margin = 4.0 * (len(dist.ks) + 6) * (2.0**-53 * (t * w[:-1] + abs(ref_1) * wk[:-1]) + 2.0**-1074)
-    capped = t < cap_below(kind, profile, dist)
-    margin[capped] += 4.0 * TAIL_RTOL * abs(ref_1) * wk[:-1][capped]
-    return t, value, margin
+def _tail_objective(kind: str, t: np.ndarray, dist: TypeDistribution, prof: KProfile, below: float) -> np.ndarray:
+    """J at the kinks t with the stop-loss cap theta*_k ∧ tau binding only
+    below `below` (-inf: nowhere), where the capped density has a kink at the
+    k with theta*_k = tau."""
+    ref = reference(kind, prof)
+    return dist.tail_integral(
+        lambda k, tk: served_profit(kind, prof, tk, k, below),
+        t,
+        None if below == -math.inf else prof.theta_star,
+        at=lambda k, tk: np.maximum(tk - ref(k), 0.0),
+        slope=float(ref(1.0)),  # ref_k = k ref_1 by positive homogeneity
+    )
 
 
-def discrete_candidates(kind: str, j, dist: DiscreteTypes, profile: KProfile) -> np.ndarray:
-    """The atom levels, ascending, that can hold the first maximum of j, the
-    objective J of class kind on the discrete market dist.
-
-    Levels where the cap can bind have only an upper bound (level_bounds):
-    they are priced with j, best bound first, while their bound can still
-    reach the best value known.  The others are returned unpriced where
-    their upper bound reaches the best lower bound.  The bounds take
-    O(n log n) for n atoms and each priced capped level O(n), so a J that
-    is nearly flat below sup theta* can make the call quadratic.
-    """
-    t, value, margin = level_bounds(kind, dist, profile)
-    if math.isinf(margin[0]):  # no bound: every level
-        return t
-    upper = value + margin
+def _discrete_maximum(kind: str, j, dist: DiscreteTypes, profile: KProfile) -> tuple[float, float]:
+    """(tau_star, J) over the atom levels of dist, as pricing J at every level:
+    J with the cap off, in one call, is J at and above sup theta* and at
+    least J below it, where the cap adds terms <= 0 (see served_profit).  j
+    prices the levels below sup theta*, best first, while their cap-off value
+    still reaches the best; it prices every level where ref_1 is not finite."""
+    t = dist.levels
+    if not math.isfinite(float(reference(kind, profile)(1.0))):
+        return first_maximum(t, j(t))
+    vals = _tail_objective(kind, t, dist, profile, -math.inf)
     cut = int(np.searchsorted(t, cap_below(kind, profile, dist)))  # t[:cut] may be capped
-    best = (value[cut:] - margin[cut:]).max(initial=-math.inf)
-    keep = upper >= best
-    if cut:
-        exact = np.full(cut, -math.inf)
-        for i in np.argsort(-upper[:cut], kind="stable"):
-            if upper[i] < best:
-                break
-            exact[i] = j(float(t[i]))
-            best = max(best, exact[i])
-        keep[:cut] = exact >= best
-    return t[keep]
+    best = vals[cut:].max(initial=-math.inf)
+    reach = np.flatnonzero(vals[:cut] >= best)  # best only grows: no other level is priced
+    for i in reach[np.argsort(-vals[reach], kind="stable")]:
+        if vals[i] < best:
+            break  # this level and the rest stay below best
+        vals[i] = j(float(t[i]))
+        best = max(best, vals[i])
+    return first_maximum(t, vals)
 
 
 def tau_range(kind: str, dist: TypeDistribution) -> tuple[float, float]:
@@ -256,10 +215,8 @@ def solve(
 
     On a discrete market J cannot decrease between consecutive atoms, so the
     best atom is the exact optimum and grid_points and refine_tol go unused:
-    discrete_candidates keeps the atoms that can hold the first maximum (in
-    O(n log n), plus O(n) per capped level it prices), and objective prices
-    only those, so tau_star and J are those of pricing every atom, bit for
-    bit.
+    _discrete_maximum gives tau_star and J of pricing every atom, bit for
+    bit, in O(n log n) for n atoms plus O(n) per capped level it prices.
     Raises AssumptionError for change-loss when sup_k theta*_k exceeds the
     lowest market risk level; the reduction is not valid then.
     """
@@ -267,7 +224,7 @@ def solve(
     require_assumption(kind, dist, cost, profile)
     j = partial(objective, kind, dist=dist, cost=cost, profile=profile)
     if isinstance(dist, DiscreteTypes):
-        tau, val = maximize_over_points(j, discrete_candidates(kind, j, dist, profile))
+        tau, val = _discrete_maximum(kind, j, dist, profile)
     else:
         tau, val = maximize_over_tau(j, *tau_range(kind, dist), grid_points, refine_tol)
     return ThresholdMenu(tau, val, cost, dist, kind)

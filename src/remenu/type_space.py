@@ -20,11 +20,11 @@ Integrands must accept numpy arrays broadcast over (a, k).
 
 ``tail_integral(g, t, kink, at, slope)`` takes a 1-D array of thresholds and
 calls ``g(k, t)`` (and ``at(k, t)`` on atoms) with t broadcast to k's shape;
-row i is the call on t[i] alone, bit for bit.  The thresholds are cut into
-blocks of about _CHUNK_ELEMS elements of k-segment geometry or atoms.  On a
-uniform-k market g = t - slope k on a fully served segment below the kink,
-integrated exactly; only the other live segments take Gauss nodes, in
-sub-blocks of _CHUNK_ELEMS / 4 nodes.
+row i is the call on t[i] alone, bit for bit.  Where g = t - slope k it is
+summed exactly: a uniform-k market gives Gauss nodes only to the segments
+that are not fully served below the kink, a discrete market prices by g
+only the atoms above t whose kink lies above t.  Blocks of thresholds keep
+arrays within about _CHUNK_ELEMS elements.
 """
 
 from __future__ import annotations
@@ -49,10 +49,6 @@ class TypeDistribution:
 
     ``k_ends`` holds the smallest and the largest k, where the scale
     family's quantiles and theta*_k = k theta*_1 take their extremes.
-    Subclasses price a block of thresholds in
-    ``_tail_block(g, t, kink, at, slope)``, each threshold taking
-    ``_row_elems`` array elements: about 8 working arrays of its atoms or
-    k-segment edges.
     """
 
     k_ends: tuple[float, float]
@@ -80,16 +76,19 @@ class TypeDistribution:
         g(k, t) gets t broadcast to k's shape.  g may have a kink in k where
         kink(k) = t, for a kink proportional to k (such as theta*_k); the
         k-quadrature splits there.  A slope states that g(k, t) = t - slope k
-        wherever kink(k) <= t (everywhere without a kink): a uniform-k market
-        then integrates the k-segments where every type is served and
-        kink(k) <= t in closed form, and gives nodes only to the rest.
-        Markets without atoms ignore at.
+        wherever kink(k) <= t (everywhere without a kink): that part is summed
+        exactly, g prices only the rest.  Markets without atoms ignore at.
         """
-        out, step = np.zeros(len(t)), max(1, _CHUNK_ELEMS // self._row_elems)
-        for s in range(0, len(t), step):
-            b = slice(s, s + step)
-            out[b] = self._tail_block(g, t[b], kink, at, slope)
-        return out
+        raise NotImplementedError
+
+    def _finite_levels(self, alpha, k) -> np.ndarray:
+        """a = VaR_alpha(X_k) at arrays alpha, k; DomainError naming one not finite."""
+        with np.errstate(over="ignore"):
+            a = np.asarray(self.family.var(alpha, k), dtype=float)
+        if not np.isfinite(a).all():
+            i = int(np.argmin(np.isfinite(a)))
+            raise DomainError(f"risk level a = VaR_alpha(X_k) is not finite at k = {k[i]}, alpha = {alpha[i]}")
+        return a
 
     def sample(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
@@ -107,10 +106,6 @@ class _UniformK(TypeDistribution):
     """
 
     _edge_alphas: tuple[float, ...]
-
-    @property
-    def _row_elems(self) -> int:
-        return 8 * (len(self._edge_alphas) + 3)
 
     def __init__(self, k_lo: float, k_hi: float, family: ScaleFamily | None):
         if not 0.0 < k_lo < k_hi < math.inf:
@@ -145,7 +140,15 @@ class _UniformK(TypeDistribution):
     def upper_support(self) -> float:
         return float(np.max(self.family.var(min(self._edge_alphas), self.k_ends)))
 
-    def _tail_block(self, g, t: np.ndarray, kink, at, slope) -> np.ndarray:
+    def tail_integral(self, g, t: np.ndarray, kink=None, at=None, slope=None) -> np.ndarray:
+        # About 8 working arrays per k-segment edge of a threshold.
+        out, step = np.zeros(len(t)), max(1, _CHUNK_ELEMS // (8 * (len(self._edge_alphas) + 3)))
+        for s in range(0, len(t), step):
+            b = slice(s, s + step)
+            out[b] = self._tail_block(g, t[b], kink, slope)
+        return out
+
+    def _tail_block(self, g, t: np.ndarray, kink, slope) -> np.ndarray:
         edges = self._k_edges(t[:, None], *(() if kink is None else (float(kink(1.0)),)))
         lo, hi, tc = edges[:, :-1], edges[:, 1:], t[:, None]
         # No edge crossing of t falls inside a segment, so the tail is 0, 1 or
@@ -214,6 +217,7 @@ class ProductUniform(_UniformK):
         self.alpha_lo = float(alpha_lo)
         self.alpha_hi = float(alpha_hi)
         self._edge_alphas = (self.alpha_lo, self.alpha_hi)
+        self._finite_levels(np.array([self.alpha_lo]), np.array([self.k_hi]))  # the largest a
 
     def conditional_tail(self, k, t: float):
         """P(a > t | k) for the uniform alpha pushforward."""
@@ -262,6 +266,7 @@ class DegenerateAlpha(_UniformK):
             raise DomainError(f"alpha0 must lie in (0, 1 - F(0)) = (0, {cap}), got {alpha0}")
         self.alpha0 = float(alpha0)
         self._edge_alphas = (self.alpha0,)
+        self._finite_levels(np.array([self.alpha0]), np.array([self.k_hi]))  # the largest a
 
     def a_of_k(self, k):
         return self.family.var(self.alpha0, k)
@@ -299,8 +304,7 @@ class DiscreteTypes(TypeDistribution):
         self.k_ends = (float(self.ks.min()), float(self.ks.max()))
         if abs(self.weights.sum() - 1.0) > _WEIGHT_TOL:
             raise DomainError(f"atom weights must sum to 1, got {self.weights.sum()}")
-        self.a_vals = np.asarray(self.family.var(self.alphas, self.ks), dtype=float)
-        self._row_elems = 8 * len(self.ks)
+        self.a_vals = self._finite_levels(self.alphas, self.ks)
 
     def lower_support(self) -> float:
         return float(self.a_vals.min())
@@ -324,30 +328,44 @@ class DiscreteTypes(TypeDistribution):
         suffix[:, -2::-1] = np.cumsum(np.add.reduceat([w, w * k], starts, axis=1)[:, ::-1], axis=1)
         return a, k, w, starts, a[starts], suffix
 
-    def level_sums(self, at) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(t, W, Wk, A) at the distinct atom levels t_0 < t_1 < ...
+    @property
+    def levels(self) -> np.ndarray:
+        """The distinct atom levels a, ascending."""
+        return self._by_level[4]
 
-        W[j] sums w over the atoms with a >= t_j, and W[-1] = 0.0, so
-        W[j + 1] sums those with a > t_j; Wk does the same for w k.  A[j]
-        sums w at(k, t_j) over the atoms at a = t_j.  Every sum adds its
-        terms one by one, so for nonnegative terms it is within n + 2
-        rounding units (2^-53) of its exact value, relative, for n atoms.
-        """
-        a, k, w, starts, t, (big_w, big_wk) = self._by_level
-        return t, big_w, big_wk, np.add.reduceat(w * at(k, a), starts)
+    def tail_integral(self, g, t: np.ndarray, kink=None, at=None, slope=None) -> np.ndarray:
+        a, k, w, starts, levels, (big_w, big_wk) = self._by_level
+        j = np.searchsorted(levels, t, side="right")  # levels[j:] lie above t
+        # A slope that is not finite gives no affine part: g prices every atom.
+        if slope is None or not math.isfinite(slope):
+            out = self._masked_sum(g, t)
+        else:
+            # t W(>t) - slope Wk(>t), plus g - (t - slope k) where kink(k) > t.
+            above, out = j < len(levels), np.zeros(len(t))  # t is finite where an atom lies above
+            out[above] = t[above] * big_w[j[above]] - slope * big_wk[j[above]]
+            rows = np.flatnonzero(t < kink(self.k_ends[1])) if kink is not None else ()
+            if len(rows):
+                out[rows] += self._masked_sum(lambda kk, tk: g(kk, tk) - (tk - slope * kk), t[rows], kink)
+        if at is not None:
+            # The atoms at a == t exactly, as the menu's kink rule (j = 0: levels[-1] > t).
+            hit = levels[j - 1] == t
+            if hit.any():
+                out[hit] += np.add.reduceat(w * at(k, a), starts)[j[hit] - 1]
+        return out
 
-    def _tail_block(self, g, t: np.ndarray, kink, at, slope) -> np.ndarray:
-        out = self._atom_sum(g, t, self.a_vals > t[:, None])
-        # The atoms at a == t exactly, as the menu's kink rule.
-        return out if at is None else out + self._atom_sum(at, t, self.a_vals == t[:, None])
-
-    def _atom_sum(self, g, t: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Per threshold, the sum of w g(k, t) over the atoms in its mask row;
-        g sees only those atoms."""
-        vals = np.zeros(mask.shape)
-        rows, cols = np.nonzero(mask)
-        vals[mask] = g(self.ks[cols], t[rows])
-        return (vals * self.weights).sum(axis=-1)
+    def _masked_sum(self, h, t: np.ndarray, kink=None) -> np.ndarray:
+        """Per threshold, the sum of w h(k, t) over the atoms with a > t (and
+        kink(k) > t, given kink) in blocks of 8 working arrays of the atoms."""
+        over = self.a_vals if kink is None else np.minimum(self.a_vals, kink(self.ks))
+        out, step = np.empty(len(t)), max(1, _CHUNK_ELEMS // (8 * len(self.ks)))
+        for s in range(0, len(t), step):
+            tb = t[s : s + step]
+            mask = over > tb[:, None]
+            rows, cols = np.nonzero(mask)
+            vals = np.zeros(mask.shape)
+            vals[mask] = h(self.ks[cols], tb[rows])
+            out[s : s + step] = (vals * self.weights).sum(axis=-1)
+        return out
 
     def sample(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         idx = rng.choice(len(self.weights), size=n, p=self.weights / self.weights.sum())

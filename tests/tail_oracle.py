@@ -10,7 +10,7 @@ from remenu.quadrature import gauss_legendre
 from remenu.type_space import _TAIL_NODES
 
 
-def all_node_tail_block(dist, g, t: np.ndarray, kink, at, slope) -> np.ndarray:
+def all_node_tail_block(dist, g, t: np.ndarray, kink, slope) -> np.ndarray:
     edges = dist._k_edges(t[:, None], *(() if kink is None else (float(kink(1.0)),)))
     lo, hi = edges[:, :-1], edges[:, 1:]
     # The tail is 0, 1 or strictly between throughout a segment: its middle

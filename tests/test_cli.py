@@ -722,6 +722,23 @@ def test_integer_too_large_for_a_float_in_an_atom_exits_2_naming_it(tmp_path, ca
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "types",
+    [{"variant": "discrete", "k_dist": {"atoms": [[1e308, 0.5], [10000, 0.5]]}, "alpha_dist": {"atoms": [0.05, 0.1]}},
+     {"variant": "product_uniform", "k_dist": {"lo": 5000, "hi": 1e308}, "alpha_dist": {"lo": 0.05, "hi": 0.15}}],
+    ids=["discrete", "uniform-k"],
+)
+def test_overflowing_risk_level_exits_2_naming_it(types, tmp_path, capsys):
+    # a = k VaR_1(alpha) overflows to inf at k = 1e308: the discrete solve
+    # ended in a traceback (argmax of an empty sequence), the uniform-k one
+    # blamed a NaN kink.
+    cfg = write_config(tmp_path / "c.json", types=types)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "risk level a = VaR_alpha(X_k) is not finite at k = 1e+308, alpha = 0.05\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_integer_past_the_digit_limit_exits_2(config, tmp_path, capsys):
     # json.load raises a plain ValueError (not a JSONDecodeError) on an
     # integer literal past Python's int-to-str digit limit (4300 digits).

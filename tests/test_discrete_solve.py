@@ -1,11 +1,12 @@
-"""The discrete solve prices only the candidate atom levels, yet reports the
-bits of the full enumeration: J at every atom through the masked objective,
-the first maximum winning and shut-down only if it pays more."""
+"""The discrete solve prices J with the cap off at every atom level and
+with the cap only below sup theta*, best first, yet reports the bits of the
+full enumeration: objective at every level, the first maximum winning and
+shut-down only if it pays more."""
 
 import math
-from functools import partial
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -21,15 +22,15 @@ from remenu import (
     type_space,
 )
 from remenu.risk_model import KProfile
-from remenu.search import maximize_over_points
+from remenu.search import first_maximum
 
 MENUS = ("stop_loss", "quota_share", "change_loss")
 
 
 def full_enumeration(kind, dist, cost):
-    """(tau*, J) with J priced at every atom, in one masked array call."""
-    j = partial(threshold.objective, kind, dist=dist, cost=cost, profile=KProfile(cost, dist.family))
-    return maximize_over_points(j, np.sort(dist.a_vals))
+    """(tau*, J) with objective at every atom level, in one array call."""
+    levels = np.unique(dist.a_vals)
+    return first_maximum(levels, threshold.objective(kind, levels, dist, cost, KProfile(cost, dist.family)))
 
 
 def assert_matches_full_enumeration(dist, cost):
@@ -103,16 +104,27 @@ def markets(draw, costs=EXPONENT_FORM):
 
 @settings(max_examples=300, deadline=None)
 @given(markets())
-def test_candidates_give_the_full_enumeration_bits(market):
+def test_solve_gives_the_full_enumeration_bits(market):
     assert_matches_full_enumeration(*market)
+
+
+# theta*_k of the second atom lies a few ulps above the first atom's level
+# t, where its computed -H[(X_k - t)_+] exceeds t - xi_k: without the min in
+# served_profit J at t would exceed its value with the cap off.
+MIN_BINDS = (
+    DiscreteTypes([(0.3, 8143.219674818934, 0.1), (0.05, 10909.0, 0.9)]),
+    CostFunctional(1.0, TABULATED),
+)
 
 
 @settings(max_examples=100, deadline=None)
 @given(markets(QUADRATURE))
+@example(MIN_BINDS)
 def test_quadrature_costs_give_the_full_enumeration_bits(market):
     # Lomax and tabulated-distortion costs are quadrature tails, each within
-    # about TAIL_RTOL of exact: the capped levels' margin has to cover that.
-    assert_level_bounds_hold(*market)
+    # about 1e-13 of exact: the capped profit's min keeps J with the cap on
+    # at most J with it off all the same.
+    assert_solve_invariants_hold(*market)
     assert_matches_full_enumeration(*market)
 
 
@@ -122,18 +134,37 @@ def test_levels_below_sup_theta_star_where_no_cap_binds():
     # costs are asked for an empty array of deductibles.
     dist = DiscreteTypes([(0.001, 1000.0, 0.5), (0.9, 30000.0, 0.5)])
     cost = CostFunctional(1.0, TABULATED)
-    assert_level_bounds_hold(dist, cost)
+    assert_solve_invariants_hold(dist, cost)
     assert_matches_full_enumeration(dist, cost)
 
 
-def assert_level_bounds_hold(dist, cost):
+def slope_free_objective(kind, t, dist, cost, profile):
+    """objective with the slope withheld from tail_integral: g prices every
+    atom above t."""
+    tail_integral = DiscreteTypes.tail_integral
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DiscreteTypes, "tail_integral", lambda self, g, t, kink, at, slope: tail_integral(self, g, t, kink, at))
+        return threshold.objective(kind, t, dist, cost, profile)
+
+
+def assert_solve_invariants_hold(dist, cost):
+    """At every atom level t: objective is within
+    4 (n + 6) (2^-53 (t W + |ref_1| Wk) + 2^-1074) of the slope-free call
+    (W and Wk sum w and w k over the n atoms with a >= t; each sum rounds an
+    atom's term at most three times and adds at most n + 3 numbers), and
+    below sup theta* it is at most J with the cap off, as floats."""
     profile = KProfile(cost, dist.family)
+    t = np.unique(dist.a_vals)
+    w, wk = (np.array([np.sum(x[dist.a_vals >= level]) for level in t]) for x in (dist.weights, dist.weights * dist.ks))
     for kind in ("stop_loss", "quota_share"):  # change-loss prices as stop-loss
-        t, value, margin = threshold.level_bounds(kind, dist, profile)
-        exact = threshold.objective(kind, t, dist, cost, profile)
+        got = threshold.objective(kind, t, dist, cost, profile)
+        ref_1 = float(threshold.reference(kind, profile)(1.0))
+        tol = 4.0 * (len(dist.ks) + 6) * (2.0**-53 * (t * w + abs(ref_1) * wk) + 2.0**-1074)
+        assert np.all(np.abs(got - slope_free_objective(kind, t, dist, cost, profile)) <= tol), kind
         capped = t < threshold.cap_below(kind, profile, dist)
-        assert np.all(exact <= value + margin), kind
-        assert np.all((exact >= value - margin) | capped), kind
+        cap_off = threshold._tail_objective(kind, t, dist, profile, -math.inf)
+        assert np.all(got[capped] <= cap_off[capped]), kind
+        assert np.array_equal(got[~capped], cap_off[~capped]), kind
 
 
 # Weights of 3e-323 are subnormal: their products underflow, with an absolute
@@ -154,14 +185,14 @@ SUBNORMAL = (
 @settings(max_examples=300, deadline=None)
 @given(markets())
 @example(SUBNORMAL)
-def test_level_sums_bound_the_masked_objective(market):
-    assert_level_bounds_hold(*market)
+def test_slope_route_matches_the_slope_free_call(market):
+    assert_solve_invariants_hold(*market)
 
 
 def with_neighbours(dist, cost, kind):
     """The market plus atoms of zero and of small weight at k one ulp either
     side of an optimal atom's: kinks a ulp or two from tau*, where J differs
-    by about a rounding error, so the masked sum decides the order."""
+    by about a rounding error, so rounding decides the order."""
     tau, _val = full_enumeration(kind, dist, cost)
     i = int(np.flatnonzero(dist.a_vals == tau)[0])
     al, k = float(dist.alphas[i]), float(dist.ks[i])
@@ -185,28 +216,34 @@ def test_near_ties_at_the_optimum_keep_the_full_enumeration_bits(n, seed, alpha_
     alpha, k = rng.uniform(0.05, alpha_hi, n), rng.uniform(1000.0, 30000.0, n)
     dist = DiscreteTypes(list(zip(alpha.tolist(), k.tolist(), (w / w.sum()).tolist())))
     cost = CostFunctional(theta)
-    assert_level_bounds_hold(dist, cost)
+    assert_solve_invariants_hold(dist, cost)
     assert_matches_full_enumeration(with_neighbours(dist, cost, "stop_loss" if kind == "change_loss" else kind), cost)
 
 
-def test_capped_levels_are_priced_best_bound_first():
-    # At theta = 1, sup theta* = 27000 ln 2 ~ 18715.  The optimum, the kink at
-    # a = 6000 ln(1 / 0.09) ~ 14448, lies below it, where the cap binds for
-    # the large type: the sum only bounds J there, so j prices it.
-    dist = DiscreteTypes([(0.09, 6000.0, 0.45), (0.45, 27000.0, 0.02), (0.32, 1000.0, 0.53)])
+def test_capped_levels_are_priced_best_bound_first(monkeypatch):
+    # At theta = 1, sup theta* = 29000 ln 2 ~ 20101 lies above the levels
+    # 5000 ln(1 / 0.08) ~ 12629 and 5000 ln(1 / 0.06) ~ 14067, where the cap
+    # binds for the large type.  With the cap off 12629 is best: solve prices
+    # it first and finds J < 0, then prices 14067, whose cap-off value still
+    # beats the best so far (J = 0 at the top level), and that wins.
+    dist = DiscreteTypes([(0.39, 29000.0, 0.1), (0.06, 5000.0, 0.64), (0.08, 5000.0, 0.26)])
     cost = CostFunctional(1.0)
     profile = KProfile(cost, dist.family)
-    priced = []
+    priced, objective = [], threshold.objective
 
-    def j(tau):
-        priced.append(tau)
-        return threshold.objective("stop_loss", tau, dist, cost, profile)
+    def j(kind, tau, *args, **kwargs):
+        if np.ndim(tau) == 0:
+            priced.append(tau)
+        return objective(kind, tau, *args, **kwargs)
 
-    got = threshold.discrete_candidates("stop_loss", j, dist, profile)
-    tau, val = full_enumeration("stop_loss", dist, cost)
-    assert priced == [tau] and tau in got
-    assert tau == float(dist.a_vals[0]) < profile.sup_theta_star(dist.k_ends) and val > 0.0
-    assert_matches_full_enumeration(dist, cost)
+    monkeypatch.setattr(threshold, "objective", j)
+    menu = threshold.solve("stop_loss", dist, cost)
+    levels = np.unique(dist.a_vals)
+    cap_off = threshold._tail_objective("stop_loss", levels, dist, profile, -math.inf)
+    exact = objective("stop_loss", levels, dist, cost, profile)
+    assert priced == levels[:2].tolist() and levels[1] < profile.sup_theta_star(dist.k_ends) < levels[2]
+    assert cap_off[0] > cap_off[1] > exact[1] > exact[2] == 0.0 > exact[0]
+    assert (menu.tau_star, menu.objective_value) == (levels[1], exact[1]) == full_enumeration("stop_loss", dist, cost)
 
 
 def seeded_market(n, alpha_hi, theta):
@@ -219,16 +256,16 @@ def seeded_market(n, alpha_hi, theta):
 
 
 def test_large_markets_price_few_kinks(monkeypatch):
-    # Pricing J at every atom takes 20,000 masked kinks per solve here (about
-    # 10 s on the capped market); the suffix sums leave one each.
+    # Pricing J at every atom by g takes 20,000 masked kinks per solve here
+    # (about 10 s on the capped market); the suffix sums leave one each.
     priced = []
-    tail_block = type_space.DiscreteTypes._tail_block
+    masked_sum = type_space.DiscreteTypes._masked_sum
 
-    def counting(self, g, t, *args):
+    def counting(self, h, t, *args):
         priced.append(len(t))
-        return tail_block(self, g, t, *args)
+        return masked_sum(self, h, t, *args)
 
-    monkeypatch.setattr(type_space.DiscreteTypes, "_tail_block", counting)
+    monkeypatch.setattr(type_space.DiscreteTypes, "_masked_sum", counting)
     for alpha_hi, theta in ((0.15, 0.1), (0.5, 1.0)):  # sup theta* < L, then > L: the cap binds
         dist, cost = seeded_market(20000, alpha_hi, theta)
         capped = not threshold.assumption_check(dist, cost).holds

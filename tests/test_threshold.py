@@ -218,16 +218,23 @@ def test_terms_equal_the_masked_oracle(market, kind, cost, product_dist, degener
         assert menu.profile.sup_theta_star(dist.k_ends) > lo
 
 
+# At theta = 1, sup theta* = 27000 ln 2 ~ 18715 lies between the atom levels
+# ~1139, ~14448 and ~21560: below it the discrete objective prices by g the
+# atoms whose deductible is capped, above it J comes from the suffix sums.
+CAPPED_DISCRETE = DiscreteTypes([(0.09, 6000.0, 0.45), (0.45, 27000.0, 0.02), (0.32, 1000.0, 0.53)])
+
+
 # By default a block holds 2^15 elements, 8 per edge or atom of a kink: 819
-# kinks (product, capped), 1024 (degenerate) or 819 (the 5-atom discrete
-# market), and Gauss segments take nodes 32 at a time; so a batch of ~310
-# kinks is one block. With 800 elements, a block holds 20, 25 or 20 kinks,
-# and Gauss segments go one at a time. With 3072, 76, 96 or 76 kinks and 3
+# kinks (product, capped), 1024 (degenerate), 819 or 1365 (the 5- and 3-atom
+# discrete markets, whose kinks priced by g form the blocks), and Gauss
+# segments take nodes 32 at a time; so a batch of ~310 kinks is one block.
+# With 800 elements, a block holds 20, 25, 20 or 33 kinks, and Gauss
+# segments go one at a time. With 3072, 76, 96, 76 or 128 kinks and 3
 # segments at a time, so a kink's segments split between sub-blocks at
 # varying offsets.
 @pytest.mark.parametrize("chunk", [None, 800, 3072], ids=["default-chunk", "small-chunk", "split-rows"])
 @pytest.mark.parametrize("kind", MENUS)
-@pytest.mark.parametrize("market", ["product", "degenerate", "discrete", "capped"])
+@pytest.mark.parametrize("market", ["product", "degenerate", "discrete", "capped", "capped-discrete"])
 def test_batched_rows_equal_scalar_calls(
     market, kind, chunk, cost, product_dist, degenerate_dist, monkeypatch
 ):
@@ -236,12 +243,16 @@ def test_batched_rows_equal_scalar_calls(
         "degenerate": (degenerate_dist, cost),
         "discrete": (MARKET, cost),
         "capped": (CAPPED, CAPPED_COST),
+        "capped-discrete": (CAPPED_DISCRETE, CAPPED_COST),
     }[market]
     if chunk is not None:
         monkeypatch.setattr(type_space, "_CHUNK_ELEMS", chunk)
     taus = kink_batch(dist)
-    if market == "discrete":
-        taus = np.concatenate([taus, MARKET.a_vals])
+    if isinstance(dist, DiscreteTypes):
+        taus = np.concatenate([taus, dist.a_vals])
+    if market == "capped-discrete":
+        below = taus < KProfile(c, dist.family).sup_theta_star(dist.k_ends)
+        assert 100 < below.sum() < len(taus) - 50
     batch = threshold.objective(kind, taus, dist, c)
     assert batch.shape == taus.shape
     for i, t in enumerate(taus.tolist()):
