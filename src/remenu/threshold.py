@@ -23,7 +23,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import AssumptionError, DomainError
+from .errors import AssumptionError, DomainError, UnsupportedError
 from .menus import Contract, MenuEntry, check_class
 from .risk_model import CostFunctional, KProfile
 from .search import first_maximum, maximize_over_tau
@@ -71,23 +71,17 @@ def reference(kind: str, profile: KProfile):
     return profile.full_cost if kind == "quota_share" else profile.xi
 
 
-def cap_below(kind: str, profile: KProfile, dist: TypeDistribution) -> float:
-    """The kinks below which the stop-loss cap theta*_k ∧ tau can bind:
-    sup theta* over the market, or -inf for quota-share, which has no cap."""
-    return -math.inf if kind == "quota_share" else profile.sup_theta_star(dist.k_ends)
+def cap_ratio(kind: str, profile: KProfile) -> float:
+    """theta*_1: the stop-loss deductible theta*_k ∧ tau is capped at tau for
+    the types with theta*_1 k > tau.  0 for quota-share, which has no cap."""
+    return 0.0 if kind == "quota_share" else float(profile.theta_star(1.0))
 
 
-def served_profit(kind: str, profile: KProfile, t: np.ndarray, k: np.ndarray, cap_below: float):
-    """Profit P - H[I(X_k)] of served types at kinks t (shaped like k): t - ref_k.
-    Where t < cap_below (sup theta*; -inf for quota-share) and theta*_k > t,
-    the type takes the deductible t and yields -H[(X_k - t)_+], at most t - xi_k
-    as theta*_k maximizes (t - d) - H[(X_k - d)_+]: the min keeps it so in floats."""
-    out = t - reference(kind, profile)(k)
-    cap = t < cap_below
-    if cap.any():
-        cap &= profile.theta_star(k) > t
-        out[cap] = np.minimum(out[cap], -profile.stop_loss_cost(k[cap], t[cap]))
-    return out
+def capped_profit(profile: KProfile, k, t):
+    """Profit of a served type whose deductible theta*_k ∧ t is capped at t:
+    -H[(X_k - t)_+], at most t - xi_k as theta*_k maximizes
+    (t - d) - H[(X_k - d)_+]; the min keeps it so in floats."""
+    return np.minimum(t - profile.xi(k), -profile.stop_loss_cost(k, t))
 
 
 def objective(
@@ -104,7 +98,8 @@ def objective(
     mass P(a > tau | k), plus exact atom terms tau - ref_k at a = tau; at
     tau = +inf both are empty.  A scalar tau gives a float; a 1-D array of
     kinks gives an array whose row i is the scalar call at tau[i], bit for bit.
-    Raises DomainError for an unknown class or a kink that is not >= 0 (NaN too).
+    Raises DomainError for an unknown class or a kink that is not >= 0 (NaN too),
+    and UnsupportedError where ref_k is not finite (stop-loss at theta* = inf).
     """
     check_class(kind)
     t = np.atleast_1d(np.asarray(tau, dtype=float))
@@ -112,35 +107,29 @@ def objective(
     if bad.any():
         raise DomainError(f"kink tau must be >= 0, got {t[bad].min():.17g}")
     prof = profile if profile is not None else KProfile(cost, dist.family)
-    out = _tail_objective(kind, t, dist, prof, cap_below(kind, prof, dist))
+    out = _tail_objective(kind, t, dist, prof, cap_ratio(kind, prof))
     return float(out[0]) if np.ndim(tau) == 0 else out
 
 
-def _tail_objective(kind: str, t: np.ndarray, dist: TypeDistribution, prof: KProfile, below: float) -> np.ndarray:
-    """J at the kinks t with the stop-loss cap theta*_k ∧ tau binding only
-    below `below` (-inf: nowhere), where the capped density has a kink at the
-    k with theta*_k = tau."""
-    ref = reference(kind, prof)
-    return dist.tail_integral(
-        lambda k, tk: served_profit(kind, prof, tk, k, below),
-        t,
-        None if below == -math.inf else prof.theta_star,
-        at=lambda k, tk: np.maximum(tk - ref(k), 0.0),
-        slope=float(ref(1.0)),  # ref_k = k ref_1 by positive homogeneity
-    )
+def _tail_objective(kind: str, t: np.ndarray, dist: TypeDistribution, prof: KProfile, ratio: float) -> np.ndarray:
+    """J at the kinks t, the stop-loss deductible capped at t for the types
+    with ratio k > t (ratio 0: none)."""
+    slope = float(reference(kind, prof)(1.0))  # ref_k = k ref_1 by positive homogeneity
+    if not math.isfinite(slope):
+        theta = float(prof.theta_star(1.0))
+        raise UnsupportedError(f"{kind} J is undefined: ref_1 = {slope} is not finite (theta*_1 = {theta})")
+    return dist.tail_integral(t, slope, ratio, partial(capped_profit, prof))
 
 
 def _discrete_maximum(kind: str, j, dist: DiscreteTypes, profile: KProfile) -> tuple[float, float]:
     """(tau_star, J) over the atom levels of dist, as pricing J at every level:
-    J with the cap off, in one call, is J at and above sup theta* and at
-    least J below it, where the cap adds terms <= 0 (see served_profit).  j
-    prices the levels below sup theta*, best first, while their cap-off value
-    still reaches the best; it prices every level where ref_1 is not finite."""
+    J with the cap off (ratio 0), in one call, is J at and above sup theta*
+    and at least J below it, where the cap adds terms <= 0 (see
+    capped_profit).  j prices the levels below sup theta*, best first,
+    while their cap-off value still reaches the best."""
     t = dist.levels
-    if not math.isfinite(float(reference(kind, profile)(1.0))):
-        return first_maximum(t, j(t))
-    vals = _tail_objective(kind, t, dist, profile, -math.inf)
-    cut = int(np.searchsorted(t, cap_below(kind, profile, dist)))  # t[:cut] may be capped
+    vals = _tail_objective(kind, t, dist, profile, 0.0)
+    cut = int(np.searchsorted(t, cap_ratio(kind, profile) * dist.k_ends[1]))  # t[:cut] may be capped
     best = vals[cut:].max(initial=-math.inf)
     reach = np.flatnonzero(vals[:cut] >= best)  # best only grows: no other level is priced
     for i in reach[np.argsort(-vals[reach], kind="stable")]:

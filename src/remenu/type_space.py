@@ -18,13 +18,15 @@ adaptive Gauss-Legendre call in k over every segment, and at each of its node
 sets one in alpha over the (alpha-segment, k node) rows of nonzero width.
 Integrands must accept numpy arrays broadcast over (a, k).
 
-``tail_integral(g, t, kink, at, slope)`` takes a 1-D array of thresholds and
-calls ``g(k, t)`` (and ``at(k, t)`` on atoms) with t broadcast to k's shape;
-row i is the call on t[i] alone, bit for bit.  Where g = t - slope k it is
-summed exactly: a uniform-k market gives Gauss nodes only to the segments
-that are not fully served below the kink, a discrete market prices by g
-only the atoms above t whose kink lies above t.  Blocks of thresholds keep
-arrays within about _CHUNK_ELEMS elements.
+``tail_integral(t, slope, ratio, capped)`` takes a 1-D array of thresholds
+t >= 0 and gives at each the market integral of a threshold menu's profit:
+t - slope k for a type above t with ratio k <= t, capped(k, t) for one with
+ratio k > t, and max(t - slope k, 0) for an atom at t.  Row i is the call on
+t[i] alone, bit for bit.  The affine part is summed exactly: a uniform-k
+market gives Gauss nodes only to the segments that are not fully served
+below ratio k, a discrete market prices by capped only the atoms above t
+with ratio k > t.  Blocks of thresholds keep arrays within about
+_CHUNK_ELEMS elements.
 """
 
 from __future__ import annotations
@@ -69,15 +71,13 @@ class TypeDistribution:
         """Deterministic quadrature of int f(a, k) dQ."""
         raise NotImplementedError
 
-    def tail_integral(self, g, t: np.ndarray, kink=None, at=None, slope=None) -> np.ndarray:
-        """int g(k, t) 1{a > t} dQ with the indicator handled exactly, plus
-        int at(k, t) 1{a = t} dQ over atoms, at each threshold of the 1-D t.
+    def tail_integral(self, t: np.ndarray, slope: float, ratio: float, capped) -> np.ndarray:
+        """int p(k, t) 1{a > t} dQ + int max(t - slope k, 0) 1{a = t} dQ at
+        each threshold of the 1-D t >= 0, the indicators handled exactly.
 
-        g(k, t) gets t broadcast to k's shape.  g may have a kink in k where
-        kink(k) = t, for a kink proportional to k (such as theta*_k); the
-        k-quadrature splits there.  A slope states that g(k, t) = t - slope k
-        wherever kink(k) <= t (everywhere without a kink): that part is summed
-        exactly, g prices only the rest.  Markets without atoms ignore at.
+        The profit density p(k, t) is t - slope k where ratio k <= t, and
+        capped(k, t) (arrays of one shape) where ratio k > t: a ratio of 0
+        caps nowhere.  The k-quadrature splits where ratio k = t.
         """
         raise NotImplementedError
 
@@ -140,42 +140,44 @@ class _UniformK(TypeDistribution):
     def upper_support(self) -> float:
         return float(np.max(self.family.var(min(self._edge_alphas), self.k_ends)))
 
-    def tail_integral(self, g, t: np.ndarray, kink=None, at=None, slope=None) -> np.ndarray:
+    def tail_integral(self, t: np.ndarray, slope: float, ratio: float, capped) -> np.ndarray:
         # About 8 working arrays per k-segment edge of a threshold.
         out, step = np.zeros(len(t)), max(1, _CHUNK_ELEMS // (8 * (len(self._edge_alphas) + 3)))
         for s in range(0, len(t), step):
             b = slice(s, s + step)
-            out[b] = self._tail_block(g, t[b], kink, slope)
+            out[b] = self._tail_block(t[b], slope, ratio, capped)
         return out
 
-    def _tail_block(self, g, t: np.ndarray, kink, slope) -> np.ndarray:
-        edges = self._k_edges(t[:, None], *(() if kink is None else (float(kink(1.0)),)))
+    def _tail_block(self, t: np.ndarray, slope: float, ratio: float, capped) -> np.ndarray:
+        edges = self._k_edges(t[:, None], ratio)
         lo, hi, tc = edges[:, :-1], edges[:, 1:], t[:, None]
         # No edge crossing of t falls inside a segment, so the tail is 0, 1 or
         # strictly between throughout it: its middle tells which.
         mid = 0.5 * (lo + hi)
         tail = self.conditional_tail(mid, tc)
         live = (hi > lo) & (tail > 0.0)
-        dens, closed = 1.0 / (self.k_hi - self.k_lo), np.zeros(len(t))
-        if slope is not None:
-            # A fully served segment below the kink has the affine density
-            # t - slope k: its integral is exact, each row's in order from 0.0.
-            exact = live & (tail >= 1.0)
-            if kink is not None:
-                exact &= kink(hi) <= tc
-            r, c = np.nonzero(exact)
-            closed = np.bincount(r, (hi[r, c] - lo[r, c]) * (t[r] - slope * mid[r, c]) * dens, len(t))
-            live &= ~exact
+        dens, top = 1.0 / (self.k_hi - self.k_lo), ratio * self.k_hi
+        # A fully served segment with ratio k <= t has the affine density
+        # t - slope k: its integral is exact, each row's in order from 0.0.
+        exact = live & (tail >= 1.0) & (ratio * hi <= tc)
+        r, c = np.nonzero(exact)
+        closed = np.bincount(r, (hi[r, c] - lo[r, c]) * (t[r] - slope * mid[r, c]) * dens, len(t))
+        live &= ~exact
         # Only the other live segments get nodes, and only partial ones the
         # conditional tail.
         row = np.nonzero(live)[0]
         lo, hi, tail, t = lo[live], hi[live], tail[live], t[row]
-        sums, step = np.empty(len(row)), max(1, _CHUNK_ELEMS // (4 * _TAIL_NODES))  # k, w, t, g
+        sums, step = np.empty(len(row)), max(1, _CHUNK_ELEMS // (4 * _TAIL_NODES))  # k, w, t, profit
         for s in range(0, len(row), step):
             b = slice(s, s + step)
             k, w = gauss_legendre(lo[b, None], hi[b, None], _TAIL_NODES)
             tk = np.repeat(t[b, None], _TAIL_NODES, axis=1)
-            vals = np.asarray(g(k, tk), dtype=float) * w
+            vals = tk - slope * k
+            cap = tk < top  # only below ratio k_hi can ratio k exceed t
+            if cap.any():
+                cap &= ratio * k > tk
+                vals[cap] = capped(k[cap], tk[cap])
+            vals *= w
             p = tail[b] < 1.0
             if p.any():
                 part = slice(None) if p.all() else p  # views, not copies, where all are
@@ -333,30 +335,25 @@ class DiscreteTypes(TypeDistribution):
         """The distinct atom levels a, ascending."""
         return self._by_level[4]
 
-    def tail_integral(self, g, t: np.ndarray, kink=None, at=None, slope=None) -> np.ndarray:
+    def tail_integral(self, t: np.ndarray, slope: float, ratio: float, capped) -> np.ndarray:
         a, k, w, starts, levels, (big_w, big_wk) = self._by_level
         j = np.searchsorted(levels, t, side="right")  # levels[j:] lie above t
-        # A slope that is not finite gives no affine part: g prices every atom.
-        if slope is None or not math.isfinite(slope):
-            out = self._masked_sum(g, t)
-        else:
-            # t W(>t) - slope Wk(>t), plus g - (t - slope k) where kink(k) > t.
-            above, out = j < len(levels), np.zeros(len(t))  # t is finite where an atom lies above
-            out[above] = t[above] * big_w[j[above]] - slope * big_wk[j[above]]
-            rows = np.flatnonzero(t < kink(self.k_ends[1])) if kink is not None else ()
-            if len(rows):
-                out[rows] += self._masked_sum(lambda kk, tk: g(kk, tk) - (tk - slope * kk), t[rows], kink)
-        if at is not None:
-            # The atoms at a == t exactly, as the menu's kink rule (j = 0: levels[-1] > t).
-            hit = levels[j - 1] == t
-            if hit.any():
-                out[hit] += np.add.reduceat(w * at(k, a), starts)[j[hit] - 1]
+        # t W(>t) - slope Wk(>t), plus capped - (t - slope k) where ratio k > t.
+        above, out = j < len(levels), np.zeros(len(t))  # t is finite where an atom lies above
+        out[above] = t[above] * big_w[j[above]] - slope * big_wk[j[above]]
+        rows = np.flatnonzero(t < ratio * self.k_ends[1])
+        if len(rows):
+            out[rows] += self._masked_sum(lambda kk, tk: capped(kk, tk) - (tk - slope * kk), t[rows], ratio)
+        # The atoms at a == t exactly, as the menu's kink rule (j = 0: levels[-1] > t).
+        hit = levels[j - 1] == t
+        if hit.any():
+            out[hit] += np.add.reduceat(w * np.maximum(a - slope * k, 0.0), starts)[j[hit] - 1]
         return out
 
-    def _masked_sum(self, h, t: np.ndarray, kink=None) -> np.ndarray:
-        """Per threshold, the sum of w h(k, t) over the atoms with a > t (and
-        kink(k) > t, given kink) in blocks of 8 working arrays of the atoms."""
-        over = self.a_vals if kink is None else np.minimum(self.a_vals, kink(self.ks))
+    def _masked_sum(self, h, t: np.ndarray, ratio: float) -> np.ndarray:
+        """Per threshold, the sum of w h(k, t) over the atoms with a > t and
+        ratio k > t, in blocks of 8 working arrays of the atoms."""
+        over = np.minimum(self.a_vals, ratio * self.ks)
         out, step = np.empty(len(t)), max(1, _CHUNK_ELEMS // (8 * len(self.ks)))
         for s in range(0, len(t), step):
             tb = t[s : s + step]

@@ -110,7 +110,7 @@ def test_solve_gives_the_full_enumeration_bits(market):
 
 # theta*_k of the second atom lies a few ulps above the first atom's level
 # t, where its computed -H[(X_k - t)_+] exceeds t - xi_k: without the min in
-# served_profit J at t would exceed its value with the cap off.
+# capped_profit J at t would exceed its value with the cap off.
 MIN_BINDS = (
     DiscreteTypes([(0.3, 8143.219674818934, 0.1), (0.05, 10909.0, 0.9)]),
     CostFunctional(1.0, TABULATED),
@@ -139,12 +139,20 @@ def test_levels_below_sup_theta_star_where_no_cap_binds():
 
 
 def slope_free_objective(kind, t, dist, cost, profile):
-    """objective with the slope withheld from tail_integral: g prices every
-    atom above t."""
-    tail_integral = DiscreteTypes.tail_integral
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(DiscreteTypes, "tail_integral", lambda self, g, t, kink, at, slope: tail_integral(self, g, t, kink, at))
-        return threshold.objective(kind, t, dist, cost, profile)
+    """J at the kinks t priced atom by atom, without suffix sums: the sum of
+    w p(k, t) over every atom above t, p being t - ref_k, or capped_profit
+    where the stop-loss deductible is capped (theta*_k > t), plus the atom
+    terms w max(t - ref_k, 0) at a = t."""
+    ref, ratio = threshold.reference(kind, profile), threshold.cap_ratio(kind, profile)
+    out = np.empty(len(t))
+    for i, ti in enumerate(t.tolist()):
+        above, at = dist.a_vals > ti, dist.a_vals == ti
+        k = dist.ks[above]
+        p = ti - ref(k)
+        cap = ratio * k > ti
+        p[cap] = threshold.capped_profit(profile, k[cap], np.full(int(cap.sum()), ti))
+        out[i] = np.dot(dist.weights[above], p) + np.dot(dist.weights[at], np.maximum(ti - ref(dist.ks[at]), 0.0))
+    return out
 
 
 def assert_solve_invariants_hold(dist, cost):
@@ -161,8 +169,8 @@ def assert_solve_invariants_hold(dist, cost):
         ref_1 = float(threshold.reference(kind, profile)(1.0))
         tol = 4.0 * (len(dist.ks) + 6) * (2.0**-53 * (t * w + abs(ref_1) * wk) + 2.0**-1074)
         assert np.all(np.abs(got - slope_free_objective(kind, t, dist, cost, profile)) <= tol), kind
-        capped = t < threshold.cap_below(kind, profile, dist)
-        cap_off = threshold._tail_objective(kind, t, dist, profile, -math.inf)
+        capped = t < threshold.cap_ratio(kind, profile) * dist.k_ends[1]
+        cap_off = threshold._tail_objective(kind, t, dist, profile, 0.0)
         assert np.all(got[capped] <= cap_off[capped]), kind
         assert np.array_equal(got[~capped], cap_off[~capped]), kind
 
@@ -239,7 +247,7 @@ def test_capped_levels_are_priced_best_bound_first(monkeypatch):
     monkeypatch.setattr(threshold, "objective", j)
     menu = threshold.solve("stop_loss", dist, cost)
     levels = np.unique(dist.a_vals)
-    cap_off = threshold._tail_objective("stop_loss", levels, dist, profile, -math.inf)
+    cap_off = threshold._tail_objective("stop_loss", levels, dist, profile, 0.0)
     exact = objective("stop_loss", levels, dist, cost, profile)
     assert priced == levels[:2].tolist() and levels[1] < profile.sup_theta_star(dist.k_ends) < levels[2]
     assert cap_off[0] > cap_off[1] > exact[1] > exact[2] == 0.0 > exact[0]

@@ -19,12 +19,14 @@ def closed_form_objective_degenerate(tau: float) -> float:
 
 
 def assert_served_profit_matches_entries(menu, cost, a, k):
-    """served_profit at tau* (cap_below = inf) against P - lam H[(X_k - d)_+]
-    of each served type's entry; returns those entries."""
+    """The served profit at tau*, capped_profit where theta*_k > tau* and
+    tau* - xi_k elsewhere, against P - lam H[(X_k - d)_+] of each served
+    type's entry; returns those entries."""
     served = menu.terms(a, k)[0]
     ks = k[served]
     t = np.full(ks.shape, menu.tau_star)
-    vec = threshold.served_profit("stop_loss", menu.profile, t, ks, math.inf)
+    prof = menu.profile
+    vec = np.where(prof.theta_star(ks) > t, threshold.capped_profit(prof, ks, t), t - prof.xi(ks))
     entries = [menu.entry(float(ai), float(ki)) for ai, ki in zip(a[served], ks)]
     for got, e in zip(vec, entries):
         c = e.contract

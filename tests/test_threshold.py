@@ -21,6 +21,8 @@ from remenu import (
     ProductUniform,
     ScaleFamily,
     ScenarioConfig,
+    UnsupportedError,
+    first_best_demo,
     threshold,
     type_space,
 )
@@ -288,6 +290,36 @@ def test_zero_theta_star_splits_nowhere(cost):
     got = threshold.objective("stop_loss", np.array([0.0, 1000.0, 50000.0]), ZERO_THETA_STAR, cost)
     assert got == pytest.approx([-14025.0, -13025.0, 8388.186408651098], rel=1e-12)
     assert threshold.solve("stop_loss", ZERO_THETA_STAR, cost).tau_star == pytest.approx(39554.51937377825, rel=1e-12)
+
+
+# The distorted survival 1.1 (0.95 - 1e-4 y) stays above the target 1 up to
+# the support's end at 100: theta*_1 = inf, so xi_k is not finite, and a
+# stop-loss J of -inf at finite true values would be wrong.
+NEVER_CROSSES = ScaleFamily(GenericLoss(lambda y: 0.95 - 1e-4 * y, support_hi=100.0))
+INFINITE_THETA_STAR = {
+    "discrete": DiscreteTypes([(0.945, 1.0, 0.5), (0.945, 2.0, 0.5)], NEVER_CROSSES),
+    "degenerate": DegenerateAlpha(1.0, 2.0, 0.945, NEVER_CROSSES),
+}
+
+
+@pytest.mark.parametrize("market", INFINITE_THETA_STAR)
+def test_stop_loss_with_infinite_theta_star_is_unsupported(market, cost):
+    dist = INFINITE_THETA_STAR[market]
+    for kind in ("stop_loss", "change_loss"):
+        with pytest.raises(UnsupportedError, match=r"theta\*"):
+            threshold.objective(kind, np.array([0.0, 10.0, 50.0, 100.0]), dist, cost)
+        with pytest.raises(UnsupportedError, match=r"theta\*"):
+            threshold.solve(kind, dist, cost, grid_points=101)
+    # Quota-share needs only H[X_k], which is finite.
+    menu = threshold.solve("quota_share", dist, cost, grid_points=101)
+    assert math.isfinite(menu.tau_star) and menu.objective_value >= 0.0
+
+
+def test_first_best_leaves_types_of_infinite_theta_star_unserved(cost):
+    r = first_best_demo(60.0, 2.0, 50.0, 1.0, INFINITE_THETA_STAR["discrete"], cost)
+    assert r.deductibles == (math.inf, math.inf)
+    assert r.premiums == r.first_best_profits == (0.0, 0.0)
+    assert r.mimic_gain == r.mimic_profit == 0.0
 
 
 def doubled(dist):

@@ -133,31 +133,47 @@ class TestIntegrate:
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 
+def never_capped(k, t):
+    """A capped profit that no type may take: it may see empty arrays only."""
+    assert np.size(k) == 0, "a type was capped"
+    return np.zeros(np.shape(k))
+
+
 class TestTailIntegral:
     def test_matches_integrate_route(self, product_dist):
+        # The affine density t - slope k, positive here, against the full quadrature.
         ts = np.array([12000.0, 30000.0, 60000.0])
-        via_tail = product_dist.tail_integral(lambda k, t: k / 10000.0, ts)
+        via_tail = product_dist.tail_integral(ts, 0.25, 0.0, never_capped)
         for t, got in zip(ts.tolist(), via_tail):
             via_full = product_dist.integrate(
-                lambda a, k: (a > t) * (k / 10000.0), breakpoints=[t]
+                lambda a, k: (a > t) * (t - 0.25 * k), breakpoints=[t]
             )
             assert got == pytest.approx(via_full, rel=1e-9, abs=1e-12)
 
     def test_degenerate_route(self, degenerate_dist):
         ts = np.array([20000.0, 45000.0])
-        via_tail = degenerate_dist.tail_integral(lambda k, t: np.ones_like(k), ts)
+        via_tail = degenerate_dist.tail_integral(ts, 0.5, 0.0, never_capped)
         for t, got in zip(ts.tolist(), via_tail):
-            via_full = degenerate_dist.integrate(lambda a, k: (a > t) * 1.0, breakpoints=[t])
+            via_full = degenerate_dist.integrate(lambda a, k: (a > t) * (t - 0.5 * k), breakpoints=[t])
             assert got == pytest.approx(via_full, rel=1e-9, abs=1e-12)
 
     def test_infinite_threshold(self, product_dist):
-        assert product_dist.tail_integral(lambda k, t: np.ones_like(k), np.array([math.inf])).tolist() == [0.0]
+        for ratio in (0.0, 0.1):
+            assert product_dist.tail_integral(np.array([math.inf]), 1.0, ratio, never_capped).tolist() == [0.0]
 
     def test_discrete_is_strict(self, discrete_dist):
-        # Atoms exactly at t are excluded from the strict tail.
-        got = discrete_dist.tail_integral(lambda k, t: np.ones_like(k), np.array([30000.0, 29999.0]))
-        assert got[0] == pytest.approx(0.6)
-        assert got[1] == pytest.approx(1.0)
+        # Atoms exactly at t are excluded from the strict tail: at t = 30000
+        # the atom (30000, 10000, 0.4) is priced by its atom term alone, 0 as
+        # t - 4 k < 0, and the atom (40000, 20000, 0.6) by t - 4 k.
+        got = discrete_dist.tail_integral(np.array([30000.0, 29999.0]), 4.0, 0.0, never_capped)
+        assert got[0] == pytest.approx(0.6 * (30000.0 - 80000.0))
+        assert got[1] == pytest.approx(0.4 * (29999.0 - 40000.0) + 0.6 * (29999.0 - 80000.0))
+
+    def test_discrete_caps_only_the_strict_tail(self, discrete_dist):
+        # ratio 4 caps both atoms at t = 30000: the one above takes capped,
+        # the one at t its atom term max(t - slope k, 0) all the same.
+        got = discrete_dist.tail_integral(np.array([30000.0]), 1.0, 4.0, lambda k, t: -k)
+        assert got[0] == pytest.approx(0.6 * -20000.0 + 0.4 * (30000.0 - 10000.0))
 
 
 class TestDiscrete:
@@ -177,14 +193,19 @@ class TestDiscrete:
             DiscreteTypes([(0.7, 1000.0, 1.0)], fam)
 
     def test_atoms_at(self, discrete_dist):
-        # The at= integrand weighs exactly the atoms at a == t: here (30000, 10000, 0.4).
-        def at_only(at, t):
-            return float(discrete_dist.tail_integral(lambda k, t: np.zeros_like(k), np.array([t]), at=at)[0])
+        # At the top level t no atom lies above: J is the atom term
+        # w max(t - slope k, 0) of the atom at a == t, here (t, 20000, 0.6),
+        # whatever the cap ratio, and 0 above every atom.
+        t = float(discrete_dist.levels[-1])
 
-        assert at_only(lambda k, t: np.ones_like(k), 30000.0) == 0.4
-        assert at_only(lambda k, t: k, 30000.0) == 0.4 * 10000.0
-        assert at_only(lambda k, t: t, 30000.0) == 0.4 * 30000.0
-        assert at_only(lambda k, t: np.ones_like(k), 31000.0) == 0.0
+        def at_only(slope, level, ratio=0.0):
+            return float(discrete_dist.tail_integral(np.array([level]), slope, ratio, never_capped)[0])
+
+        assert at_only(0.0, t) == 0.6 * t
+        assert at_only(1.5, t) == 0.6 * (t - 30000.0)
+        assert at_only(1.5, t, ratio=3.0) == 0.6 * (t - 30000.0)
+        assert at_only(2.5, t) == 0.0
+        assert at_only(0.0, t + 1000.0) == 0.0
 
     def test_sampling_frequencies(self, discrete_dist):
         rng = np.random.default_rng(11)
