@@ -161,7 +161,7 @@ class _UniformK(TypeDistribution):
         # t - slope k: its integral is exact, each row's in order from 0.0.
         exact = live & (tail >= 1.0) & (ratio * hi <= tc)
         r, c = np.nonzero(exact)
-        closed = np.bincount(r, (hi[r, c] - lo[r, c]) * (t[r] - slope * mid[r, c]) * dens, len(t))
+        closed = np.bincount(r, (hi[r, c] - lo[r, c]) * dens * (t[r] - slope * mid[r, c]), len(t))
         live &= ~exact
         # Only the other live segments get nodes, and only partial ones the
         # conditional tail.
@@ -177,7 +177,7 @@ class _UniformK(TypeDistribution):
             if cap.any():
                 cap &= ratio * k > tk
                 vals[cap] = capped(k[cap], tk[cap])
-            vals *= w
+            vals *= w * dens  # a probability times the profit: no overflow at large k
             p = tail[b] < 1.0
             if p.any():
                 part = slice(None) if p.all() else p  # views, not copies, where all are
@@ -185,7 +185,7 @@ class _UniformK(TypeDistribution):
             sums[b] = vals.sum(axis=-1)
         # Each row adds up its node segments in order from 0.0, then its
         # exact ones.
-        return np.bincount(row, sums * dens, len(closed)) + closed
+        return np.bincount(row, sums, len(closed)) + closed
 
     def integrate(self, f, breakpoints: Sequence[float] = ()) -> float:
         bps = sorted({float(b) for b in breakpoints if math.isfinite(b)})

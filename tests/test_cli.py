@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -737,6 +738,32 @@ def test_overflowing_risk_level_exits_2_naming_it(types, tmp_path, capsys):
     assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
     assert "risk level a = VaR_alpha(X_k) is not finite at k = 1e+308, alpha = 0.05\n" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", [1e296, 1e300])
+def test_huge_k_scales_the_menu_without_overflow(scale, tmp_path):
+    # J is positively homogeneous in k: scaling k_dist by s scales tau* and J
+    # by s.  A segment's width times its profit overflowed from k ~ 1e154 on,
+    # before the density 1 / (k_hi - k_lo) scaled it back.
+    runs = []
+    for s in (1.0, scale):
+        types = {
+            "variant": "product_uniform",
+            "k_dist": {"lo": 5000 * s, "hi": 25000 * s},
+            "alpha_dist": {"lo": ALPHA_LO, "hi": ALPHA_HI},
+        }
+        cfg = str(write_config(tmp_path / f"{s:g}.json", types=types))
+        out = tmp_path / f"{s:g}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+            assert main(["verify", "--config", cfg, "--out", str(out / "v"), "--menu", str(out / "menu.csv")]) == 0
+            assert main(["curve", "--config", cfg, "--out", str(out / "c"), "--n", "101"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        curve = [float(row.split(",")[1]) for row in (out / "c" / "curve.csv").read_text().splitlines()[1:]]
+        assert all(math.isfinite(j) for j in curve) and math.isfinite(summary["objective_value"])
+        runs.append([summary["tau_star"] / s, summary["objective_value"] / s, max(curve) / s])
+    assert runs[1] == pytest.approx(runs[0], rel=1e-12)
 
 
 def test_integer_past_the_digit_limit_exits_2(config, tmp_path, capsys):
