@@ -14,8 +14,9 @@ from .errors import DomainError
 NULL_DEDUCTIBLE = math.inf
 CONTRACT_CLASSES = ("stop_loss", "quota_share", "change_loss")
 
-# Samples times distinct contracts per block of GenericMenu.self_select, and
-# samples per block of a rule menu in verification.monte_carlo_profit.
+# Samples per block of GenericMenu.self_select and of a rule menu in
+# verification.monte_carlo_profit; samples times distinct contracts per block
+# of the dense rule.
 _BLOCK_ELEMS = 16384
 
 
@@ -140,23 +141,46 @@ class GenericMenu:
         distinct[:, :-1], distinct[:, -1] = terms[:, first[order]], (0.0, NULL_DEDUCTIBLE, 0.0)
         return distinct, np.argsort(order)[of]
 
-    def self_select(self, a, k=None) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-        """Self-selection at risk levels a (types (a, k)), block by block.
+    @cached_property
+    def _cuts(self) -> np.ndarray:
+        """Where the lookup's a-intervals meet: the breakpoints of the upper
+        envelope of the distinct contracts' lines lam·a - (lam·d + P), lam > 0,
+        and where that envelope meets max(-P), all found in floats; the
+        certificates in _ranges do not depend on them being exact."""
+        with np.errstate(all="ignore"):  # overflow and inf - inf leave a level undecided
+            return _envelope_cuts(self._contracts[0][:, :-1])
 
-        Yields (block, best, taken): the best risk reduction lam * (a - d)_+ - P
-        on offer and the (lam, d, P) taken: with tie = 1e-12 * max(1, |best|),
-        that of the type's own entry (the first with equal (a, k)) if within
-        tie of best, else of the first entry within tie of best (so rounding
-        does not pick among tied rows); (0, inf, 0), staying out, when best < -tie.
+    @cached_property
+    def _ranges(self) -> tuple[np.ndarray, np.ndarray, tuple | None]:
+        """The certified lookup of self_select (see _certify)."""
+        with np.errstate(all="ignore"):  # overflow and inf - inf leave a level undecided
+            return _certify(self._contracts[0][:, :-1], self._cuts)
+
+    def self_select(self, a, k=None) -> Iterator[tuple[slice, np.ndarray]]:
+        """Self-selection of types (a, k), block by block.
+
+        Yields (block, taken): the (lam, d, P) each type takes by _dense_rule,
+        the one definition of the choice: with best the largest risk reduction
+        lam * (a - d)_+ - P on offer and tie = 1e-12 * max(1, |best|), the type's
+        own entry (the first with equal (a, k)) if its value is at least
+        best - tie, else the first distinct contract in menu order whose value
+        is; (0, inf, 0), staying out, when best < -tie.
+
         Own entries are found once per call, with one sort of a: only samples
-        whose a equals some entry's a are matched on (a, k).  Each distinct
-        contract is valued once per block of about _BLOCK_ELEMS values, so
-        memory does not grow with the menu's length.
+        whose a equals some entry's a are matched on (a, k).  Each block of
+        _BLOCK_ELEMS samples is placed in the menu's certified ranges
+        (_certify), which give the choice of every sample without an own
+        entry, or whose own entry is that choice; an own entry is also taken
+        where _wins certifies it.  The other samples go through
+        _dense_rule, which values each distinct contract once per block of
+        about _BLOCK_ELEMS values, so the choices are those of valuing every
+        contract, bit for bit, and memory does not grow with the menu's
+        length.  Building the ranges values every contract at each cut, so
+        with at least as many cuts as samples every sample takes _dense_rule.
         """
         a, k = np.ravel(np.asarray(a, dtype=float)), None if k is None else np.ravel(k)
         terms, of = self._contracts
-        offers = terms[:, :-1, None]  # values are (contract, sample): cheap column reductions
-        step = max(1, _BLOCK_ELEMS // offers.shape[1])
+        offers = terms[:, :-1]
         i = c = np.empty(0, dtype=np.intp)  # own entries: sample indices (ascending), contracts
         if k is not None:
             ea = self.columns[0]
@@ -170,16 +194,329 @@ class GenericMenu:
                 own = order[np.minimum(np.searchsorted(keys[order], a[i] + 1j * k[i]), len(of) - 1)]
                 hit = (ea[own] == a[i]) & (self.columns[1, own] == k[i])
                 i, c = i[hit], of[own[hit]]
+        if len(self._cuts) < len(a):
+            edges, labels, bounds = self._ranges
+        else:
+            edges, labels, bounds = np.empty(0), np.array([_UNDECIDED]), None
+        step = _BLOCK_ELEMS
         cuts = np.searchsorted(i, np.arange(0, len(a) + step, step)).tolist()  # own entries per block
         for start, lo, hi in zip(range(0, len(a), step), cuts, cuts[1:]):
             block = slice(start, start + step)
-            values = risk_reduction(offers, a[block])
-            best = values.max(axis=0)
-            tie = 1e-12 * np.maximum(1.0, np.abs(best))
-            u = (values >= best - tie).argmax(axis=0)
+            ab = a[block]
+            u = _lookup(edges, labels, ab)
+            own = None
             if lo < hi:
                 ib, cb = i[lo:hi] - start, c[lo:hi]
-                ok = values[cb, ib] >= best[ib] - tie[ib]
-                u[ib[ok]] = cb[ok]
-            u[best < -tie] = -1
-            yield block, best, terms[:, u]
+                own = np.full(len(ab), -1)
+                own[ib] = cb
+                other = (u[ib] != cb) & (u[ib] != -1)  # an own entry may beat the lookup's choice
+                ib, cb = ib[other], cb[other]
+                if bounds is not None and len(ib):
+                    at = ab[ib]
+                    p, q = _wins(offers, bounds, cb, self._cuts.searchsorted(at, "right"))
+                    u[ib] = np.where((p <= at) & (at <= q), cb, _UNDECIDED)
+                else:
+                    u[ib] = _UNDECIDED
+            rest = np.flatnonzero(u == _UNDECIDED)
+            if len(rest):
+                u[rest] = _dense_rule(offers, ab[rest], None if own is None else own[rest])[1]
+            yield block, terms.take(u, axis=1)
+
+    def best_offer(self, a) -> np.ndarray:
+        """Largest risk reduction on offer at each risk level in the 1-D array
+        a, not counting staying out, as _dense_rule finds it."""
+        return _dense_rule(self._contracts[0][:, :-1], a)[0]
+
+
+# -- self-selection: the dense rule and its certified lookup ------------------
+
+_TIE = 1e-12  # the dense rule's relative tie
+_UNDECIDED = -2  # lookup label of a level left to the dense rule (-1 is staying out)
+_U = 2.0**-53  # unit roundoff of binary64
+# Power-of-two bounds on the rule's tie, net of the rounding in forming it
+# (see _certify): _TIE_LO <= 1e-12 - 1.2 * _U and _TIE_HI >= 1e-12 + 1.2 * _U.
+_TIE_LO, _TIE_HI = 2.0**-40, 2.0**-39
+_SLACK = 2.0**-50  # 8 units of roundoff: covers each bound's rounding with room
+
+
+def _dense_rule(offers, a, own=None) -> tuple[np.ndarray, np.ndarray]:
+    """The choice of types at risk levels a (1-D) among the distinct contracts
+    offers = (lam, d, P), valued once per block of about _BLOCK_ELEMS values.
+
+    Returns (best, u): best is the largest value lam * (a - d)_+ - P, and u is
+    own (contract indices, -1 for none) where that value is at least
+    best - tie, tie = 1e-12 * max(1, |best|), else the first contract whose
+    value is; u = -1 (staying out) where best < -tie.
+    """
+    offers = offers[:, :, None]  # values are (contract, sample): cheap column reductions
+    best, u = np.empty(len(a)), np.empty(len(a), dtype=np.intp)
+    step = max(1, _BLOCK_ELEMS // offers.shape[1])
+    for start in range(0, len(a), step):
+        block = slice(start, start + step)
+        values = risk_reduction(offers, a[block])
+        top = values.max(axis=0)
+        tie = _TIE * np.maximum(1.0, np.abs(top))
+        ub = (values >= top - tie).argmax(axis=0)
+        if own is not None:
+            ib = np.flatnonzero(own[block] >= 0)
+            cb = own[block][ib]
+            ok = values[cb, ib] >= top[ib] - tie[ib]
+            ub[ib[ok]] = cb[ok]
+        ub[top < -tie] = -1
+        best[block], u[block] = top, ub
+    return best, u
+
+
+def _lookup(edges, labels, a) -> np.ndarray:
+    """labels[i] for each level of a in [edges[i-1], edges[i]); _UNDECIDED for
+    a non-finite level.  Levels outside [edges[0], edges[-1]) are placed by a
+    comparison each, the rest by one searchsorted."""
+    if not len(edges):
+        u = np.full(len(a), labels[0], dtype=np.intp)
+    else:
+        below = a < edges[0]
+        u = below * (labels[0] - labels[-1]) + labels[-1]
+        mid = np.flatnonzero(~below & (a < edges[-1]))
+        u[mid] = labels[edges.searchsorted(a[mid], "right")]
+    finite = np.isfinite(a)
+    if not finite.all():
+        u[~finite] = _UNDECIDED
+    return u
+
+
+def _envelope_cuts(offers) -> np.ndarray:
+    """The breakpoints of the upper envelope of the lines lam·a - (lam·d + P)
+    of the contracts with lam > 0 (the best intercept per slope, then a
+    monotone stack), with the level where the envelope meets max(-P); sorted,
+    finite, found in floats."""
+    lam, d, premium = offers
+    line = lam > 0.0
+    if not line.any():
+        return np.empty(0)
+    s, b = lam[line], lam[line] * d[line] + premium[line]
+    meet = ((b - premium.min()) / s).min()
+    order = np.lexsort((b, s))
+    s, b = s[order], b[order]
+    first = np.r_[True, s[1:] != s[:-1]]
+    hull: list[tuple[float, float]] = []
+    for s3, b3 in zip(s[first].tolist(), b[first].tolist()):
+        while len(hull) > 1:
+            (s1, b1), (s2, b2) = hull[-2:]
+            if (b2 - b1) * (s3 - s1) < (b3 - b1) * (s2 - s1):
+                break
+            hull.pop()  # the middle line is nowhere above the other two
+        hull.append((s3, b3))
+    x = [(b2 - b1) / (s2 - s1) for (s1, b1), (s2, b2) in zip(hull, hull[1:])]
+    cuts = np.unique(np.array([*x, meet]))
+    return cuts[np.isfinite(cuts)]
+
+
+def _down(x):
+    return np.nextafter(x, -np.inf)
+
+
+def _up(x):
+    return np.nextafter(x, np.inf)
+
+
+def _negative_on(w, v, e, s, x, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """[p, q], within [lo, hi], on which sum_i w_i * (v_i + s_i * (a - x)) < 0
+    for certain, one range per row (terms along the first axis; the rest
+    broadcasts); p > q where there is none.
+
+    The true value of term i at the anchor x is within e_i of v_i; w_i and s_i
+    are exact.  The sum and the slope are formed in floats, with error at most
+    5 units of roundoff of sum |w v| and sum |w s|; the root is bounded over
+    that box and every rounding is directed outwards, so [p, q] holds no level
+    where the true sum is >= 0.  A term with w > 0 and v = -inf (a bound over
+    no contract) makes the sum -inf: true on all of [lo, hi].
+    """
+    d0, d1 = (w * v).sum(axis=0), (w * s).sum(axis=0)
+    e0 = 5 * _U * np.abs(w * v).sum(axis=0) + (np.abs(w) * e).sum(axis=0)
+    e1 = 5 * _U * np.abs(w * s).sum(axis=0)
+    rise, fall = d1 - e1 > 0.0, d1 + e1 < 0.0
+    # rise: a - x < -d0 / d1 at most; fall: a - x > d0 / -d1 at least
+    num = np.where(rise, _down(-d0 - e0), _up(d0 + e0))
+    den = np.abs(d1)
+    den = np.where((num >= 0.0) == rise, _up(den + e1), _down(den - e1))
+    root = num / den
+    q = np.where(rise, np.minimum(hi, _down(_down(x + _down(_down(root))))), hi)
+    p = np.where(fall, np.maximum(lo, _up(_up(x + _up(_up(root))))), lo)
+    never = ~(rise | fall) | np.isnan(root)
+    always = np.isneginf(d0)
+    return np.where(always, lo, np.where(never, np.inf, p)), np.where(always, hi, np.where(never, -np.inf, q))
+
+
+def _certify(offers, cuts) -> tuple[np.ndarray, np.ndarray, tuple | None]:
+    """Where _dense_rule's choice is known without valuing every contract:
+    (edges, labels, bounds).  Without an own entry, the choice on
+    [edges[i-1], edges[i]) is labels[i]: a contract, -1 for staying out, or
+    _UNDECIDED.  Where a contract wins as a type's own entry, _wins finds
+    from bounds.
+
+    The cuts split the a-axis into intervals.  On each, the designated
+    contract c is the rule's choice at one point inside it, and the bounds are
+    linear in a with exact float coefficients (u is the unit roundoff):
+      - Lam(a) >= the float value of every contract whose line is active
+        (a > d): the chord, or the asymptotic slope on an unbounded interval,
+        of the convex envelope of the lines, through upper bounds on it at the
+        cuts (each line valued in floats, plus _SLACK times its magnitudes),
+        widened by _SLACK times the magnitudes of the value, of a and of
+        a - x; every other contract is worth exactly -P <= C = max(-P).
+      - W(a): the same over the contracts before c in menu order, with C_W
+        their largest -P.
+      - vc(a) = lam'·(a - d_c) - P_c, lam' = lam_c(1 - 8u) rounded, is at most
+        c's float value wherever vc >= 0: below d_c that value is -P_c, and
+        above it its rounding is at most 2.01u·lam_c·(a - d_c) + u·|value|.
+    With T = best - tie as the rule forms it, T <= best - c1·max(1, |best|)
+    and T >= best - c2·max(1, |best|) for c1 = 1e-12 - 1.2u >= _TIE_LO and
+    c2 = 1e-12 + 1.2u <= _TIE_HI.  So c is the choice where
+      - Lam < C and W < T_C, with -P_c >= T_C, C_W < T_C and C >= -1e-12:
+        then best = C and T = T_C exactly, and c's value is at least -P_c;
+      - max(C, Lam) < (1 + _TIE_LO)·vc, so c's value is at least T (this
+        forces vc > 0, as C >= -P_c and Lam >= c's line, and so best > 0:
+        no staying out), and max(C_W, W) < (1 - _TIE_HI)·vc - _TIE_HI, so
+        every earlier contract's value is below T;
+    and staying out is, where C < -1e-12 and Lam < -1e-12.  The first
+    condition of the second case, for any contract, is where that contract
+    wins as a type's own entry.
+    """
+    lam, d, premium = offers
+    n, line, inf = len(cuts), lam > 0.0, np.inf
+    if n == 0 and line.any():  # the lines' meeting level overflowed: all to the dense rule
+        return np.empty(0), np.array([_UNDECIDED]), None
+    lo, hi = np.append(-inf, cuts), np.append(cuts, inf)
+    if n:  # anchors x: left ends, the first interval's right end; r: a level inside each interval
+        x, pad = np.append(cuts[:1], cuts), np.maximum(1.0, np.abs(cuts[[0, -1]])) / 2
+        r = np.concatenate([[cuts[0] - pad[0]], (cuts[:-1] + cuts[1:]) / 2, [cuts[-1] + pad[1]]])
+    else:
+        x = r = np.zeros(1)
+    star = np.maximum(_dense_rule(offers, r)[1], 0)  # the first contract where the rule stays out
+    before = star - 1  # the last contract before the designated one; -1 for none
+
+    # Upper bounds on the lines at each cut: over all contracts (big), and over
+    # those before the designated contract of the interval to its left (w_hi)
+    # and to its right (w_lo).
+    big, w_hi, w_lo = np.full(n + 1, -inf), np.full(n + 1, -inf), np.full(n + 1, -inf)
+    step = max(1, _BLOCK_ELEMS // len(lam))
+    for start in range(0, n, step):
+        j = np.arange(start, min(n, start + step))
+        z = lam[line, None] * (cuts[j] - d[line, None])
+        v = z - premium[line, None]
+        ups = np.full((len(lam), len(j)), -inf)
+        ups[line] = v + _SLACK * (np.abs(v) + np.abs(z))
+        big[j] = ups.max(axis=0)
+        np.maximum.accumulate(ups, axis=0, out=ups)
+        w_hi[j] = np.where(before[j] >= 0, ups[before[j], j - start], -inf)
+        w_lo[j + 1] = np.where(before[j + 1] >= 0, ups[before[j + 1], j - start], -inf)
+    big_lo, big_hi = np.roll(big, 1), big  # big at each interval's left and right end
+
+    def bound(at_lo, at_hi, s_first, s_last):
+        """(value at the anchor, slope) of the linear bound on each interval."""
+        y = np.where(np.arange(n + 1) == 0, at_hi[0], at_lo)
+        s = np.empty(n + 1)
+        s[0], s[-1] = s_first, s_last
+        s[1:-1] = (at_hi[1:-1] - at_lo[1:-1]) / np.diff(cuts)
+        widen = _SLACK * (np.abs(s) + 1.0)
+        s[0] -= widen[0]  # a - x <= 0 on the first interval only
+        s[1:] += widen[1:]
+        y = y + _SLACK * (np.abs(y) + np.abs(x))
+        finite = np.isfinite(y)
+        return np.where(finite, y, -inf), np.where(finite, s, 0.0)
+
+    slopes = np.where(line, lam, np.nan)
+    first_slope = np.fmin.accumulate(slopes)[max(before[0], 0)]
+    last_slope = np.fmax.accumulate(slopes)[max(before[-1], 0)]
+    big_y, big_s = bound(big_lo, big_hi, np.nanmin(slopes, initial=1.0), lam.max())
+    w_y, w_s = bound(w_lo, w_hi, first_slope, last_slope)
+    c_all = float(-premium.min())
+    c_w = np.where(before >= 0, np.maximum.accumulate(-premium)[np.maximum(before, 0)], -inf)
+    t_c = c_all - _TIE * max(1.0, abs(c_all))  # T at best = C, formed as the rule forms it
+
+    # One condition per row, three terms (w, v, e, s) each.
+    v_c, e_c, lam_lo = _value_floor(offers, star, x)
+    zero, w_t, vc_b = (0.0, 0.0, 0.0, 0.0), (1.0, w_y, 0.0, w_s), (_TIE_HI - 1.0, v_c, e_c, lam_lo)
+    rows = [
+        ((1.0, big_y, 0.0, big_s), (1.0, -c_all, 0.0, 0.0), zero),  # best = C: Lam < C
+        (w_t, (1.0, -t_c, 0.0, 0.0), zero),  # ... and W < T_C
+        (w_t, (1.0, _TIE_HI, 0.0, 0.0), vc_b),  # every earlier value below T
+        ((1.0, c_w, 0.0, 0.0), (1.0, _TIE_HI, 0.0, 0.0), vc_b),
+        ((1.0, big_y, 0.0, big_s), (1.0, _TIE, 0.0, 0.0), zero),  # staying out: Lam < -1e-12
+    ]
+    terms = np.zeros((4, 3, len(rows), n + 1))  # (w, v, e, s), term, row, interval
+    for k, row in enumerate(rows):
+        for i, term in enumerate(row):
+            for f, value in enumerate(term):
+                terms[f, i, k] = value
+    p, q = _negative_on(*terms, x, lo, hi)
+    ok = (-premium[star] >= t_c) & (c_w < t_c) & (c_all >= -_TIE)
+    bounds = x, lo, hi, big_y, big_s, c_all
+    won = _wins(offers, bounds, star, np.arange(n + 1))
+    ranges = [
+        (np.maximum(p[0], p[1]), np.minimum(q[0], q[1]), np.where(ok, star, _UNDECIDED)),
+        (np.maximum.reduce([won[0], p[2], p[3]]), np.minimum.reduce([won[1], q[2], q[3]]), star),
+        (p[4], q[4], np.full(n + 1, -1 if c_all < -_TIE else _UNDECIDED)),
+    ]
+    segments = sorted(
+        (p, q, lab)
+        for ps, qs, labs in ranges
+        for p, q, lab in zip(ps.tolist(), qs.tolist(), labs.tolist())
+        if lab != _UNDECIDED and p <= q
+    )
+    edges: list[float] = []
+    labels = [_UNDECIDED]  # labels[i] holds on [edges[i-1], edges[i])
+    for p, q, lab in segments:
+        q = math.nextafter(q, inf)  # [p, q] as [p, q)
+        if edges:
+            p = max(p, edges[-1])
+        if p >= q:
+            continue
+        if edges and p == edges[-1] and labels[-2] == lab:
+            edges[-1] = q
+        else:
+            if edges and p == edges[-1]:
+                labels[-1] = lab
+            elif p == -inf:
+                labels[0] = lab
+            else:
+                edges.append(p)
+                labels.append(lab)
+            edges.append(q)
+            labels.append(_UNDECIDED)
+    if edges and edges[-1] == inf:
+        edges.pop()
+        labels.pop()
+    return np.array(edges), np.array(labels), bounds
+
+
+def _value_floor(offers, c, x):
+    """(vc at the levels x, its error bound, its slope) of the contracts c
+    (arrays broadcast; see _certify)."""
+    lam, d, premium = offers[:, c]
+    lam_lo = lam * (1.0 - _SLACK)
+    run = lam_lo * (x - d)
+    v_c = run - premium
+    return v_c, 4 * _U * (np.abs(run) + np.abs(v_c)), lam_lo
+
+
+def _wins(offers, bounds, c, j) -> tuple[np.ndarray, np.ndarray]:
+    """[p, q] within the j-th interval of _certify's bounds on which contract
+    c, as a type's own entry, is the type's choice (arrays broadcast; p > q:
+    nowhere): where Lam and C are below (1 + _TIE_LO)·vc (see _certify).
+    Formed in chunks of about _BLOCK_ELEMS floats."""
+    x, lo, hi, big_y, big_s, c_all = bounds
+    c, j = np.broadcast_arrays(c, j)
+    p, q = np.empty(c.shape), np.empty(c.shape)
+    step = max(1, _BLOCK_ELEMS // 16)  # 16 floats a level: (w, v, e, s) of 2 terms of 2 conditions
+    with np.errstate(all="ignore"):  # overflow and inf - inf leave a level undecided
+        for start in range(0, len(c), step):
+            at, jj = slice(start, start + step), j[start : start + step]
+            v_c, e_c, lam_lo = _value_floor(offers, c[at], x[jj])
+            terms = np.zeros((4, 2, 2, len(jj)))  # (w, v, e, s), term, condition, level
+            terms[0, 0], terms[0, 1] = 1.0, -1.0 - _TIE_LO
+            terms[1, 0, 0], terms[1, 0, 1], terms[1, 1] = big_y[jj], c_all, v_c
+            terms[2, 1], terms[3, 0, 0], terms[3, 1] = e_c, big_s[jj], lam_lo
+            pp, qq = _negative_on(*terms, x[jj], lo[jj], hi[jj])
+            p[at], q[at] = pp.max(axis=0), qq.min(axis=0)
+    return p, q
+

@@ -115,10 +115,7 @@ def j_general(
 def _best_offer(menu: GenericMenu, a: np.ndarray) -> np.ndarray:
     """Largest risk reduction on offer at each risk level in the array a, not
     counting staying out; memory does not grow with the menu's length."""
-    best = np.empty(a.size)
-    for block, value, _taken in menu.self_select(a):
-        best[block] = value
-    return best.reshape(a.shape)
+    return menu.best_offer(np.ravel(a)).reshape(a.shape)
 
 
 def indirect_utility(menu: GenericMenu, a) -> np.ndarray:
@@ -287,11 +284,13 @@ def monte_carlo_profit(
     Each sampled type takes a contract (lam, d, P), priced analytically at
     P - lam H[(X_k - d)_+].  On a threshold menu it takes its own entry, from
     menu.terms.  On a GenericMenu, GenericMenu.self_select picks its own entry
-    if within 1e-12 relative of the best, else the first entry within that of
-    the best, and no contract when the best is below -1e-12 relative.  Either
-    way contracts are priced in blocks of about _BLOCK_ELEMS values, so memory
-    beyond the samples and their profits does not grow with n or the menu's
-    length.  Returns (estimate, standard error); deterministic given the seed.
+    if within tie = 1e-12 * max(1, |best|) of the best, else the first entry
+    within tie of the best, and no contract when the best is below -tie; rows
+    worth the same up to rounding go by menu order only where tie exceeds that
+    rounding.  Either way contracts are priced in blocks of _BLOCK_ELEMS
+    samples, so memory beyond the samples and their profits does not grow with
+    n or the menu's length.  Returns (estimate, standard error); deterministic
+    given the seed.
     """
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
@@ -301,15 +300,19 @@ def monte_carlo_profit(
     else:
         step = menus._BLOCK_ELEMS
         blocks = (slice(s, s + step) for s in range(0, n, step))
-        chosen = ((b, None, menu.terms(a[b], k[b])) for b in blocks)
+        chosen = ((b, menu.terms(a[b], k[b])) for b in blocks)
     profile = KProfile(cost, dist.family)
     profits = np.zeros(n)
-    for block, _best, (lam, d, premium) in chosen:
+    for block, (lam, d, premium) in chosen:
         paid = np.flatnonzero(lam)
         premium[paid] -= lam[paid] * profile.stop_loss_cost(k[block][paid], d[paid])
         profits[block] = premium
-    est = float(profits.mean())
-    se = float(profits.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    # The moments of the profits scaled down by a power of two, which moves no
+    # bit short of underflow: the squares in std overflowed past about 1e154.
+    scale = 2.0 ** -max(0, math.frexp(max(profits.max(), -profits.min()))[1])
+    profits *= scale
+    est = float(profits.mean() / scale)
+    se = float(profits.std(ddof=1) / scale / math.sqrt(n)) if n > 1 else 0.0
     return est, se
 
 

@@ -766,6 +766,30 @@ def test_huge_k_scales_the_menu_without_overflow(scale, tmp_path):
     assert runs[1] == pytest.approx(runs[0], rel=1e-12)
 
 
+@pytest.mark.parametrize("menu", [False, True], ids=["rule-menu", "tabulated-menu"])
+def test_huge_k_monte_carlo_keeps_its_error_bar(menu, tmp_path):
+    # Squaring profits past about 1e154 overflowed in the standard deviation:
+    # at k ~ 1e296 simulate wrote std_error "inf" and z_score 0.0.
+    raw = json.loads((SCRIPTS / "uniform_alpha_stop_loss.json").read_text())
+    k_dist, runs = raw["types"]["k_dist"], []
+    for s in (1.0, 1e296):
+        raw["types"]["k_dist"] = {key: s * v for key, v in k_dist.items()}
+        cfg, out = str(write_config(tmp_path / f"{s:g}.json", **raw)), tmp_path / f"{s:g}"
+        argv = ["simulate", "--config", cfg, "--out", str(out), "--n", "20000"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            if menu:
+                assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+                argv += ["--menu", str(out / "menu.csv")]
+            assert main(argv) == 0
+        est = json.loads((out / "estimate.json").read_text())
+        assert math.isfinite(est["std_error"]) and math.isfinite(est["z_score"])
+        runs.append([est["estimate"] / s, est["std_error"] / s, est["z_score"]])
+    # On the tabulated menu, rows tied up to rounding of a - d are told apart
+    # by rounding, which differs at the two scales: 4e-6 of the estimate.
+    assert runs[1] == pytest.approx(runs[0], rel=1e-5 if menu else 1e-9)
+
+
 def test_integer_past_the_digit_limit_exits_2(config, tmp_path, capsys):
     # json.load raises a plain ValueError (not a JSONDecodeError) on an
     # integer literal past Python's int-to-str digit limit (4300 digits).

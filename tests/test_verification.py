@@ -446,6 +446,20 @@ def bundled_solves(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def bundled_configs(bundled_solves, tmp_path_factory):
+    """(menu.csv as read back, the market, the cost) of every bundled config."""
+    got = {}
+    for path in sorted(SCRIPTS.glob("*.json")):
+        out = bundled_solves.get(path.stem)
+        if out is None:
+            out = tmp_path_factory.mktemp(path.stem)
+            assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+        config = ScenarioConfig.from_file(str(path))
+        got[path.stem] = _read_menu_csv(out / "menu.csv"), config.build_dist(), config.build_cost()
+    return got
+
+
+@pytest.fixture(scope="module")
 def bundled_tables(bundled_solves):
     """menu.csv of each bundled product-market config, read back as remenu
     verify and simulate --menu read it (231 rows each)."""
@@ -561,6 +575,169 @@ class TestSelfSelectionOracle:
             got = indirect_utility(gm, a)
             assert_same_bits(got, loop_indirect_utility(gm, a))
             assert type(got) is type(loop_indirect_utility(gm, a))
+
+
+
+# -- the certified lookup of GenericMenu.self_select --------------------------
+
+
+class FixedSamples:
+    """Draws the same types (a, k) at every call, so that Monte Carlo meets
+    chosen risk levels; priced with family's KProfile."""
+
+    def __init__(self, family, a, k):
+        self.family, self.a, self.k = family, np.asarray(a, dtype=float), np.asarray(k, dtype=float)
+
+    def sample(self, n, rng):
+        assert n == len(self.a)
+        return self.a.copy(), self.k.copy()
+
+
+def loop_choice(menu, a, k):
+    """(lam, d, P) each type takes, one entry at a time: the own entry (first
+    with equal (a, k)) within tie of the maximum, else the first entry within
+    tie of it; (0, inf, 0) below -tie; a null contract as (0, inf, P)."""
+    best = np.full(len(a), -np.inf)
+    for e in menu.entries:
+        best = np.maximum(best, e.risk_reduction(a))
+    tie = 1e-12 * np.maximum(1.0, np.abs(best))
+    choice, own = np.full(len(a), -1), np.full(len(a), -1)
+    for j, e in enumerate(menu.entries):
+        within = e.risk_reduction(a) >= best - tie
+        mine = (own < 0) & (a == e.a) & (k == e.k)
+        own[mine] = j
+        choice[((choice < 0) | mine) & within] = j
+    lam, d, premium = menu.columns[2:, choice]
+    null = (lam == 0.0) | np.isinf(d)
+    out = best < -tie
+    return np.array([
+        np.where(null | out, 0.0, lam), np.where(null | out, math.inf, d), np.where(out, 0.0, premium)
+    ])
+
+
+def selected(menu, a, k):
+    """The (lam, d, P) columns self_select yields, joined."""
+    return np.hstack([taken for _block, taken in menu.self_select(a, k)])
+
+
+@pytest.fixture
+def dense_calls(monkeypatch):
+    """The number of levels of each menus._dense_rule call from here on."""
+    dense, calls = menus._dense_rule, []
+
+    def counted(offers, a, own=None):
+        calls.append(len(a))
+        return dense(offers, a, own)
+
+    monkeypatch.setattr(menus, "_dense_rule", counted)
+    return calls
+
+
+@st.composite
+def kinked_menus(draw):
+    """A menu around a kink tau: lines through (tau, 0) (tied, as remenu
+    writes them), lines 1 ulp off them, free lines, null rows charging 0 or
+    more, repeated rows; one slope, a few equal ones or many; every level,
+    deductible and premium times 1, 1000 or 10^6.  Returns the menu and the
+    risk levels to choose at: the rows' own (a, k), each deductible, tau and
+    its neighbours 1 ulp away, the lookup's cuts and edges and their
+    neighbours, and spread levels."""
+    scale = draw(st.sampled_from([1.0, 1e3, 1e6]))
+    tau = draw(st.floats(1e3, 5e4))
+    slopes = draw(st.sampled_from(["one", "few", "many"]))
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["tied", "tied", "ulp", "free", "null"]))
+        a, k = draw(st.floats(0.0, 8e4)), draw(st.floats(5e3, 2.5e4))
+        lam = {"one": 1.0, "few": draw(st.sampled_from([0.25, 0.5, 1.0])), "many": draw(st.floats(0.01, 1.0))}[slopes]
+        d = draw(st.floats(0.0, tau))
+        if kind == "null":
+            lam, d = draw(st.sampled_from([(0.0, d), (lam, math.inf)]))
+            premium = draw(st.sampled_from([0.0, draw(st.floats(0.0, 5e3))]))
+        elif kind == "free":
+            premium = draw(st.floats(0.0, 5e4))
+        else:
+            premium = lam * (tau - d)
+            if kind == "ulp":
+                premium = math.nextafter(premium, draw(st.sampled_from([-math.inf, math.inf])))
+        rows.append([a * scale, k, lam, d * scale, max(premium, 0.0) * scale])
+    for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3)):
+        rows.append(rows[i])  # a duplicate contract with its own type
+    cols = np.array(rows).T
+    menu = GenericMenu(cols, ("change_loss",) * cols.shape[1])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = cols[3][np.isfinite(cols[3])]
+    marks = np.concatenate([d, [tau * scale], menu._cuts, menu._ranges[0]])
+    a = np.concatenate([
+        cols[0], marks, np.nextafter(marks, -np.inf), np.nextafter(marks, np.inf),
+        rng.uniform(0.0, 1e5 * scale, 200),
+    ])
+    k = np.concatenate([cols[1], rng.uniform(5e3, 2.5e4, len(a) - cols.shape[1])])
+    return menu, a, k
+
+
+class TestCertifiedLookup:
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(case=kinked_menus())
+    def test_matches_the_per_entry_loop(self, case, cost, product_dist):
+        menu, a, k = case
+        assert len(menu._cuts) < len(a)  # the lookup, not the dense rule, decides
+        assert_same_bits(selected(menu, a, k), loop_choice(menu, a, k))
+        dist = FixedSamples(product_dist.family, a, k)
+        assert monte_carlo_profit(menu, dist, cost, len(a), 0) == loop_monte_carlo_profit(menu, dist, cost, len(a), 0)
+
+    def test_at_most_one_percent_reach_the_dense_rule(self, bundled_configs, dense_calls):
+        for name, (table, dist, _cost) in bundled_configs.items():
+            table._ranges  # built before the count
+            dense_calls.clear()
+            a, k = dist.sample(100_000, np.random.default_rng(1))
+            selected(table, a, k)
+            assert 0 < sum(dense_calls) <= 1000, name
+
+    def test_own_entries_rarely_reach_the_dense_rule(self, cost, dense_calls):
+        # Every sample of a discrete market has its own entry: above tau* a
+        # served row of its own, which the lookup's label (the first served
+        # row) does not decide; the own entry's certificate does.
+        rng = np.random.default_rng(3)
+        atoms = zip(rng.uniform(E3, E2, 2000).tolist(), rng.uniform(5000.0, 25000.0, 2000).tolist())
+        dist = DiscreteTypes([(alpha, k, 1.0 / 2000) for alpha, k in atoms])
+        a, k = dist.a_vals, dist.ks
+        menu = GenericMenu(np.array([a, k, *threshold.solve("stop_loss", dist, cost).terms(a, k)]), ("stop_loss",) * 2000)
+        menu._ranges  # built before the count
+        dense_calls.clear()
+        a, k = dist.sample(100_000, np.random.default_rng(1))
+        selected(menu, a, k)
+        assert sum(dense_calls) <= 1000
+
+    def test_more_cuts_than_samples_take_the_dense_rule(self, dense_calls):
+        # 40 lines tangent to a parabola: 40 cuts, which would cost more to
+        # value every contract at than 10 samples cost the dense rule.
+        lam = np.linspace(0.025, 1.0, 40)
+        cols = np.array([np.full(40, 5e4), np.full(40, 1e4), lam, np.zeros(40), 2e4 * lam**2])
+        menu = GenericMenu(cols, ("quota_share",) * 40)
+        a, k = np.linspace(0.0, 6e4, 10), np.full(10, 1e4)
+        assert_same_bits(selected(menu, a, k), loop_choice(menu, a, k))
+        assert len(menu._cuts) == 40 and sum(dense_calls) == 10 and "_ranges" not in vars(menu)
+
+    def test_levels_tied_up_to_rounding_take_the_dense_rule(
+        self, bundled_solves, bundled_tables, cost, product_dist, dense_calls
+    ):
+        # Every served stop-loss row is worth a - tau up to rounding of about
+        # 7e-12, which the tie 1e-12 * max(1, a - tau) does not cover within
+        # about 7 of tau: there rounding, not menu order, picks the row.
+        table = bundled_tables["uniform_alpha_stop_loss"]
+        tau = json.loads((bundled_solves["uniform_alpha_stop_loss"] / "summary.json").read_text())["tau_star"]
+        a = tau + 40.0 * np.arange(1, 40_001) / 40_000
+        k = np.full(len(a), 15000.0)
+        table._ranges  # built before the count
+        dense_calls.clear()
+        got = selected(table, a, k)
+        assert_same_bits(got, loop_choice(table, a, k))
+        assert sum(dense_calls) == len(a)
+        first = table.columns[3, np.flatnonzero(table.columns[2])[0]]  # d of the first served row
+        assert got[1, -1] == first and (got[1] != first).sum() == 3609
+        dist = FixedSamples(product_dist.family, a, k)
+        assert monte_carlo_profit(table, dist, cost, len(a), 0) == loop_monte_carlo_profit(table, dist, cost, len(a), 0)
 
 
 def _mc_peak(menu, dist, cost) -> int:
