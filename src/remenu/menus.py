@@ -166,47 +166,33 @@ class GenericMenu:
         best - tie, else the first distinct contract in menu order whose value
         is; (0, inf, 0), staying out, when best < -tie.
 
-        Own entries are found once per call, with one sort of a: only samples
-        whose a equals some entry's a are matched on (a, k).  Each block of
-        _BLOCK_ELEMS samples is placed in the menu's certified ranges
-        (_certify), which give the choice of every sample without an own
-        entry, or whose own entry is that choice; an own entry is also taken
-        where _wins certifies it.  The other samples go through
-        _dense_rule, which values each distinct contract once per block of
-        about _BLOCK_ELEMS values, so the choices are those of valuing every
-        contract, bit for bit, and memory does not grow with the menu's
-        length.  Building the ranges values every contract at each cut, so
+        Own entries are found block by block, without sorting the samples
+        (_own_entries): only a sample whose a has the low bits of some
+        entry's a is matched on (a, k).  Each block of _BLOCK_ELEMS samples
+        is placed in the menu's certified ranges (_certify), which give the
+        choice of every sample without an own entry, or whose own entry is
+        that choice; an own entry is also taken where _wins certifies it.
+        The other samples go through _dense_rule, which values each distinct
+        contract once per block of about _BLOCK_ELEMS values, so the choices
+        are those of valuing every contract, bit for bit, and memory does not
+        grow with the menu's length.  Building the ranges values every contract at each cut, so
         with at least as many cuts as samples every sample takes _dense_rule.
         """
         a, k = np.ravel(np.asarray(a, dtype=float)), None if k is None else np.ravel(k)
-        terms, of = self._contracts
+        terms = self._contracts[0]
         offers = terms[:, :-1]
-        i = c = np.empty(0, dtype=np.intp)  # own entries: sample indices (ascending), contracts
-        if k is not None:
-            ea = self.columns[0]
-            sa = np.sort(a)
-            shared = np.sort(ea[np.searchsorted(sa, ea, "right") > np.searchsorted(sa, ea)])
-            del sa  # not kept through the blocks: peak memory stays that of the samples
-            if len(shared):  # match a, then the entries' types a + ik, sorted stably
-                i = np.flatnonzero(shared[np.minimum(np.searchsorted(shared, a), len(shared) - 1)] == a)
-                keys = ea + 1j * self.columns[1]
-                order = np.argsort(keys, kind="stable")
-                own = order[np.minimum(np.searchsorted(keys[order], a[i] + 1j * k[i]), len(of) - 1)]
-                hit = (ea[own] == a[i]) & (self.columns[1, own] == k[i])
-                i, c = i[hit], of[own[hit]]
         if len(self._cuts) < len(a):
             edges, labels, bounds = self._ranges
         else:
             edges, labels, bounds = np.empty(0), np.array([_UNDECIDED]), None
         step = _BLOCK_ELEMS
-        cuts = np.searchsorted(i, np.arange(0, len(a) + step, step)).tolist()  # own entries per block
-        for start, lo, hi in zip(range(0, len(a), step), cuts, cuts[1:]):
+        for start in range(0, len(a), step):
             block = slice(start, start + step)
             ab = a[block]
             u = _lookup(edges, labels, ab)
             own = None
-            if lo < hi:
-                ib, cb = i[lo:hi] - start, c[lo:hi]
+            ib, cb = (None, ()) if k is None else self._own_entries(ab, k[block])
+            if len(cb):
                 own = np.full(len(ab), -1)
                 own[ib] = cb
                 other = (u[ib] != cb) & (u[ib] != -1)  # an own entry may beat the lookup's choice
@@ -221,6 +207,31 @@ class GenericMenu:
             if len(rest):
                 u[rest] = _dense_rule(offers, ab[rest], None if own is None else own[rest])[1]
             yield block, terms.take(u, axis=1)
+
+    @cached_property
+    def _owners(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """What _own_entries looks up: a table of the low _OWN_BITS bits of
+        the entries' levels a, the entries' types a + ik sorted stably, and
+        the distinct contract of each."""
+        a, k = self.columns[:2]
+        table = np.zeros(1 << _OWN_BITS, dtype=bool)
+        table[a.view(np.int64) & _OWN_MASK] = True
+        keys = a + 1j * k
+        order = np.argsort(keys, kind="stable")
+        return table, keys[order], self._contracts[1][order]
+
+    def _own_entries(self, a, k) -> tuple[np.ndarray, np.ndarray]:
+        """(indices, distinct contracts) of the samples (a, k), 1-D with a
+        contiguous, that have an own entry: the first entry with equal a and
+        k, by float ==.  Equal levels share their low bits (-0.0 and 0.0
+        too), so the samples whose low bits of a are no entry's are passed
+        over, and the others matched exactly; a NaN matches nothing."""
+        table, keys, contract = self._owners
+        i = np.flatnonzero(table.take(a.view(np.int64) & _OWN_MASK))
+        q = a[i] + 1j * k[i]
+        j = np.minimum(keys.searchsorted(q), len(keys) - 1)
+        hit = keys[j] == q
+        return i[hit], contract[j[hit]]
 
     def best_offer(self, a) -> np.ndarray:
         """Largest risk reduction on offer at each risk level in the 1-D array
@@ -237,6 +248,8 @@ _U = 2.0**-53  # unit roundoff of binary64
 # (see _certify): _TIE_LO <= 1e-12 - 1.2 * _U and _TIE_HI >= 1e-12 + 1.2 * _U.
 _TIE_LO, _TIE_HI = 2.0**-40, 2.0**-39
 _SLACK = 2.0**-50  # 8 units of roundoff: covers each bound's rounding with room
+_OWN_BITS = 16  # low bits of a level that GenericMenu._own_entries filters samples on
+_OWN_MASK = (1 << _OWN_BITS) - 1
 
 
 def _dense_rule(offers, a, own=None) -> tuple[np.ndarray, np.ndarray]:

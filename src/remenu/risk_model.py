@@ -106,9 +106,10 @@ class LossModel:
     def survival(self, y):
         raise NotImplementedError
 
-    def var(self, alpha):
+    def var(self, alpha, out=None):
         """VaR_alpha(X), the smallest y with survival(y) <= alpha; alpha may be
-        an array."""
+        an array, and an array out of its shape (alpha itself, say) takes the
+        result."""
         raise NotImplementedError
 
     def _quantile(self, alpha):
@@ -147,9 +148,11 @@ class ExponentialLoss(LossModel):
         s = (1.0 - self.point_mass_zero) * np.exp(-np.maximum(y, 0.0) / self.mean)
         return np.where(y < 0.0, 1.0, s)
 
-    def var(self, alpha):
+    def var(self, alpha, out=None):
         self._check_alpha(alpha)
-        return -self.mean * np.log(alpha / (1.0 - self.point_mass_zero))
+        p0 = self.point_mass_zero
+        u = np.divide(alpha, 1.0 - p0, out=out) if p0 else alpha  # alpha / 1.0 is alpha
+        return np.multiply(np.log(u, out=out), -self.mean, out=out)
 
     def scaled(self, s: float) -> "ExponentialLoss":
         return ExponentialLoss(s * self.mean, self.point_mass_zero)
@@ -186,12 +189,15 @@ class GenericLoss(LossModel):
         vals = np.asarray(self.survival_fn(np.maximum(y, 0.0)), dtype=float)
         return np.where(y < 0.0, 1.0, np.minimum(np.maximum(vals, 0.0), 1.0))
 
-    def var(self, alpha):
+    def var(self, alpha, out=None):
         self._check_alpha(alpha)
         y = self._quantile(alpha)
         if np.isinf(y).any():
             raise DomainError("survival never falls below alpha; quantile undefined")
-        return y[()]
+        if out is None:
+            return y[()]
+        out[...] = y
+        return out
 
     def _quantile(self, alpha):
         alpha = np.asarray(alpha, dtype=float)
@@ -317,8 +323,13 @@ class ScaleFamily:
     def point_mass_zero(self) -> float:
         return self.base.point_mass_zero
 
-    def var(self, alpha, k):
-        return np.asarray(k, dtype=float) * self.base.var(alpha)
+    def var(self, alpha, k, out=None):
+        """k VaR_alpha(X_1); an array out of the result's shape (alpha itself,
+        say) takes the result, and no other array is made."""
+        k = np.asarray(k, dtype=float)
+        if out is None:
+            return k * self.base.var(alpha)
+        return np.multiply(k, self.base.var(alpha, out=out), out=out)
 
     def survival(self, y, k):
         return self.base.survival(np.asarray(y, dtype=float) / np.asarray(k, dtype=float))
@@ -385,3 +396,9 @@ class KProfile:
         """H[(X_k - d)_+]; d may be scalar or an array matching k."""
         k = np.asarray(k, dtype=float)
         return k * self._tail(d / k)
+
+
+def prices(profile: KProfile | None, cost: CostFunctional, family: ScaleFamily) -> bool:
+    """Whether profile is the KProfile of cost and family (equal, so its
+    numbers are theirs bit for bit)."""
+    return profile is not None and profile.cost == cost and profile.family == family

@@ -18,14 +18,14 @@ The class is the menu's ``contract_class`` field and sets its rule:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from functools import cached_property, partial
+from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import AssumptionError, DomainError, UnsupportedError
 from .menus import Contract, MenuEntry, check_class
-from .risk_model import CostFunctional, KProfile
+from .risk_model import CostFunctional, KProfile, prices
 from .search import first_maximum, maximize_over_tau
 from .type_space import DiscreteTypes, TypeDistribution
 
@@ -149,28 +149,34 @@ def tau_range(kind: str, dist: TypeDistribution) -> tuple[float, float]:
 @dataclass(frozen=True)
 class ThresholdMenu:
     """Solved menu: kink tau_star plus the contract rule of its class
-    (stop_loss, quota_share or change_loss) for every type."""
+    (stop_loss, quota_share or change_loss) for every type.
+
+    profile holds the per-k costs of the menu's market: the one given (solve
+    hands over its own) when it prices this cost and family, else one built
+    here.
+    """
 
     tau_star: float
     objective_value: float
     cost: CostFunctional
     dist: TypeDistribution
     contract_class: str
+    profile: KProfile | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_class(self.contract_class)
-
-    @cached_property
-    def profile(self) -> KProfile:
-        """The per-k costs of the menu's market, built once and memoized."""
-        return KProfile(self.cost, self.dist.family)
+        if not prices(self.profile, self.cost, self.dist.family):
+            object.__setattr__(self, "profile", KProfile(self.cost, self.dist.family))
 
     def terms(self, a, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(served, deductible, premium) of the entries for types (a, k).
 
         Arrays broadcast; a served type takes lam = 1 at premium tau - d,
         an unserved one the null contract (deductible +inf, or 0 for
-        quota-share) at premium 0.
+        quota-share) at premium 0.  A served stop-loss deductible is
+        theta*_k ∧ tau: at a = tau too, as serving there needs
+        tau >= xi_k >= theta*_k (xi_1 = theta*_1 + a cost >= 0, each rounded
+        up or to itself).
         """
         a, k = np.broadcast_arrays(np.atleast_1d(np.asarray(a, float)), np.asarray(k, float))
         tau, kind, prof = self.tau_star, self.contract_class, self.profile
@@ -178,13 +184,21 @@ class ThresholdMenu:
         kink = a == tau
         if kink.any():
             served[kink] = tau >= reference(kind, prof)(k[kink])
+        # Selection by arithmetic, as a masked write mispredicts a branch per
+        # element: on is +inf where served and -inf where not, so the premium
+        # is min(tau - d, on) floored at 0 (by fmax: NaN at tau = d = inf),
+        # and a stop-loss deductible max(d, -on), inf where not served.
+        on = np.subtract(served, 0.5)
+        on *= math.inf
         if kind == "quota_share":
-            d = np.zeros(a.shape)
+            d, premium = np.zeros(a.shape), np.minimum(on, tau, out=on)
         else:
-            d = np.where(served, prof.theta_star(k), math.inf)
-            d = np.where(a > tau, np.minimum(d, tau), d)
-        premium = np.subtract(tau, d, out=np.zeros(a.shape), where=served)  # no inf - inf at tau = inf
-        return served, d, premium
+            d = prof.theta_star(k)
+            np.minimum(d, tau, out=d)
+            premium = np.subtract(tau, d)
+            np.minimum(premium, on, out=premium)
+            np.maximum(d, np.negative(on, out=on), out=d)
+        return served, d, np.fmax(premium, 0.0, out=premium)
 
     def entry(self, a: float, k: float) -> MenuEntry:
         served, d, premium = (float(x[0]) for x in self.terms(a, k))
@@ -216,4 +230,4 @@ def solve(
         tau, val = _discrete_maximum(kind, j, dist, profile)
     else:
         tau, val = maximize_over_tau(j, *tau_range(kind, dist), grid_points, refine_tol)
-    return ThresholdMenu(tau, val, cost, dist, kind)
+    return ThresholdMenu(tau, val, cost, dist, kind, profile)

@@ -249,7 +249,7 @@ class ProductUniform(_UniformK):
     def sample(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         k = rng.uniform(self.k_lo, self.k_hi, n)
         alpha = rng.uniform(self.alpha_lo, self.alpha_hi, n)
-        return np.asarray(self.family.var(alpha, k), dtype=float), k
+        return self.family.var(alpha, k, out=alpha), k  # a = k VaR_alpha(X_1) in alpha's array
 
 
 class DegenerateAlpha(_UniformK):
@@ -282,23 +282,25 @@ class DegenerateAlpha(_UniformK):
 
     def sample(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         k = rng.uniform(self.k_lo, self.k_hi, n)
-        return np.asarray(self.a_of_k(k), dtype=float), k
+        return self.a_of_k(k), k  # k times one scalar VaR: the only new array
 
 
 class DiscreteTypes(TypeDistribution):
-    """Finitely many weighted atoms (alpha, k, weight)."""
+    """Finitely many weighted atoms: rows (alpha, k, weight), as triples or
+    an (n, 3) array."""
 
     def __init__(
         self,
         atoms: Sequence[tuple[float, float, float]],
         family: ScaleFamily | None = None,
     ):
-        if not atoms:
+        if not len(atoms):
             raise DomainError("discrete type distribution needs at least one atom")
         super().__init__(family)
-        self.alphas = np.array([x[0] for x in atoms], dtype=float)
-        self.ks = np.array([x[1] for x in atoms], dtype=float)
-        self.weights = np.array([x[2] for x in atoms], dtype=float)
+        rows = np.array(atoms, dtype=float)
+        if rows.shape != (len(atoms), 3):
+            raise DomainError(f"discrete atoms must be (alpha, k, weight) rows, got shape {rows.shape}")
+        self.alphas, self.ks, self.weights = map(np.ascontiguousarray, rows.T)
         if not np.all((self.ks > 0.0) & (self.ks < math.inf)):
             raise DomainError(f"atom k values must be finite and positive, got {self.ks.tolist()}")
         if not np.all((self.weights >= 0.0) & (self.weights < math.inf)):
