@@ -9,9 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain
-
-import numpy as np
 
 from .errors import ConfigError, DomainError
 from .menus import CONTRACT_CLASSES
@@ -155,22 +152,9 @@ class ScenarioConfig:
         return DiscreteTypes(_atom_rows(atoms, alphas), family)
 
 
-def _atom_rows(atoms: list, alphas: list):
-    """The (alpha, k, weight) rows of aligned discrete atoms: at array speed
-    where every k atom is a [k, weight] list and every number a JSON int or
-    float that fits a float, else atom by atom, so that a ConfigError names
-    the first bad atom."""
-    plain = {int, float}
-    if (
-        set(map(type, atoms)) <= {list}
-        and set(map(len, atoms)) <= {2}
-        and set(map(type, chain.from_iterable(atoms))) <= plain
-        and set(map(type, alphas)) <= plain
-    ):
-        try:
-            return np.column_stack((np.array(alphas, dtype=float), np.array(atoms, dtype=float).reshape(-1, 2)))
-        except OverflowError:  # an integer too large for a float, named below
-            pass
+def _atom_rows(atoms: list, alphas: list) -> list[tuple[float, float, float]]:
+    """The (alpha, k, weight) rows of aligned discrete atoms, read atom by
+    atom so that a ConfigError names the first bad atom."""
     rows = []
     for i, (ka, aa) in enumerate(zip(atoms, alphas)):
         if not (isinstance(ka, list) and len(ka) == 2):

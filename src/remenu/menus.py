@@ -156,7 +156,7 @@ class GenericMenu:
         with np.errstate(all="ignore"):  # overflow and inf - inf leave a level undecided
             return _certify(self._contracts[0][:, :-1], self._cuts)
 
-    def self_select(self, a, k=None) -> Iterator[tuple[slice, np.ndarray]]:
+    def self_select(self, a, k) -> Iterator[tuple[slice, np.ndarray]]:
         """Self-selection of types (a, k), block by block.
 
         Yields (block, taken): the (lam, d, P) each type takes by _dense_rule,
@@ -178,7 +178,7 @@ class GenericMenu:
         grow with the menu's length.  Building the ranges values every contract at each cut, so
         with at least as many cuts as samples every sample takes _dense_rule.
         """
-        a, k = np.ravel(np.asarray(a, dtype=float)), None if k is None else np.ravel(k)
+        a, k = np.ravel(np.asarray(a, dtype=float)), np.ravel(k)
         terms = self._contracts[0]
         offers = terms[:, :-1]
         if len(self._cuts) < len(a):
@@ -191,7 +191,7 @@ class GenericMenu:
             ab = a[block]
             u = _lookup(edges, labels, ab)
             own = None
-            ib, cb = (None, ()) if k is None else self._own_entries(ab, k[block])
+            ib, cb = self._own_entries(ab, k[block])
             if len(cb):
                 own = np.full(len(ab), -1)
                 own[ib] = cb
@@ -234,9 +234,10 @@ class GenericMenu:
         return i[hit], contract[j[hit]]
 
     def best_offer(self, a) -> np.ndarray:
-        """Largest risk reduction on offer at each risk level in the 1-D array
-        a, not counting staying out, as _dense_rule finds it."""
-        return _dense_rule(self._contracts[0][:, :-1], a)[0]
+        """Largest risk reduction on offer at each risk level in a, of a's
+        shape, not counting staying out, as _dense_rule finds it."""
+        a = np.asarray(a, dtype=float)
+        return _dense_rule(self._contracts[0][:, :-1], a.ravel())[0].reshape(a.shape)
 
 
 # -- self-selection: the dense rule and its certified lookup ------------------

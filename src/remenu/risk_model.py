@@ -138,10 +138,10 @@ class ExponentialLoss(LossModel):
     point_mass_zero: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.mean <= 0.0:
-            raise DomainError(f"mean must be positive, got {self.mean}")
+        if not 0.0 < self.mean < math.inf:
+            raise DomainError(f"mean must be positive and finite, got {self.mean}")
         if not 0.0 <= self.point_mass_zero < 1.0:
-            raise DomainError("point mass at zero must lie in [0, 1)")
+            raise DomainError(f"point_mass_zero must lie in [0, 1), got {self.point_mass_zero}")
 
     def survival(self, y):
         y = np.asarray(y, dtype=float)
@@ -167,7 +167,8 @@ class GenericLoss(LossModel):
     checked on a small array when it is built.  The survival function must
     be nonincreasing and right-continuous; the distribution must be strictly
     increasing and continuous on its support above zero (quantiles are the
-    smallest floats where it falls to alpha, found by first_true).
+    smallest floats where it falls to alpha, found by first_true).  The
+    support ends at support_hi >= 0 (inf allowed); point_mass_zero lies in [0, 1].
     """
 
     survival_fn: Callable[[np.ndarray], np.ndarray]
@@ -175,6 +176,10 @@ class GenericLoss(LossModel):
     point_mass_zero: float = 0.0
 
     def __post_init__(self) -> None:
+        if not self.support_hi >= 0.0:
+            raise DomainError(f"support_hi must be >= 0, got {self.support_hi}")
+        if not 0.0 <= self.point_mass_zero <= 1.0:
+            raise DomainError(f"point_mass_zero must lie in [0, 1], got {self.point_mass_zero}")
         probe = np.array([0.0, 0.5, 1.0]) * min(1.0, self.support_hi)
         try:
             np.broadcast_to(np.asarray(self.survival_fn(probe), dtype=float), probe.shape)
@@ -396,9 +401,3 @@ class KProfile:
         """H[(X_k - d)_+]; d may be scalar or an array matching k."""
         k = np.asarray(k, dtype=float)
         return k * self._tail(d / k)
-
-
-def prices(profile: KProfile | None, cost: CostFunctional, family: ScaleFamily) -> bool:
-    """Whether profile is the KProfile of cost and family (equal, so its
-    numbers are theirs bit for bit)."""
-    return profile is not None and profile.cost == cost and profile.family == family

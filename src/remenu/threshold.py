@@ -18,14 +18,14 @@ The class is the menu's ``contract_class`` field and sets its rule:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
-from functools import partial
+from dataclasses import asdict, dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
 from .errors import AssumptionError, DomainError, UnsupportedError
 from .menus import Contract, MenuEntry, check_class
-from .risk_model import CostFunctional, KProfile, prices
+from .risk_model import CostFunctional, KProfile
 from .search import first_maximum, maximize_over_tau
 from .type_space import DiscreteTypes, TypeDistribution
 
@@ -149,24 +149,21 @@ def tau_range(kind: str, dist: TypeDistribution) -> tuple[float, float]:
 @dataclass(frozen=True)
 class ThresholdMenu:
     """Solved menu: kink tau_star plus the contract rule of its class
-    (stop_loss, quota_share or change_loss) for every type.
-
-    profile holds the per-k costs of the menu's market: the one given (solve
-    hands over its own) when it prices this cost and family, else one built
-    here.
-    """
+    (stop_loss, quota_share or change_loss) for every type."""
 
     tau_star: float
     objective_value: float
     cost: CostFunctional
     dist: TypeDistribution
     contract_class: str
-    profile: KProfile | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_class(self.contract_class)
-        if not prices(self.profile, self.cost, self.dist.family):
-            object.__setattr__(self, "profile", KProfile(self.cost, self.dist.family))
+
+    @cached_property
+    def profile(self) -> KProfile:
+        """The per-k costs of the menu's market, built once and memoized."""
+        return KProfile(self.cost, self.dist.family)
 
     def terms(self, a, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(served, deductible, premium) of the entries for types (a, k).
@@ -230,4 +227,4 @@ def solve(
         tau, val = _discrete_maximum(kind, j, dist, profile)
     else:
         tau, val = maximize_over_tau(j, *tau_range(kind, dist), grid_points, refine_tol)
-    return ThresholdMenu(tau, val, cost, dist, kind, profile)
+    return ThresholdMenu(tau, val, cost, dist, kind)

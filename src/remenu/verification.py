@@ -20,7 +20,7 @@ import numpy as np
 from . import menus
 from .errors import DomainError
 from .menus import GenericMenu, risk_reduction
-from .risk_model import CostFunctional, KProfile, prices
+from .risk_model import CostFunctional, KProfile
 from .threshold import reference, require_assumption
 from .type_space import TypeDistribution
 
@@ -112,15 +112,9 @@ def j_general(
 # -- menu audits --------------------------------------------------------
 
 
-def _best_offer(menu: GenericMenu, a: np.ndarray) -> np.ndarray:
-    """Largest risk reduction on offer at each risk level in the array a, not
-    counting staying out; memory does not grow with the menu's length."""
-    return menu.best_offer(np.ravel(a)).reshape(a.shape)
-
-
 def indirect_utility(menu: GenericMenu, a) -> np.ndarray:
     """Largest risk reduction available from the menu (outside option 0)."""
-    return np.maximum(_best_offer(menu, np.asarray(a, dtype=float)), 0.0)
+    return np.maximum(menu.best_offer(a), 0.0)
 
 
 @dataclass(frozen=True)
@@ -169,7 +163,7 @@ def check_ic(
     """
     if isinstance(menu, GenericMenu):
         a, k, *terms = menu.columns
-        best = _best_offer(menu, a)
+        best = menu.best_offer(a)
         slack = best - risk_reduction(terms, a)
 
         def alt_types(i):
@@ -290,9 +284,8 @@ def monte_carlo_profit(
     rounding.  Either way contracts are priced in blocks of _BLOCK_ELEMS
     samples, only the rows with lam > 0 through the tail cost, so memory
     beyond the samples and their profits does not grow with n or the menu's
-    length.  A threshold menu's own KProfile prices it when cost and dist's
-    family are the menu's.  Returns (estimate, standard error);
-    deterministic given the seed.
+    length.  Returns (estimate, standard error); deterministic given the
+    seed.
     """
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
@@ -303,8 +296,7 @@ def monte_carlo_profit(
         step = menus._BLOCK_ELEMS
         blocks = (slice(s, s + step) for s in range(0, n, step))
         chosen = ((b, menu.terms(a[b], k[b])) for b in blocks)
-    own = getattr(menu, "profile", None)  # a threshold menu's, reused if it prices this market
-    profile = own if prices(own, cost, dist.family) else KProfile(cost, dist.family)
+    profile = KProfile(cost, dist.family)
     profits = np.empty(n)
     for block, (lam, d, premium) in chosen:
         paid = np.flatnonzero(lam.astype(bool, copy=False))  # as bools: a float lam scans 6x slower

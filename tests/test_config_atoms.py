@@ -1,5 +1,5 @@
-"""Discrete atoms in a config are read at array speed where every number is
-plain, and atom by atom otherwise, with the same errors naming the same atom."""
+"""Discrete atoms in a config are read atom by atom, plain JSON numbers and
+float subclasses alike, and a ConfigError names the first bad atom."""
 
 import numpy as np
 import pytest

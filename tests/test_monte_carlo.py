@@ -130,7 +130,7 @@ class TestRuleMenuAgainstPerSample:
 
 
 class TestOneProfilePerMenu:
-    def test_solve_and_monte_carlo_build_one(self, cost, product_dist, monkeypatch):
+    def test_the_menu_builds_its_profile_once(self, cost, product_dist, monkeypatch):
         built = []
 
         class Counted(KProfile):
@@ -138,25 +138,38 @@ class TestOneProfilePerMenu:
                 built.append(args)
                 super().__init__(*args)
 
-        for module in (threshold, verification):
-            monkeypatch.setattr(module, "KProfile", Counted)
-        menu = threshold.solve("stop_loss", product_dist, cost, grid_points=101)
+        monkeypatch.setattr(threshold, "KProfile", Counted)
+        menu = threshold.ThresholdMenu(30000.0, 0.0, cost, product_dist, "stop_loss")
+        assert not built  # built on first use
         menu.terms(40000.0, 10000.0)
-        monte_carlo_profit(menu, product_dist, cost, 100, 1)
-        assert len(built) == 1
-        # Another market's cost gets its own profile.
-        monte_carlo_profit(menu, product_dist, CostFunctional(0.2), 100, 1)
-        assert len(built) == 2
+        menu.terms(20000.0, 10000.0)
+        assert built == [(cost, product_dist.family)] and menu.profile is menu.profile
 
-    def test_a_given_profile_is_kept_only_for_its_market(self, cost, product_dist):
+    def test_a_replaced_cost_gets_its_own_profile(self, cost, product_dist):
         menu = threshold.solve("stop_loss", product_dist, cost, grid_points=101)
-        again = threshold.ThresholdMenu(menu.tau_star, 0.0, cost, product_dist, "stop_loss", menu.profile)
-        assert again.profile is menu.profile
+        assert menu.profile.cost == cost
         dearer = CostFunctional(0.2)
-        other = threshold.ThresholdMenu(menu.tau_star, 0.0, dearer, product_dist, "stop_loss", menu.profile)
-        assert other.profile is not menu.profile and other.profile.cost == other.cost
         assert dataclasses.replace(menu, cost=dearer).profile.cost == dearer
-        assert dataclasses.replace(menu, tau_star=1.0).profile is menu.profile
+        # Monte Carlo prices by the cost it is given, not by the menu's.
+        got = monte_carlo_profit(menu, product_dist, dearer, 2000, 1)
+        assert got == reference_profit(menu, product_dist, dearer, 2000, 1)
+        assert got != monte_carlo_profit(menu, product_dist, cost, 2000, 1)
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_a_menu_built_from_its_fields_matches_the_solved_one(self, name):
+        """A menu rebuilt from (tau*, J*, cost, dist, kind), as a caller
+        holding only those numbers does, audits and prices as the one solve
+        returns, bit for bit: no state of the solve rides along."""
+        menu, dist, cost = bundled(name)
+        twin = threshold.ThresholdMenu(menu.tau_star, menu.objective_value, cost, dist, menu.contract_class)
+        a, k = dist.sample(5000, np.random.default_rng(2))
+        for got, want in zip(twin.terms(a, k), menu.terms(a, k)):
+            assert got.tobytes() == want.tobytes()
+        for check in (verification.check_ic, verification.check_ir):
+            reports = [check(m, dist, 5000, np.random.default_rng(3)).to_dict() for m in (twin, menu)]
+            assert repr(reports[0]) == repr(reports[1])
+        estimates = [monte_carlo_profit(m, dist, cost, 20000, 4) for m in (twin, menu)]
+        assert repr(estimates[0]) == repr(estimates[1])
 
 
 def lomax_family():

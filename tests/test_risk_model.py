@@ -98,6 +98,38 @@ class TestGenericLossContract:
         assert calls == [(2, 7)]
 
 
+class TestLossParameters:
+    """A loss's parameters are checked when it is built, and a bad one is
+    named: unchecked, a NaN support_hi prices H[(X - 1)_+] as 0, and a point
+    mass of -0.2 admits alphas up to 1.2."""
+
+    @pytest.mark.parametrize("hi", [math.nan, -1.0, -math.inf], ids=["nan", "negative", "-inf"])
+    def test_support_hi_must_be_nonnegative(self, hi):
+        with pytest.raises(DomainError, match="support_hi must be >= 0"):
+            GenericLoss(lambda y: np.exp(-y), support_hi=hi)
+
+    @pytest.mark.parametrize("p0", [-0.2, math.nan, 1.5], ids=["negative", "nan", "above-one"])
+    def test_generic_point_mass_zero_must_lie_in_unit_interval(self, p0):
+        with pytest.raises(DomainError, match=r"point_mass_zero must lie in \[0, 1\]"):
+            GenericLoss(lambda y: np.exp(-y), point_mass_zero=p0)
+
+    @pytest.mark.parametrize("mean", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
+    def test_exponential_mean_must_be_positive_and_finite(self, mean):
+        with pytest.raises(DomainError, match="mean must be positive and finite"):
+            ExponentialLoss(mean)
+
+    @pytest.mark.parametrize("p0", [-0.2, math.nan, 1.0], ids=["negative", "nan", "one"])
+    def test_exponential_point_mass_zero_is_named(self, p0):
+        with pytest.raises(DomainError, match=r"point_mass_zero must lie in \[0, 1\)"):
+            ExponentialLoss(1.0, p0)
+
+    def test_edges_of_the_ranges_stay_valid(self):
+        assert (ZERO_LOSS.support_hi, ZERO_LOSS.point_mass_zero) == (0.0, 1.0)
+        assert CostFunctional(0.1).stop_loss_cost(GenericLoss(lambda y: np.exp(-y)), 1.0) == pytest.approx(
+            1.1 * math.exp(-1.0), rel=1e-9
+        )
+
+
 class TestVar:
     def test_var_exponential_known_point(self):
         # alpha = e^-3 puts the quantile at three mean units.

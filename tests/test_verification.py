@@ -242,6 +242,14 @@ class TestIndirectUtility:
         assert indirect_utility(menu, np.array([60.0]))[0] == 0.0
         assert indirect_utility(menu, np.array([100.0]))[0] == pytest.approx(10.0)
 
+    def test_best_offer_keeps_the_shape_of_its_levels(self):
+        entry = MenuEntry(100.0, 1.0, Contract("stop_loss", 1.0, 50.0), 40.0)
+        menu = GenericMenu.from_entries([entry])
+        a = [[60.0, 100.0, 0.0], [90.0, 120.0, 50.0]]
+        assert menu.best_offer(a).tolist() == [[-30.0, 10.0, -40.0], [0.0, 30.0, -40.0]]
+        assert menu.best_offer(100.0).shape == ()
+        assert indirect_utility(menu, a).tolist() == [[0.0, 10.0, 0.0], [0.0, 30.0, 0.0]]
+
     def test_feasible_menu_utility_shape(self, cost, product_dist):
         menu = threshold.solve("stop_loss", product_dist, cost)
         rng = np.random.default_rng(9)
