@@ -64,7 +64,7 @@ def _cost(raw) -> CostFunctional:
     d = _take(cost.get("distortion", {"kind": "identity"}), "cost.distortion", {"kind", "param"}, {"kind"})
     kind = str(d["kind"])
     if kind not in _DISTORTION_KINDS:
-        raise ConfigError(f"unknown distortion kind {kind!r}")
+        raise ConfigError(f"cost.distortion.kind must be one of {sorted(_DISTORTION_KINDS)}, got {kind!r}")
     param = _num(d, "cost.distortion", "param", 1.0)
     if kind == "identity" and "param" in d:
         raise ConfigError("cost.distortion.param: identity distortion takes no exponent")
@@ -83,11 +83,11 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         if self.solver_class not in CONTRACT_CLASSES:
-            raise ConfigError(f"solver.class must be one of {CONTRACT_CLASSES}")
+            raise ConfigError(f"solver.class must be one of {CONTRACT_CLASSES}, got {self.solver_class!r}")
         if not 2 <= self.grid_points <= MAX_GRID_POINTS:
             raise ConfigError(f"solver.grid_points must lie in [2, {MAX_GRID_POINTS}], got {self.grid_points:.17g}")
         if not 0.0 < self.refine_tol < 1.0:
-            raise ConfigError("solver.refine_tol must lie in (0, 1)")
+            raise ConfigError(f"solver.refine_tol must lie in (0, 1), got {self.refine_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ class ScenarioConfig:
         loss = _take(self.loss, "loss", {"family", "point_mass_zero"}, set())
         name = str(loss.get("family", "exponential"))
         if name != "exponential":
-            raise ConfigError(f"unknown loss family {name!r}")
+            raise ConfigError(f"loss.family must be 'exponential', got {name!r}")
         family = ExponentialFamily(_num(loss, "loss", "point_mass_zero", 0.0))
         keys = {"variant", "k_dist", "alpha_dist"}
         types = _take(self.types, "types", keys, keys)
@@ -142,13 +142,13 @@ class ScenarioConfig:
             alphas = [_num(ad, "types.alpha_dist", key) for key in alpha_keys]
             return dist_cls(*ks, *alphas, family)
         if variant != "discrete":
-            raise ConfigError(f"unknown types variant {variant!r}")
+            raise ConfigError(f"types.variant must be one of {[*_UNIFORM_K, 'discrete']}, got {variant!r}")
         atoms = _take(types["k_dist"], "types.k_dist", {"atoms"}, {"atoms"})["atoms"]
         alphas = _take(types["alpha_dist"], "types.alpha_dist", {"atoms"}, {"atoms"})["atoms"]
         if not isinstance(atoms, list) or not isinstance(alphas, list):
-            raise ConfigError("discrete variant needs k_dist.atoms and alpha_dist.atoms lists")
+            raise ConfigError("types.k_dist.atoms and types.alpha_dist.atoms must be lists")
         if len(atoms) != len(alphas):
-            raise ConfigError("k atoms and alpha atoms must align")
+            raise ConfigError(f"types.k_dist.atoms ({len(atoms)}) and types.alpha_dist.atoms ({len(alphas)}) must align")
         return DiscreteTypes(_atom_rows(atoms, alphas), family)
 
 

@@ -142,13 +142,14 @@ class GenericMenu:
         return distinct, np.argsort(order)[of]
 
     @cached_property
-    def _cuts(self) -> np.ndarray:
-        """Where the lookup's a-intervals meet: the breakpoints of the upper
-        envelope of the distinct contracts' lines lam·a - (lam·d + P), lam > 0,
-        and where that envelope meets max(-P), all found in floats; the
-        certificates in _ranges do not depend on them being exact."""
-        with np.errstate(all="ignore"):  # overflow and inf - inf leave a level undecided
-            return _envelope_cuts(self._contracts[0][:, :-1])
+    def _cuts(self) -> np.ndarray | None:
+        """Where the lookup's two a-intervals meet: the level where the best
+        of the distinct contracts' lines lam·a - (lam·d + P), lam > 0, meets
+        max(-P), found in floats (the certificates in _ranges do not depend
+        on it being exact); none without lines or where it overflows.  None
+        when the lines have several slopes: such a menu has no lookup."""
+        with np.errstate(all="ignore"):  # an overflow leaves no cut
+            return _meeting_level(self._contracts[0][:, :-1])
 
     @cached_property
     def _ranges(self) -> tuple[np.ndarray, np.ndarray, tuple | None]:
@@ -175,16 +176,13 @@ class GenericMenu:
         The other samples go through _dense_rule, which values each distinct
         contract once per block of about _BLOCK_ELEMS values, so the choices
         are those of valuing every contract, bit for bit, and memory does not
-        grow with the menu's length.  Building the ranges values every contract at each cut, so
-        with at least as many cuts as samples every sample takes _dense_rule.
+        grow with the menu's length.  A menu whose lines have several slopes
+        has no ranges (_cuts is None): every sample takes _dense_rule.
         """
         a, k = np.ravel(np.asarray(a, dtype=float)), np.ravel(k)
         terms = self._contracts[0]
         offers = terms[:, :-1]
-        if len(self._cuts) < len(a):
-            edges, labels, bounds = self._ranges
-        else:
-            edges, labels, bounds = np.empty(0), np.array([_UNDECIDED]), None
+        edges, labels, bounds = _NO_LOOKUP if self._cuts is None else self._ranges
         step = _BLOCK_ELEMS
         for start in range(0, len(a), step):
             block = slice(start, start + step)
@@ -244,6 +242,7 @@ class GenericMenu:
 
 _TIE = 1e-12  # the dense rule's relative tie
 _UNDECIDED = -2  # lookup label of a level left to the dense rule (-1 is staying out)
+_NO_LOOKUP = np.empty(0), np.array([_UNDECIDED]), None  # (edges, labels, bounds): every level undecided
 _U = 2.0**-53  # unit roundoff of binary64
 # Power-of-two bounds on the rule's tie, net of the rounding in forming it
 # (see _certify): _TIE_LO <= 1e-12 - 1.2 * _U and _TIE_HI >= 1e-12 + 1.2 * _U.
@@ -298,31 +297,18 @@ def _lookup(edges, labels, a) -> np.ndarray:
     return u
 
 
-def _envelope_cuts(offers) -> np.ndarray:
-    """The breakpoints of the upper envelope of the lines lam·a - (lam·d + P)
-    of the contracts with lam > 0 (the best intercept per slope, then a
-    monotone stack), with the level where the envelope meets max(-P); sorted,
-    finite, found in floats."""
+def _meeting_level(offers) -> np.ndarray | None:
+    """Where the best line lam·a - (lam·d + P) of the contracts with lam > 0
+    meets max(-P), when those lines share one slope: one level, found in
+    floats, or none without lines or where it overflows; None for several
+    slopes."""
     lam, d, premium = offers
     line = lam > 0.0
-    if not line.any():
-        return np.empty(0)
-    s, b = lam[line], lam[line] * d[line] + premium[line]
-    meet = ((b - premium.min()) / s).min()
-    order = np.lexsort((b, s))
-    s, b = s[order], b[order]
-    first = np.r_[True, s[1:] != s[:-1]]
-    hull: list[tuple[float, float]] = []
-    for s3, b3 in zip(s[first].tolist(), b[first].tolist()):
-        while len(hull) > 1:
-            (s1, b1), (s2, b2) = hull[-2:]
-            if (b2 - b1) * (s3 - s1) < (b3 - b1) * (s2 - s1):
-                break
-            hull.pop()  # the middle line is nowhere above the other two
-        hull.append((s3, b3))
-    x = [(b2 - b1) / (s2 - s1) for (s1, b1), (s2, b2) in zip(hull, hull[1:])]
-    cuts = np.unique(np.array([*x, meet]))
-    return cuts[np.isfinite(cuts)]
+    s = lam[line]
+    if len(s) and (s != s[0]).any():
+        return None
+    meet = ((s * d[line] + premium[line] - premium.min()) / s).min(initial=np.inf)
+    return np.array([meet] if math.isfinite(meet) else [])
 
 
 def _down(x):
@@ -368,15 +354,18 @@ def _certify(offers, cuts) -> tuple[np.ndarray, np.ndarray, tuple | None]:
     _UNDECIDED.  Where a contract wins as a type's own entry, _wins finds
     from bounds.
 
-    The cuts split the a-axis into intervals.  On each, the designated
-    contract c is the rule's choice at one point inside it, and the bounds are
-    linear in a with exact float coefficients (u is the unit roundoff):
+    The contracts with lam > 0 have lines lam·a - (lam·d + P) of one slope s,
+    and the cut, where the best of them meets max(-P), splits the a-axis into
+    two intervals (a menu without lines has one, the whole axis).  On each,
+    the designated contract c is the rule's choice at one point inside it,
+    and the bounds are linear in a with exact float coefficients, anchored at
+    the cut x (u is the unit roundoff):
       - Lam(a) >= the float value of every contract whose line is active
-        (a > d): the chord, or the asymptotic slope on an unbounded interval,
-        of the convex envelope of the lines, through upper bounds on it at the
-        cuts (each line valued in floats, plus _SLACK times its magnitudes),
-        widened by _SLACK times the magnitudes of the value, of a and of
-        a - x; every other contract is worth exactly -P <= C = max(-P).
+        (a > d): slope s through an upper bound on the lines at the cut (each
+        valued in floats, plus _SLACK times its magnitudes), widened by
+        _SLACK times the magnitudes of the value, of a and of a - x; every
+        other contract is worth exactly -P <= C = max(-P).  A bound that
+        overflowed (NaN or +inf) certifies nothing on its interval.
       - W(a): the same over the contracts before c in menu order, with C_W
         their largest -P.
       - vc(a) = lam'·(a - d_c) - P_c, lam' = lam_c(1 - 8u) rounded, is at most
@@ -398,51 +387,33 @@ def _certify(offers, cuts) -> tuple[np.ndarray, np.ndarray, tuple | None]:
     lam, d, premium = offers
     n, line, inf = len(cuts), lam > 0.0, np.inf
     if n == 0 and line.any():  # the lines' meeting level overflowed: all to the dense rule
-        return np.empty(0), np.array([_UNDECIDED]), None
+        return _NO_LOOKUP
     lo, hi = np.append(-inf, cuts), np.append(cuts, inf)
-    if n:  # anchors x: left ends, the first interval's right end; r: a level inside each interval
-        x, pad = np.append(cuts[:1], cuts), np.maximum(1.0, np.abs(cuts[[0, -1]])) / 2
-        r = np.concatenate([[cuts[0] - pad[0]], (cuts[:-1] + cuts[1:]) / 2, [cuts[-1] + pad[1]]])
-    else:
-        x = r = np.zeros(1)
+    x = cuts[[0, 0]] if n else np.zeros(1)  # the anchors: the cut
+    pad = max(1.0, abs(x[0])) / 2
+    r = (x + [-pad, pad])[: n + 1]  # a level inside each interval
     star = np.maximum(_dense_rule(offers, r)[1], 0)  # the first contract where the rule stays out
     before = star - 1  # the last contract before the designated one; -1 for none
 
-    # Upper bounds on the lines at each cut: over all contracts (big), and over
-    # those before the designated contract of the interval to its left (w_hi)
-    # and to its right (w_lo).
-    big, w_hi, w_lo = np.full(n + 1, -inf), np.full(n + 1, -inf), np.full(n + 1, -inf)
-    step = max(1, _BLOCK_ELEMS // len(lam))
-    for start in range(0, n, step):
-        j = np.arange(start, min(n, start + step))
-        z = lam[line, None] * (cuts[j] - d[line, None])
-        v = z - premium[line, None]
-        ups = np.full((len(lam), len(j)), -inf)
-        ups[line] = v + _SLACK * (np.abs(v) + np.abs(z))
-        big[j] = ups.max(axis=0)
-        np.maximum.accumulate(ups, axis=0, out=ups)
-        w_hi[j] = np.where(before[j] >= 0, ups[before[j], j - start], -inf)
-        w_lo[j + 1] = np.where(before[j + 1] >= 0, ups[before[j + 1], j - start], -inf)
-    big_lo, big_hi = np.roll(big, 1), big  # big at each interval's left and right end
+    # Upper bounds on the lines at the cut, over the contracts up to each one:
+    # over all (big), and over those before each interval's designated one (w).
+    z = lam[line] * (x[0] - d[line])
+    v = z - premium[line]
+    ups = np.full(len(lam), -inf)
+    ups[line] = v + _SLACK * (np.abs(v) + np.abs(z))
+    np.maximum.accumulate(ups, out=ups)
+    slope = lam.max()  # the lines' one slope
+    widen = _SLACK * (slope + 1.0)
+    s = np.array([slope - widen, slope + widen])[: n + 1]  # a - x <= 0 on the first interval only
 
-    def bound(at_lo, at_hi, s_first, s_last):
+    def bound(at_cut):
         """(value at the anchor, slope) of the linear bound on each interval."""
-        y = np.where(np.arange(n + 1) == 0, at_hi[0], at_lo)
-        s = np.empty(n + 1)
-        s[0], s[-1] = s_first, s_last
-        s[1:-1] = (at_hi[1:-1] - at_lo[1:-1]) / np.diff(cuts)
-        widen = _SLACK * (np.abs(s) + 1.0)
-        s[0] -= widen[0]  # a - x <= 0 on the first interval only
-        s[1:] += widen[1:]
-        y = y + _SLACK * (np.abs(y) + np.abs(x))
-        finite = np.isfinite(y)
-        return np.where(finite, y, -inf), np.where(finite, s, 0.0)
+        y = at_cut + _SLACK * (np.abs(at_cut) + np.abs(x))
+        none = np.isneginf(at_cut)  # no line: -inf, not the NaN that -inf + inf gives y
+        return np.where(none, -inf, y), np.where(none, 0.0, s)
 
-    slopes = np.where(line, lam, np.nan)
-    first_slope = np.fmin.accumulate(slopes)[max(before[0], 0)]
-    last_slope = np.fmax.accumulate(slopes)[max(before[-1], 0)]
-    big_y, big_s = bound(big_lo, big_hi, np.nanmin(slopes, initial=1.0), lam.max())
-    w_y, w_s = bound(w_lo, w_hi, first_slope, last_slope)
+    big_y, big_s = bound(ups[-1])
+    w_y, w_s = bound(np.where(before >= 0, ups[before], -inf))
     c_all = float(-premium.min())
     c_w = np.where(before >= 0, np.maximum.accumulate(-premium)[np.maximum(before, 0)], -inf)
     t_c = c_all - _TIE * max(1.0, abs(c_all))  # T at best = C, formed as the rule forms it

@@ -240,13 +240,13 @@ class CostFunctional:
         if not (isinstance(loss, ExponentialLoss) and self.distortion.is_exponent_form):
             return None
         c, k, p0 = self.distortion.exponent, loss.mean, loss.point_mass_zero
-        amp = (1.0 + self.theta) * (1.0 - p0) ** c
+        scale = (1.0 + self.theta) * (1.0 - p0) ** c * (k / c)  # H[X]
 
         def tail(d):
             d = np.asarray(d, dtype=float)
-            with np.errstate(over="ignore"):
-                out = amp * (k / c) * np.exp(-c * np.minimum(d, 1e308) / k)
-            return np.where(np.isinf(d), 0.0, out)
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = scale * np.exp(-c * d / k)  # exp(-inf) = 0 prices d = inf
+            return out if scale < math.inf else np.where(np.isinf(d), 0.0, out)  # inf * 0 there
 
         theta_star = (k / c) * math.log1p(self.theta) + k * math.log(1.0 - p0)
         return max(theta_star, 0.0), tail

@@ -233,6 +233,43 @@ class TestSolve:
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert named in capsys.readouterr().err
 
+    # Every ConfigError branch of config.py, each naming its key and the value it got.
+    @pytest.mark.parametrize(
+        "path, value, named",
+        [
+            (("cost", "distortion"), "power", "cost.distortion must be an object"),
+            (("cost", "distortion", "kind"), "wang",
+             "cost.distortion.kind must be one of ['identity', 'power', 'proportional_hazard'], got 'wang'"),
+            (("cost", "distortion"), {"kind": "power", "param": 2},
+             "cost.distortion.param: distortion exponent must lie in (0, 1], got 2.0"),
+            (("solver", "class"), "excess",
+             "solver.class must be one of ('stop_loss', 'quota_share', 'change_loss'), got 'excess'"),
+            (("solver", "refine_tol"), 1.5, "solver.refine_tol must lie in (0, 1), got 1.5"),
+            ((), [], "config root must be a JSON object"),
+            (("loss", "family"), "lomax", "loss.family must be 'exponential', got 'lomax'"),
+            (("types", "variant"), "beta",
+             "types.variant must be one of ['product_uniform', 'degenerate_alpha', 'discrete'], got 'beta'"),
+            (("types",), {"variant": "discrete", "k_dist": {"atoms": {}}, "alpha_dist": {"atoms": []}},
+             "types.k_dist.atoms and types.alpha_dist.atoms must be lists"),
+            (("types",), {"variant": "discrete", "k_dist": {"atoms": [[5000, 1.0]]}, "alpha_dist": {"atoms": [0.05, 0.1]}},
+             "types.k_dist.atoms (1) and types.alpha_dist.atoms (2) must align"),
+        ],
+        ids=["distortion", "kind", "param", "class", "refine_tol", "root", "family", "variant", "atom-lists", "align"],
+    )
+    def test_config_error_exits_2_naming_its_key(self, tmp_path, capsys, path, value, named):
+        raw = json.loads(write_config(tmp_path / "c.json").read_text())
+        if path:
+            section = raw
+            for key in path[:-1]:
+                section = section[key]
+            section[path[-1]] = value
+        else:
+            raw = value
+        (tmp_path / "c.json").write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(tmp_path / "c.json"), "--out", str(out)]) == 2
+        assert f"error: {named}" in capsys.readouterr().err and not out.exists()
+
     @pytest.mark.parametrize("config_seed, named", [(-5, "-5")], ids=["config"])
     def test_negative_seed_exits_2_naming_seed(self, tmp_path, capsys, config_seed, named):
         cfg = write_config(tmp_path / "c.json", seed=config_seed)

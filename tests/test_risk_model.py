@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 
 import numpy as np
@@ -170,6 +171,19 @@ class TestStopLossCost:
 
     def test_infinite_deductible_costs_nothing(self, cost):
         assert cost.stop_loss_cost(ExponentialLoss(10000.0), math.inf) == 0.0
+
+    @pytest.mark.parametrize("mean", [1.0, 1e300])
+    def test_infinite_deductible_costs_exactly_nothing(self, cost, mean):
+        # With c = 1e-306 and mean 1e300, H[X] = 1.1e606 overflows to inf.
+        for c in (cost, CostFunctional(0.1, Distortion.power(1e-306))):
+            assert c.stop_loss_cost(ExponentialLoss(mean), math.inf) == 0.0
+
+    @pytest.mark.parametrize("d", [1.5e308, sys.float_info.max])
+    def test_deductibles_above_1e308_keep_their_tail(self, d):
+        # exp(-c·d) stays far from 0 at c = 1e-306: 7.89e240 at 1.5e308 and
+        # 9.30e227 at the largest float, where clamping d to 1e308 read 4.09e262.
+        got = CostFunctional(0.1, Distortion.power(1e-306)).stop_loss_cost(ExponentialLoss(1.0), d)
+        assert got == pytest.approx(1.1 / 1e-306 * math.exp(-1e-306 * d), rel=1e-12)
 
     def test_cost_at_mean_deductible(self, cost):
         got = cost.stop_loss_cost(ExponentialLoss(10000.0), 10000.0)

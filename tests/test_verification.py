@@ -648,8 +648,8 @@ def kinked_menus(draw):
     more, repeated rows; one slope, a few equal ones or many; every level,
     deductible and premium times 1, 1000 or 10^6.  Returns the menu and the
     risk levels to choose at: the rows' own (a, k), each deductible, tau and
-    its neighbours 1 ulp away, the lookup's cuts and edges and their
-    neighbours, and spread levels."""
+    its neighbours 1 ulp away, the lookup's cut and edges, where it has
+    them, and their neighbours, and spread levels."""
     scale = draw(st.sampled_from([1.0, 1e3, 1e6]))
     tau = draw(st.floats(1e3, 5e4))
     slopes = draw(st.sampled_from(["one", "few", "many"]))
@@ -675,7 +675,8 @@ def kinked_menus(draw):
     menu = GenericMenu(cols, ("change_loss",) * cols.shape[1])
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     d = cols[3][np.isfinite(cols[3])]
-    marks = np.concatenate([d, [tau * scale], menu._cuts, menu._ranges[0]])
+    lookup = [] if menu._cuts is None else [menu._cuts, menu._ranges[0]]
+    marks = np.concatenate([d, [tau * scale], *lookup])
     a = np.concatenate([
         cols[0], marks, np.nextafter(marks, -np.inf), np.nextafter(marks, np.inf),
         rng.uniform(0.0, 1e5 * scale, 200),
@@ -689,7 +690,9 @@ class TestCertifiedLookup:
     @given(case=kinked_menus())
     def test_matches_the_per_entry_loop(self, case, cost, product_dist):
         menu, a, k = case
-        assert len(menu._cuts) < len(a)  # the lookup, not the dense rule, decides
+        lam, d = menu.columns[2:4]
+        one_slope = len(np.unique(lam[(lam > 0.0) & np.isfinite(d)])) <= 1
+        assert (menu._cuts is not None) == one_slope  # the lookup decides exactly then
         assert_same_bits(selected(menu, a, k), loop_choice(menu, a, k))
         dist = FixedSamples(product_dist.family, a, k)
         assert monte_carlo_profit(menu, dist, cost, len(a), 0) == loop_monte_carlo_profit(menu, dist, cost, len(a), 0)
@@ -717,15 +720,58 @@ class TestCertifiedLookup:
         selected(menu, a, k)
         assert sum(dense_calls) <= 1000
 
-    def test_more_cuts_than_samples_take_the_dense_rule(self, dense_calls):
-        # 40 lines tangent to a parabola: 40 cuts, which would cost more to
-        # value every contract at than 10 samples cost the dense rule.
+    def test_several_slopes_take_the_dense_rule(self, dense_calls):
+        # 40 lines tangent to a parabola: 40 slopes, so no lookup is built.
         lam = np.linspace(0.025, 1.0, 40)
         cols = np.array([np.full(40, 5e4), np.full(40, 1e4), lam, np.zeros(40), 2e4 * lam**2])
         menu = GenericMenu(cols, ("quota_share",) * 40)
         a, k = np.linspace(0.0, 6e4, 10), np.full(10, 1e4)
         assert_same_bits(selected(menu, a, k), loop_choice(menu, a, k))
-        assert len(menu._cuts) == 40 and sum(dense_calls) == 10 and "_ranges" not in vars(menu)
+        assert menu._cuts is None and sum(dense_calls) == 10 and "_ranges" not in vars(menu)
+
+    def test_an_overflowing_cut_leaves_every_level_to_the_dense_rule(self, dense_calls):
+        # lam·d + P overflows, so the line meets max(-P) at no float level.
+        cols = np.array([[5e4, 1e4, 1.0, 1.5e308, 1e308], [6e4, 1e4, 0.0, math.inf, 0.0]]).T
+        menu = GenericMenu(cols, ("change_loss",) * 2)
+        a = np.array([0.0, 5e4, 6e4, 1e308, 1.5e308, 1.7e308, 1.79e308])
+        k = np.full(len(a), 1e4)
+        assert len(menu._cuts) == 0
+        assert_same_bits(selected(menu, a, k), loop_choice(menu, a, k))
+        assert sum(dense_calls) == len(a)
+
+    def test_a_bound_that_overflows_at_the_cut_certifies_nothing(self):
+        # At the cut a = 1 the second line is worth -1e308 - 1e308 = -inf, so
+        # the bound on the lines there is NaN; read as "no line", it let the
+        # lookup offer the null row on [0.5, 1], where the first row ties it.
+        cols = np.array([[1.0, 1.0, 1.0, 0.0, 1.0], [2.0, 1.0, 1.0, 1e308, 1e308], [3.0, 1.0, 0.0, math.inf, 0.0]]).T
+        menu = GenericMenu(cols, ("change_loss",) * 3)
+        a = np.array([0.5, 1.0 - 1e-13, 1.0, math.nextafter(1.0, 2.0), 1.5, 1e308])
+        k = np.full(len(a), 9.0)
+        assert_same_bits(menu._cuts, np.array([1.0]))
+        assert_same_bits(selected(menu, a, k), loop_choice(menu, a, k))
+
+    def test_solved_menus_have_one_slope(self, bundled_configs, tmp_path):
+        # remenu solve writes bang-bang contracts, so every menu.csv it writes
+        # has one positive lam and self-selects through the lookup: the five
+        # bundled configs, the capped product market and a discrete market
+        # drawn as CI draws its 100,000-atom one.
+        tables = [table for table, _dist, _cost in bundled_configs.values()]
+        r, n = np.random.default_rng(1), 2000
+        w = r.dirichlet(np.ones(n))
+        configs = {
+            "capped": {"cost": {"theta": 1}, "solver": {"class": "stop_loss"}, "types": {
+                "variant": "product_uniform", "k_dist": {"lo": 5000, "hi": 25000}, "alpha_dist": {"lo": 0.05, "hi": 0.5}
+            }},
+            "discrete": {"cost": {"theta": 0.1}, "types": {
+                "variant": "discrete", "k_dist": {"atoms": np.c_[r.uniform(5000, 25000, n), w / w.sum()].tolist()},
+                "alpha_dist": {"atoms": r.uniform(0.03, 0.15, n).tolist()},
+            }},
+        }
+        for name, config in configs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(config))
+            assert main(["solve", "--config", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / name)]) == 0
+            tables.append(_read_menu_csv(tmp_path / name / "menu.csv"))
+        assert len(tables) == 7 and all(table._cuts is not None for table in tables)
 
     def test_levels_tied_up_to_rounding_take_the_dense_rule(
         self, bundled_solves, bundled_tables, cost, product_dist, dense_calls
